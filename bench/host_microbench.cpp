@@ -31,6 +31,7 @@
 #include "obs/bench_json.h"
 #include "obs/host_profiler.h"
 #include "orc8r/orchestrator.h"
+#include "rpc/rpc.h"
 
 using namespace magma;
 
@@ -45,7 +46,7 @@ std::vector<Metric> g_metrics;
 
 void emit(const std::string& key, double value) {
   g_metrics.push_back(Metric{key, value});
-  std::printf("  %-34s %14.1f\n", key.c_str(), value);
+  std::printf("host: %-34s %14.1f\n", key.c_str(), value);
 }
 
 // Allocation + wall-clock window around one primitive's loop.
@@ -185,10 +186,7 @@ void bench_lte_attach(bool quick) {
 // the HostProfiler's (magmad, apply_delta) label.
 
 struct FleetGateway {
-  std::unique_ptr<net::DuplexLink> link;
-  net::ReliablePair channels;
-  std::unique_ptr<rpc::RpcNode> server_node;
-  std::unique_ptr<rpc::RpcNode> client_node;
+  std::unique_ptr<rpc::RpcLink> rpc;
   std::unique_ptr<agw::SubscriberDb> subscribers;
   agw::PolicyDb policies;
   std::unique_ptr<agw::Magmad> magmad;
@@ -220,22 +218,17 @@ void bench_fleet(bool quick) {
   fleet.reserve(static_cast<std::size_t>(kFleet));
   for (int i = 0; i < kFleet; ++i) {
     auto gw = std::make_unique<FleetGateway>();
-    gw->link = std::make_unique<net::DuplexLink>(kernel, rng,
-                                                 sim::fiber_backhaul());
-    gw->channels = net::make_reliable_pair(kernel, *gw->link);
-    gw->server_node = std::make_unique<rpc::RpcNode>(kernel, *gw->channels.a,
-                                                     "orc8r-server");
-    gw->client_node = std::make_unique<rpc::RpcNode>(kernel, *gw->channels.b,
-                                                     "agw-client");
+    gw->rpc = std::make_unique<rpc::RpcLink>(kernel, rng, "orc8r-server",
+                                             "agw-client");
     gw->subscribers = std::make_unique<agw::SubscriberDb>(
         [&rng]() { return rng.next_u64(); });
     char id[16];
     std::snprintf(id, sizeof(id), "gw%04d", i);
     gw->magmad = std::make_unique<agw::Magmad>(
-        kernel, id, gw->client_node.get(), *gw->subscribers, gw->policies,
+        kernel, id, &gw->rpc->client, *gw->subscribers, gw->policies,
         []() { return common::Bytes{}; },
         []() { return std::vector<orc8r::MetricSample>{}; }, config);
-    orc8r.bind(*gw->server_node);
+    orc8r.bind(gw->rpc->server);
     const sim::Duration offset =
         static_cast<sim::Duration>(i) * (30 * sim::kSecond) / kFleet;
     agw::Magmad* m = gw->magmad.get();

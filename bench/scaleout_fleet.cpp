@@ -23,9 +23,9 @@
 
 #include "agw/magmad.h"
 #include "bench_util.h"
-#include "net/channel.h"
 #include "obs/host_profiler.h"
 #include "orc8r/orchestrator.h"
+#include "rpc/rpc.h"
 
 using namespace magma;
 
@@ -35,10 +35,7 @@ constexpr int kFleet = 1000;
 constexpr int kSubscribers = 200;
 
 struct Gateway {
-  std::unique_ptr<net::DuplexLink> link;
-  net::ReliablePair channels;
-  std::unique_ptr<rpc::RpcNode> server_node;
-  std::unique_ptr<rpc::RpcNode> client_node;
+  std::unique_ptr<rpc::RpcLink> rpc;
   std::unique_ptr<agw::SubscriberDb> subscribers;
   agw::PolicyDb policies;
   std::unique_ptr<agw::Magmad> magmad;
@@ -95,22 +92,17 @@ int main() {
   fleet.reserve(kFleet);
   for (int i = 0; i < kFleet; ++i) {
     auto gw = std::make_unique<Gateway>();
-    gw->link = std::make_unique<net::DuplexLink>(kernel, rng,
-                                                 sim::fiber_backhaul());
-    gw->channels = net::make_reliable_pair(kernel, *gw->link);
-    gw->server_node = std::make_unique<rpc::RpcNode>(
-        kernel, *gw->channels.a, "orc8r-server");
-    gw->client_node = std::make_unique<rpc::RpcNode>(
-        kernel, *gw->channels.b, "agw-client");
+    gw->rpc = std::make_unique<rpc::RpcLink>(kernel, rng, "orc8r-server",
+                                             "agw-client");
     gw->subscribers = std::make_unique<agw::SubscriberDb>(
         [&rng]() { return rng.next_u64(); });
     char id[16];
     std::snprintf(id, sizeof(id), "gw%04d", i);
     gw->magmad = std::make_unique<agw::Magmad>(
-        kernel, id, gw->client_node.get(), *gw->subscribers, gw->policies,
+        kernel, id, &gw->rpc->client, *gw->subscribers, gw->policies,
         []() { return common::Bytes{}; },
         []() { return std::vector<orc8r::MetricSample>{}; }, config);
-    orc8r.bind(*gw->server_node);
+    orc8r.bind(gw->rpc->server);
     // Stagger boots across one poll interval so the orchestrator sees a
     // steady poll stream, not 1000 simultaneous RPCs.
     const sim::Duration offset =
@@ -247,7 +239,7 @@ int main() {
               static_cast<unsigned long long>(ing.shed),
               static_cast<unsigned long long>(ing.max_gateway_queue),
               static_cast<unsigned long long>(ing.max_pending));
-  std::printf("wall: %.0f ms for %d AGWs over %.0f simulated seconds\n",
+  std::printf("host: wall %.0f ms for %d AGWs over %.0f simulated seconds\n",
               wall_ms, kFleet, sim::to_seconds(kernel.now()));
   std::printf("host: sync %.0f ms, delta %.0f ms, churn %.0f ms; boot cost "
               "%llu allocs / %llu bytes per AGW\n",

@@ -31,10 +31,10 @@
 
 #include "agw/magmad.h"
 #include "bench_util.h"
-#include "net/channel.h"
 #include "obs/host_profiler.h"
 #include "obs/sketch/subscriber_sketches.h"
 #include "orc8r/orchestrator.h"
+#include "rpc/rpc.h"
 
 using namespace magma;
 
@@ -44,10 +44,7 @@ constexpr int kPlanted = 10;
 constexpr int kSketchGateways = 4;
 
 struct Gateway {
-  std::unique_ptr<net::DuplexLink> link;
-  net::ReliablePair channels;
-  std::unique_ptr<rpc::RpcNode> server_node;
-  std::unique_ptr<rpc::RpcNode> client_node;
+  std::unique_ptr<rpc::RpcLink> rpc;
   std::unique_ptr<agw::SubscriberDb> subscribers;
   agw::PolicyDb policies;
   obs::sketch::SubscriberSketches sketches;
@@ -59,20 +56,15 @@ std::unique_ptr<Gateway> make_gateway(sim::Kernel& kernel, sim::Rng& rng,
                                       const std::string& id,
                                       const agw::MagmadConfig& config) {
   auto gw = std::make_unique<Gateway>();
-  gw->link =
-      std::make_unique<net::DuplexLink>(kernel, rng, sim::fiber_backhaul());
-  gw->channels = net::make_reliable_pair(kernel, *gw->link);
-  gw->server_node =
-      std::make_unique<rpc::RpcNode>(kernel, *gw->channels.a, "orc8r-server");
-  gw->client_node =
-      std::make_unique<rpc::RpcNode>(kernel, *gw->channels.b, "agw-client");
+  gw->rpc = std::make_unique<rpc::RpcLink>(kernel, rng, "orc8r-server",
+                                           "agw-client");
   gw->subscribers =
       std::make_unique<agw::SubscriberDb>([&rng]() { return rng.next_u64(); });
   gw->magmad = std::make_unique<agw::Magmad>(
-      kernel, id, gw->client_node.get(), *gw->subscribers, gw->policies,
+      kernel, id, &gw->rpc->client, *gw->subscribers, gw->policies,
       []() { return common::Bytes{}; },
       []() { return std::vector<orc8r::MetricSample>{}; }, config);
-  orc8r.bind(*gw->server_node);
+  orc8r.bind(gw->rpc->server);
   return gw;
 }
 
@@ -338,8 +330,8 @@ int main(int argc, char** argv) {
         failures);
 
   const double wall_ms = wall_ms_since(wall_start);
-  std::printf("\nwall: %.0f ms total (load %.0f ms, sync %.0f ms, sketch "
-              "phase %.0f ms)\n",
+  std::printf("\nhost: wall %.0f ms total (load %.0f ms, sync %.0f ms, "
+              "sketch phase %.0f ms)\n",
               wall_ms, load_wall_ms, sync_wall_ms, sketch_wall_ms);
   std::printf("host: %.1f allocs/subscriber load, %.1f allocs/subscriber "
               "sync, %.2f allocs/offer, sketch %zu B, wire %zu B\n",

@@ -130,18 +130,8 @@ void AccessGateway::set_tracer(obs::Tracer* tracer) {
     if (span.node != id_.value || span.kind != obs::SpanKind::kInternal) {
       return;
     }
-    // Each bucket keeps the latest landing span as its exemplar and pins
-    // that trace (refcounted) so a p99 query at metricsd can pivot to a
-    // retained trace — today only errors would pin it. Pin-new before
-    // unpin-old keeps the refcount nonzero when both are the same trace.
-    obs::Histogram& hist =
-        latency_hist_["span_" + span.service + "_" + span.name + "_s"];
-    const std::uint64_t displaced =
-        hist.observe(sim::to_seconds(span.duration()), span.trace_id);
-    if (span.trace_id != 0) {
-      tracer_->pin(span.trace_id);
-      tracer_->unpin(displaced);
-    }
+    latency_hist_["span_" + span.service + "_" + span.name + "_s"].observe(
+        sim::to_seconds(span.duration()));
   });
 }
 
@@ -428,13 +418,6 @@ std::vector<orc8r::HistogramSnapshot> AccessGateway::histogram_snapshot()
     snap.name = name;
     snap.bounds = hist.bounds();
     snap.counts = hist.counts();
-    const std::vector<std::uint64_t>& exemplars = hist.exemplars();
-    for (std::size_t b = 0; b < exemplars.size(); ++b) {
-      if (exemplars[b] != 0) {
-        snap.exemplars.emplace_back(static_cast<std::uint32_t>(b),
-                                    exemplars[b]);
-      }
-    }
     snap.sum = hist.sum();
     snap.time = kernel_.now();
     snapshots.push_back(std::move(snap));

@@ -100,11 +100,6 @@ class AccessGateway {
   // magmad ships to metricsd. Call before or after connect_orchestrator —
   // both orders work.
   void set_tracer(obs::Tracer* tracer);
-  // Tune the TailSampler (takes effect at the next set_tracer call; call
-  // before set_tracer for a fresh gateway).
-  void set_tail_sampler_config(obs::TailSamplerConfig config) {
-    tail_config_ = config;
-  }
   // Point telemetry at the backhaul's two directions (non-owning; typically
   // wired by core::Network). Adds link_queue_depth / link drop gauges to
   // the metrics snapshot.

@@ -257,7 +257,6 @@ std::vector<orc8r::HistogramSnapshot> Magmad::prepare_histogram_report(
       ++stats_.histogram_full_snapshots;
       stats_.histogram_buckets_shipped += snapshot.counts.size();
       last_shipped_counts_[snapshot.name] = snapshot.counts;
-      last_shipped_exemplars_[snapshot.name] = snapshot.exemplars;
       out.push_back(std::move(snapshot));
       continue;
     }
@@ -268,17 +267,7 @@ std::vector<orc8r::HistogramSnapshot> Magmad::prepare_histogram_report(
                              snapshot.counts[i]);
       }
     }
-    // Exemplars ride the same delta: only (bucket, trace id) pairs that
-    // changed since the last shipped report.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>>& last_ex =
-        last_shipped_exemplars_[snapshot.name];
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> changed_exemplars;
-    for (const auto& pair : snapshot.exemplars) {
-      if (std::find(last_ex.begin(), last_ex.end(), pair) == last_ex.end()) {
-        changed_exemplars.push_back(pair);
-      }
-    }
-    if (changed.empty() && changed_exemplars.empty()) {
+    if (changed.empty()) {
       // Nothing observed since the last report — ship nothing at all.
       ++stats_.histogram_unchanged_skips;
       continue;
@@ -286,7 +275,6 @@ std::vector<orc8r::HistogramSnapshot> Magmad::prepare_histogram_report(
     ++stats_.histogram_delta_snapshots;
     stats_.histogram_buckets_shipped += changed.size();
     it->second = snapshot.counts;
-    last_ex = snapshot.exemplars;
     orc8r::HistogramSnapshot delta;
     delta.gateway_id = std::move(snapshot.gateway_id);
     delta.name = std::move(snapshot.name);
@@ -294,7 +282,6 @@ std::vector<orc8r::HistogramSnapshot> Magmad::prepare_histogram_report(
     delta.time = snapshot.time;
     delta.delta = true;
     delta.changed = std::move(changed);
-    delta.exemplars = std::move(changed_exemplars);
     out.push_back(std::move(delta));
   }
   return out;
@@ -340,7 +327,6 @@ void Magmad::metrics_tick() {
                        // Metricsd may have missed the base these deltas were
                        // built on — re-ship everything full next tick.
                        last_shipped_counts_.clear();
-                       last_shipped_exemplars_.clear();
                      }
                    });
     }

@@ -231,10 +231,6 @@ class Magmad {
   // histogram name. Cleared on a lost report so the next tick re-ships full
   // (metricsd may have missed the base the deltas build on).
   std::map<std::string, std::vector<std::uint64_t>> last_shipped_counts_;
-  // Exemplars as of the last shipped report, per histogram name — deltas
-  // carry only (bucket, trace id) pairs that changed since.
-  std::map<std::string, std::vector<std::pair<std::uint32_t, std::uint64_t>>>
-      last_shipped_exemplars_;
 
   bool started_ = false;
   bool wedged_ = false;

@@ -45,7 +45,7 @@ common::Result<SessionFlows> SessionFlows::deserialize(
   f.home_teid_remote.value = r.u32();
   f.home_agg_address.addr = r.u32();
   f.home_teid_local.value = r.u32();
-  if (!r.ok()) {
+  if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt SessionFlows"};
   }

@@ -54,7 +54,7 @@ common::Result<SubscriberData> SubscriberData::deserialize(
   s.policy_name = r.str();
   s.wifi_password = r.str();
   s.active = r.boolean();
-  if (!r.ok() || !s.imsi.valid()) {
+  if (!r.ok() || !r.at_end() || !s.imsi.valid()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt subscriber record"};
   }

@@ -30,7 +30,6 @@
 #include "crypto/kdf.h"
 #include "obs/status.h"
 #include "crypto/milenage.h"
-#include "store/state_store.h"
 
 namespace magma::agw {
 

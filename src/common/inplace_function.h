@@ -24,8 +24,8 @@
 //    — an empty event in the kernel queue is a bug, not a recoverable state.
 //
 // Memory-discipline toggle: when common::memory_pooling_enabled() is false
-// (MAGMA_DISABLE_POOLS, or set_memory_pooling_enabled(false)), every
-// construction takes the heap path even when the callable would fit inline.
+// (set_memory_pooling_enabled(false)), every construction takes the heap
+// path even when the callable would fit inline.
 // Behavior is bit-identical either way — the determinism suite runs the
 // same seed through both modes and diffs the results — the toggle exists
 // precisely so that test can exist.
@@ -40,8 +40,8 @@
 
 namespace magma::common {
 
-// Defined in pool.cpp (shared with common::Pool): false disables all inline
-// storage / pooling fast paths at runtime.
+// Defined in pool.cpp (shared with common::BlockPool): false disables all
+// inline storage / pooling fast paths at runtime.
 bool memory_pooling_enabled() noexcept;
 void set_memory_pooling_enabled(bool enabled) noexcept;
 

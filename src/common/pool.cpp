@@ -1,7 +1,6 @@
 #include "common/pool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -41,8 +40,7 @@ inline void mark_addressable(void* p, std::size_t n) {
 #endif
 }
 
-// -1 = unresolved; resolved lazily from MAGMA_DISABLE_POOLS on first query.
-std::atomic<int> g_pooling_state{-1};
+std::atomic<bool> g_pooling_enabled{true};
 
 // Process-wide heap-fallback tally across every BlockPool. Individual pools
 // are private members of their owners (channel maps, microflow cache), so
@@ -50,26 +48,14 @@ std::atomic<int> g_pooling_state{-1};
 // as the process-wide host_alloc_bytes gauge.
 std::uint64_t g_total_heap_fallbacks = 0;
 
-int resolve_pooling_from_env() {
-  const char* env = std::getenv("MAGMA_DISABLE_POOLS");
-  const bool disabled = env != nullptr && env[0] != '\0' &&
-                        !(env[0] == '0' && env[1] == '\0');
-  return disabled ? 0 : 1;
-}
-
 }  // namespace
 
 bool memory_pooling_enabled() noexcept {
-  int state = g_pooling_state.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = resolve_pooling_from_env();
-    g_pooling_state.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
+  return g_pooling_enabled.load(std::memory_order_relaxed);
 }
 
 void set_memory_pooling_enabled(bool enabled) noexcept {
-  g_pooling_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_pooling_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 std::uint64_t total_pool_heap_fallbacks() noexcept {

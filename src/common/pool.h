@@ -3,12 +3,11 @@
 // The host profiler's per-label allocation counts (PR 7) showed where the
 // heap traffic lives: reliable-channel retransmit/reorder map nodes, the
 // datapath microflow-cache nodes, and event closures. Pools turn that
-// steady-state churn into freelist pushes and pops. Three layers:
+// steady-state churn into freelist pushes and pops. Two layers:
 //
 //  * BlockPool — untyped fixed-size blocks carved from geometrically grown
 //    chunks, recycled through a non-intrusive freelist (the free stack lives
 //    outside the blocks so released memory can be fully poisoned).
-//  * Pool<T> — typed construct/destroy veneer over a BlockPool.
 //  * PoolAllocator<T> — std::allocator adapter so node containers
 //    (std::map, std::unordered_map) draw their nodes from a BlockPool
 //    without restructuring the container code.
@@ -21,10 +20,11 @@
 //    a lifetime bug, full stop.
 //  * Heap fallback is legal but counted: pool exhaustion (bounded pools),
 //    size mismatch (an allocator asked for an array), or the global
-//    MAGMA_DISABLE_POOLS toggle all route to plain operator new, tagged in
-//    a per-block header so release always returns memory where it came
-//    from. PoolStats::heap_fallbacks growing in steady state means the pool
-//    is mis-sized — the bench wall catches it as reappearing *_allocs.
+//    set_memory_pooling_enabled(false) toggle all route to plain operator
+//    new, tagged in a per-block header so release always returns memory
+//    where it came from. PoolStats::heap_fallbacks growing in steady state
+//    means the pool is mis-sized — the bench wall catches it as reappearing
+//    *_allocs.
 //  * Determinism: pooling on vs. off must be behavior-invisible. Nothing a
 //    pool does may feed back into simulation state; the same-seed
 //    pools-on/pools-off diff test asserts it.
@@ -34,16 +34,13 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace magma::common {
 
-// Global runtime toggle (shared with InplaceFunction's inline storage).
-// Resolved once from the environment: MAGMA_DISABLE_POOLS set to anything
-// but "0" disables pooling process-wide; set_memory_pooling_enabled
-// overrides it (tests flip it to run the same scenario both ways).
+// Global runtime toggle (shared with InplaceFunction's inline storage). On
+// by default; tests flip it to run the same scenario both ways.
 bool memory_pooling_enabled() noexcept;
 void set_memory_pooling_enabled(bool enabled) noexcept;
 
@@ -114,37 +111,6 @@ class BlockPool {
   std::vector<std::pair<void*, std::size_t>> chunks_;
   std::size_t next_chunk_blocks_ = 8;  // geometric chunk growth
   PoolStats stats_;
-};
-
-// Typed object pool: acquire constructs, release destroys, memory cycles
-// through a dedicated BlockPool.
-template <typename T>
-class Pool {
- public:
-  explicit Pool(std::size_t max_objects = 0)
-      : blocks_(sizeof(T), max_objects) {}
-
-  template <typename... Args>
-  T* acquire(Args&&... args) {
-    void* p = blocks_.allocate(sizeof(T));
-    try {
-      return ::new (p) T(std::forward<Args>(args)...);
-    } catch (...) {
-      blocks_.deallocate(p);
-      throw;
-    }
-  }
-
-  void release(T* obj) noexcept {
-    obj->~T();
-    blocks_.deallocate(obj);
-  }
-
-  const PoolStats& stats() const { return blocks_.stats(); }
-  BlockPool& blocks() { return blocks_; }
-
- private:
-  BlockPool blocks_;
 };
 
 // std::allocator adapter over a shared BlockPool. Single-element requests

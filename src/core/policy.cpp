@@ -48,7 +48,7 @@ common::Result<Policy> Policy::deserialize(common::BytesView data) {
   p.quota_bytes = r.u64();
   p.interval_ns = r.i64();
   p.qci = r.u8();
-  if (!r.ok()) {
+  if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt policy"};
   }

@@ -277,16 +277,6 @@ std::size_t Pipeline::remove_session_rules(std::uint64_t cookie) {
   return removed;
 }
 
-FlowCounters Pipeline::session_counters(std::uint64_t cookie) const {
-  FlowCounters total;
-  for (const FlowTable& table : tables_) {
-    const FlowCounters c = table.counters_for_cookie(cookie);
-    total.packets += c.packets;
-    total.bytes += c.bytes;
-  }
-  return total;
-}
-
 std::size_t Pipeline::total_flow_entries() const {
   std::size_t n = 0;
   for (const FlowTable& table : tables_) n += table.size();

@@ -88,8 +88,6 @@ class Pipeline {
 
   // Remove every rule installed with this cookie, across all tables.
   std::size_t remove_session_rules(std::uint64_t cookie);
-  // Aggregate counters for a cookie across all tables.
-  FlowCounters session_counters(std::uint64_t cookie) const;
 
   const PipelineStats& stats() const { return stats_; }
   std::size_t total_flow_entries() const;

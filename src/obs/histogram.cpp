@@ -20,7 +20,6 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
   counts_.assign(bounds_.size() + 1, 0);
-  exemplars_.assign(bounds_.size() + 1, 0);
 }
 
 std::vector<double> Histogram::log_bounds(double lo, double hi,
@@ -50,43 +49,11 @@ std::size_t Histogram::bucket_index(double value) const {
   return static_cast<std::size_t>(it - bounds_.begin());
 }
 
-std::uint64_t Histogram::observe(double value,
-                                 std::uint64_t exemplar_trace_id) {
+void Histogram::observe(double value) {
   const std::size_t bucket = bucket_index(value);
   counts_[bucket] = saturating_add(counts_[bucket], 1);
   count_ = saturating_add(count_, 1);
   sum_ += value;
-  if (exemplar_trace_id == 0) return 0;
-  const std::uint64_t displaced = exemplars_[bucket];
-  exemplars_[bucket] = exemplar_trace_id;
-  // Returned even when equal to the new exemplar: with refcounted pins, the
-  // caller's pin(new) + unpin(displaced) then nets to no change.
-  return displaced;
-}
-
-void Histogram::set_exemplar(std::size_t bucket, std::uint64_t trace_id) {
-  if (bucket < exemplars_.size()) exemplars_[bucket] = trace_id;
-}
-
-std::uint64_t Histogram::exemplar_near_quantile(double q) const {
-  if (count_ == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count_);
-  double cumulative = 0;
-  std::size_t bucket = counts_.size() - 1;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cumulative += static_cast<double>(counts_[i]);
-    if (counts_[i] != 0 && cumulative >= rank) {
-      bucket = i;
-      break;
-    }
-  }
-  // The quantile bucket may have counts without a fresh exemplar (e.g. a
-  // merged snapshot); fall back to the nearest lower bucket that has one.
-  for (std::size_t i = bucket + 1; i-- > 0;) {
-    if (exemplars_[i] != 0) return exemplars_[i];
-  }
-  return 0;
 }
 
 double Histogram::quantile(double q) const {
@@ -118,7 +85,6 @@ bool Histogram::merge(const Histogram& other) {
   if (other.bounds_ != bounds_) return false;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] = saturating_add(counts_[i], other.counts_[i]);
-    if (exemplars_[i] == 0) exemplars_[i] = other.exemplars_[i];
   }
   count_ = saturating_add(count_, other.count_);
   sum_ += other.sum_;
@@ -131,7 +97,6 @@ bool Histogram::assign(std::vector<double> bounds,
   if (!std::is_sorted(bounds.begin(), bounds.end())) return false;
   bounds_ = std::move(bounds);
   counts_ = std::move(counts);
-  exemplars_.assign(counts_.size(), 0);
   count_ = 0;
   for (const std::uint64_t c : counts_) count_ = saturating_add(count_, c);
   sum_ = sum;

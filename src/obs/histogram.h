@@ -27,11 +27,8 @@ class Histogram {
   static std::vector<double> log_bounds(double lo, double hi, int per_decade);
   static const std::vector<double>& default_bounds();
 
-  // Observe `value`, optionally tagging the bucket it lands in with an
-  // exemplar trace id (0: keep the bucket's current exemplar). Returns the
-  // exemplar the new one displaced (0: none) so the caller can release any
-  // pin it holds on the old trace.
-  std::uint64_t observe(double value, std::uint64_t exemplar_trace_id = 0);
+  // Count `value` into the bucket it lands in.
+  void observe(double value);
   // Quantile estimate (q in [0,1]) with geometric interpolation inside the
   // bucket. Returns 0 for an empty histogram.
   double quantile(double q) const;
@@ -42,26 +39,14 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   const std::vector<std::uint64_t>& counts() const { return counts_; }
 
-  // Per-bucket exemplar trace ids (0: none) — the metrics→trace pivot: a
-  // p99 query can name one pinned trace that actually landed in the p99
-  // bucket, instead of only error traces being reachable.
-  const std::vector<std::uint64_t>& exemplars() const { return exemplars_; }
-  void set_exemplar(std::size_t bucket, std::uint64_t trace_id);
-  // Exemplar of the bucket the quantile-q sample falls in, walking down to
-  // lower buckets when that one has none. 0 when the histogram is empty or
-  // no bucket at or below q carries an exemplar.
-  std::uint64_t exemplar_near_quantile(double q) const;
-
   // Merge another histogram's buckets into this one. Returns false (and
   // leaves this histogram untouched) when the bucket layouts differ —
   // cross-layout merging would silently misattribute counts. Counts
   // saturate at uint64 max instead of wrapping (a wrapped counter would
-  // report a near-empty bucket); the other side's exemplars fill buckets
-  // that have none here.
+  // report a near-empty bucket).
   bool merge(const Histogram& other);
   // Replace this histogram's contents with a decoded snapshot. Rejects
-  // layout mismatches between bounds and counts. Exemplars reset (the
-  // snapshot codec re-applies them via set_exemplar).
+  // layout mismatches between bounds and counts.
   bool assign(std::vector<double> bounds, std::vector<std::uint64_t> counts,
               double sum);
 
@@ -70,7 +55,6 @@ class Histogram {
 
   std::vector<double> bounds_;           // ascending upper bounds
   std::vector<std::uint64_t> counts_;    // bounds_.size() + 1 (overflow last)
-  std::vector<std::uint64_t> exemplars_;  // parallel to counts_, 0 = none
   std::uint64_t count_ = 0;
   double sum_ = 0;
 };

@@ -128,7 +128,7 @@ void Tracer::evict_over_retention() {
     if (!pinned_.empty() || !tail_pinned_.empty()) {
       // Oldest span of an *unpinned* trace goes first. Pinned spans at the
       // front rotate to the back instead of being scanned past every call:
-      // long-lived pins (exemplars hold theirs for a whole metrics window)
+      // long-lived pins (a sampler holds its keeps for a whole window)
       // would otherwise make each eviction a linear walk plus a mid-deque
       // erase. Rotation is O(1) amortized — each pinned span moves once
       // per eviction round, and consumers order by start time, not deque

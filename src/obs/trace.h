@@ -179,13 +179,11 @@ class Tracer {
     return pinned_.count(trace_id) != 0;
   }
 
-  // Explicit pins (tail-based sampling, histogram exemplars): a TailSampler
-  // pins the traces it keeps and unpins the ones it displaces; histogram
-  // buckets pin their exemplar traces the same way. Kept separate from the
-  // error pins — releasing an explicit pin never releases an error pin, and
-  // the error-pin FIFO cap does not count explicit pins. Pins are
-  // refcounted so two owners (a sampler and an exemplar bucket) holding the
-  // same trace release independently.
+  // Explicit pins (tail-based sampling): a TailSampler pins the traces it
+  // keeps and unpins the ones it displaces. Kept separate from the error
+  // pins — releasing an explicit pin never releases an error pin, and the
+  // error-pin FIFO cap does not count explicit pins. Pins are refcounted so
+  // two owners holding the same trace release independently.
   void pin(std::uint64_t trace_id) {
     if (trace_id != 0) ++tail_pinned_[trace_id];
   }
@@ -217,7 +215,7 @@ class Tracer {
   std::size_t max_finished_ = 65536;
   std::unordered_set<std::uint64_t> pinned_;  // trace ids with an error span
   std::deque<std::uint64_t> pin_order_;       // FIFO for the pin cap
-  // Explicitly pinned traces -> pin refcount (sampler + exemplar holders).
+  // Explicitly pinned traces -> pin refcount.
   std::unordered_map<std::uint64_t, std::uint32_t> tail_pinned_;
   std::size_t max_pinned_traces_ = 128;
   std::uint64_t spans_started_ = 0;

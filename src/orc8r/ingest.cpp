@@ -6,22 +6,6 @@
 
 namespace magma::orc8r {
 
-const char* ingest_kind_name(IngestKind kind) {
-  switch (kind) {
-    case IngestKind::kCheckin:
-      return "checkin";
-    case IngestKind::kMetrics:
-      return "metrics";
-    case IngestKind::kHistograms:
-      return "histograms";
-    case IngestKind::kTraceSummaries:
-      return "trace_summaries";
-    case IngestKind::kSketches:
-      return "sketches";
-  }
-  return "unknown";
-}
-
 IngestShards::IngestShards(sim::Kernel& kernel, IngestConfig config)
     : kernel_(kernel), config_(config) {
   config_.shards = std::max<std::size_t>(1, config_.shards);

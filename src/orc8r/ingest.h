@@ -40,7 +40,6 @@ enum class IngestKind : std::uint8_t {
   kSketches = 4,
 };
 inline constexpr std::size_t kIngestKindCount = 5;
-const char* ingest_kind_name(IngestKind kind);
 
 struct IngestConfig {
   std::size_t shards = 4;

@@ -64,11 +64,6 @@ common::Bytes encode_histogram_report(
       for (const double b : s.bounds) w.f64(b);
       for (const std::uint64_t c : s.counts) w.u64(c);
     }
-    w.u32(static_cast<std::uint32_t>(s.exemplars.size()));
-    for (const auto& [bucket, trace_id] : s.exemplars) {
-      w.u32(bucket);
-      w.u64(trace_id);
-    }
     w.f64(s.sum);
     w.i64(s.time);
   }
@@ -80,8 +75,8 @@ common::Result<std::vector<HistogramSnapshot>> decode_histogram_report(
   rpc::Reader r(data);
   const std::uint64_t count = r.u64();
   std::vector<HistogramSnapshot> snapshots;
-  // Each snapshot needs ≥ 36 bytes on the wire; never trust the count.
-  snapshots.reserve(std::min<std::uint64_t>(count, r.remaining() / 36 + 1));
+  // Each snapshot needs ≥ 29 bytes on the wire; never trust the count.
+  snapshots.reserve(std::min<std::uint64_t>(count, r.remaining() / 29 + 1));
   for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
     HistogramSnapshot s;
     s.gateway_id = r.str();
@@ -126,18 +121,6 @@ common::Result<std::vector<HistogramSnapshot>> decode_histogram_report(
                              "unsorted histogram bounds"};
       }
     }
-    const std::uint32_t exemplars = r.u32();
-    // 12 wire bytes per (bucket, trace id) pair — the count is wire data.
-    if (static_cast<std::uint64_t>(exemplars) * 12 > r.remaining()) {
-      return common::Error{common::ErrorCode::kInvalidArgument,
-                           "oversized exemplar list"};
-    }
-    s.exemplars.reserve(exemplars);
-    for (std::uint32_t e = 0; e < exemplars && r.ok(); ++e) {
-      const std::uint32_t bucket = r.u32();
-      const std::uint64_t trace_id = r.u64();
-      s.exemplars.emplace_back(bucket, trace_id);
-    }
     s.sum = r.f64();
     s.time = r.i64();
     snapshots.push_back(std::move(s));
@@ -171,12 +154,6 @@ void Metricsd::ingest_histogram(const HistogramSnapshot& snapshot) {
       note_drop(DropKind::kHistogram);
       return;
     }
-    // Deltas carry only *changed* exemplars: start from the stored ones.
-    const std::vector<std::uint64_t>& kept = it->second.exemplars();
-    for (std::size_t b = 0; b < kept.size(); ++b) h.set_exemplar(b, kept[b]);
-    for (const auto& [bucket, trace_id] : snapshot.exemplars) {
-      h.set_exemplar(bucket, trace_id);
-    }
     it->second = std::move(h);
     return;
   }
@@ -184,9 +161,6 @@ void Metricsd::ingest_histogram(const HistogramSnapshot& snapshot) {
   if (!h.assign(snapshot.bounds, snapshot.counts, snapshot.sum)) {
     note_drop(DropKind::kHistogram);
     return;
-  }
-  for (const auto& [bucket, trace_id] : snapshot.exemplars) {
-    h.set_exemplar(bucket, trace_id);
   }
   histograms_.insert_or_assign({snapshot.gateway_id, snapshot.name},
                                std::move(h));
@@ -230,11 +204,6 @@ double Metricsd::histogram_quantile(const std::string& name, double q) const {
 
 std::uint64_t Metricsd::histogram_count(const std::string& name) const {
   return merged_histogram(name).count();
-}
-
-std::uint64_t Metricsd::histogram_exemplar(const std::string& name,
-                                           double q) const {
-  return merged_histogram(name).exemplar_near_quantile(q);
 }
 
 void Metricsd::ingest_sketch_report(obs::sketch::SketchReport report) {

@@ -56,11 +56,6 @@ struct HistogramSnapshot {
   // re-ships full after any report loss regardless).
   bool delta = false;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> changed;
-  // Optional per-bucket exemplars as (bucket index, trace id) pairs — one
-  // recent trace that landed in that bucket, so a p99 query can be pivoted
-  // to a pinned trace. Full snapshots carry every non-zero exemplar; delta
-  // snapshots carry only buckets whose exemplar changed.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> exemplars;
 };
 
 common::Bytes encode_histogram_report(
@@ -144,9 +139,6 @@ class Metricsd {
   // p50/p95/p99-style query over the merged buckets; 0 when absent.
   double histogram_quantile(const std::string& name, double q) const;
   std::uint64_t histogram_count(const std::string& name) const;
-  // The metrics→trace pivot: trace id of one exemplar in (or below) the
-  // quantile-q bucket of the merged histogram (0: none shipped yet).
-  std::uint64_t histogram_exemplar(const std::string& name, double q) const;
 
   // --- per-subscriber sketches (cardinality-bounded telemetry) -------------
   // Cumulative sketch report from a gateway: replaces that gateway's

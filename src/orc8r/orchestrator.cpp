@@ -49,7 +49,7 @@ Orchestrator::Orchestrator(sim::Kernel& kernel, std::string network_name)
   metricsd_.add_alert_rule(AlertRule{"pool_heap_fallbacks_growth",
                                      "pool_heap_fallbacks", 0.0, true,
                                      AlertKind::kDelta});
-  // Default SLOs over the signals that already flow (see slos() docs).
+  // SLOs over the signals that already flow (see the header's SLO docs).
   {
     obs::slo::SloSpec availability;
     availability.name = "availability";
@@ -113,14 +113,6 @@ std::vector<obs::Event> Orchestrator::events_of_type(
     if (e.type == type) out.push_back(e);
   }
   return out;
-}
-
-void Orchestrator::set_event_retention(std::size_t max_events) {
-  event_retention_ = max_events;
-  while (events_.size() > event_retention_) {
-    events_.pop_front();
-    ++stats_.events_dropped;
-  }
 }
 
 void Orchestrator::set_tracer(obs::Tracer* tracer, std::string node_label) {
@@ -244,7 +236,7 @@ void Orchestrator::note_store_decode_error(const std::string& key,
   event.message = key + ": " + what;
   event.severity = obs::EventSeverity::kWarn;
   events_.push_back(std::move(event));
-  if (events_.size() > event_retention_) {
+  if (events_.size() > kEventRetention) {
     events_.pop_front();
     ++stats_.events_dropped;
   }
@@ -253,7 +245,6 @@ void Orchestrator::note_store_decode_error(const std::string& key,
 DesiredState Orchestrator::build_full_state() {
   DesiredState state;
   state.version = store_.version();
-  state.changed = true;
   for (const auto& [key, value] : store_.scan("sub/")) {
     auto sub = agw::SubscriberData::deserialize(value);
     if (sub.ok()) {
@@ -285,16 +276,6 @@ const common::Bytes& Orchestrator::full_state_blob() {
     ++stats_.full_cache_hits;
   }
   return cached_full_;
-}
-
-DesiredState Orchestrator::desired_state(std::uint64_t have_version) {
-  if (have_version == store_.version()) {
-    DesiredState state;
-    state.version = store_.version();
-    state.changed = false;
-    return state;
-  }
-  return build_full_state();
 }
 
 DesiredUpdate Orchestrator::desired_update(const GetUpdatesRequest& request) {
@@ -380,13 +361,6 @@ void Orchestrator::note_ingest_shed(IngestKind kind) {
 // Fleet SLO layer
 // ---------------------------------------------------------------------------
 
-void Orchestrator::add_slo(obs::slo::SloSpec spec) {
-  std::erase_if(slos_, [&](const obs::slo::SloSpec& s) {
-    return s.name == spec.name;
-  });
-  slos_.push_back(std::move(spec));
-}
-
 void Orchestrator::start_slo_tick(sim::Duration interval) {
   if (slo_tick_started_) return;
   slo_tick_started_ = true;
@@ -469,7 +443,7 @@ void Orchestrator::on_downtime_close(
   // Wait out the settle delay so the recovered gateway's next metrics tick
   // (carrying the counters that grew mid-outage) and its buffered events
   // have landed before the join reads the evidence.
-  kernel_.schedule(attribution_settle_,
+  kernel_.schedule(kAttributionSettle,
                    [this, gw = gateway_id, iv = interval]() mutable {
                      attribute_interval(gw, std::move(iv));
                    });
@@ -554,7 +528,7 @@ void Orchestrator::attribute_interval(const std::string& gateway_id,
                   (detail.empty() ? "" : ": " + detail);
   event.severity = obs::EventSeverity::kWarn;
   events_.push_back(std::move(event));
-  if (events_.size() > event_retention_) {
+  if (events_.size() > kEventRetention) {
     events_.pop_front();
     ++stats_.events_dropped;
   }
@@ -792,7 +766,7 @@ void Orchestrator::bind(rpc::RpcNode& node) {
           }
           events_.push_back(std::move(e));
           ++stats_.events_ingested;
-          if (events_.size() > event_retention_) {
+          if (events_.size() > kEventRetention) {
             events_.pop_front();
             ++stats_.events_dropped;
           }

@@ -139,7 +139,6 @@ class Orchestrator {
   // milestones), newest last; bounded retention, oldest dropped.
   const std::deque<obs::Event>& events() const { return events_; }
   std::vector<obs::Event> events_of_type(const std::string& type) const;
-  void set_event_retention(std::size_t max_events);
 
   // Tracing: when set, event ingestion anchors an "ingest_event" span into
   // each event's originating trace, and bind()-created handlers run traced.
@@ -152,13 +151,10 @@ class Orchestrator {
   // new epoch discards its version and full-syncs).
   std::uint64_t epoch() const { return epoch_; }
 
-  // Desired state for a gateway at its reported version. Counts (and
-  // alerts on) store blobs that fail to deserialize instead of silently
-  // shrinking the config.
-  DesiredState desired_state(std::uint64_t have_version);
-
   // The streamer's answer for a poll: noop, a coalesced delta, or the
-  // cached full state (see streamer.h for when each is chosen).
+  // cached full state (see streamer.h for when each is chosen). Building the
+  // full state counts (and alerts on) store blobs that fail to deserialize
+  // instead of silently shrinking the config.
   DesiredUpdate desired_update(const GetUpdatesRequest& request);
 
   // Fleet-wide tail-sampling budget: on checkin each gateway is assigned
@@ -176,12 +172,11 @@ class Orchestrator {
   void set_delta_log_cap(std::size_t cap);
 
   // --- Fleet SLO layer ---------------------------------------------------
-  // The default SLOs (installed at construction) cover the signals that
-  // already flow southbound: gateway availability from statusd's health
-  // FSM, attach success rate from structured events, attach p95 from the
-  // shipped histograms, and config-sync freshness from streamer polls.
-  void add_slo(obs::slo::SloSpec spec);
-  const std::vector<obs::slo::SloSpec>& slos() const { return slos_; }
+  // The SLOs (installed at construction) cover the signals that already
+  // flow southbound: gateway availability from statusd's health FSM, attach
+  // success rate from structured events, attach p95 from the shipped
+  // histograms, and config-sync freshness from streamer polls.
+  //
   // Begin the periodic SLO evaluation (derived histogram SLIs). NOT started
   // implicitly for the same reason as statusd's sweep — the tick
   // reschedules forever; core::Network starts it.
@@ -198,12 +193,6 @@ class Orchestrator {
   std::vector<AvailabilityRow> availability_rollup(sim::TimePoint from,
                                                    sim::TimePoint to) const {
     return orc8r::availability_rollup(statusd_.availability(), from, to);
-  }
-  // Delay between a downtime interval closing and the attribution join
-  // reading the evidence — long enough for the recovered gateway's next
-  // metrics tick (with the counters that grew mid-outage) to land.
-  void set_attribution_settle(sim::Duration settle) {
-    attribution_settle_ = settle;
   }
 
   // --- Southbound RPC surface -------------------------------------------
@@ -261,7 +250,7 @@ class Orchestrator {
   obs::Service303* svc_eventd_ = nullptr;
   obs::Service303* svc_statusd_ = nullptr;
   std::deque<obs::Event> events_;
-  std::size_t event_retention_ = 65536;
+  static constexpr std::size_t kEventRetention = 65536;
   obs::Tracer* tracer_ = nullptr;
   std::string node_label_ = "orc8r";
 
@@ -286,7 +275,10 @@ class Orchestrator {
   // SLO layer state.
   std::vector<obs::slo::SloSpec> slos_;
   bool slo_tick_started_ = false;
-  sim::Duration attribution_settle_ = 90 * sim::kSecond;
+  // Delay between a downtime interval closing and the attribution join
+  // reading the evidence — long enough for the recovered gateway's next
+  // metrics tick (with the counters that grew mid-outage) to land.
+  static constexpr sim::Duration kAttributionSettle = 90 * sim::kSecond;
   // Fleet critical-path (runq_s, total_s) snapshot taken when a gateway's
   // downtime interval opened, keyed by gateway — the overload lens.
   std::map<std::string, std::pair<double, double>> open_runq_snapshots_;

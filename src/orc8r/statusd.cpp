@@ -2,15 +2,6 @@
 
 namespace magma::orc8r {
 
-const char* gateway_health_name(GatewayHealth health) {
-  switch (health) {
-    case GatewayHealth::kHealthy: return "healthy";
-    case GatewayHealth::kDegraded: return "degraded";
-    case GatewayHealth::kUnreachable: return "unreachable";
-  }
-  return "?";
-}
-
 Statusd::Statusd(sim::Kernel& kernel, Metricsd* metricsd, StatusdConfig config)
     : kernel_(kernel), metricsd_(metricsd), config_(config) {}
 

@@ -40,7 +40,6 @@ enum class GatewayHealth : std::uint8_t {
   kDegraded = 1,
   kUnreachable = 2,
 };
-const char* gateway_health_name(GatewayHealth health);
 
 struct StatusdConfig {
   // Expected checkin cadence — must match the gateways' MagmadConfig

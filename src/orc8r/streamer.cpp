@@ -31,7 +31,6 @@ common::Result<GetUpdatesRequest> GetUpdatesRequest::deserialize(
 common::Bytes DesiredState::serialize() const {
   rpc::Writer w;
   w.u64(version);
-  w.boolean(changed);
   w.u64(subscribers.size());
   for (const agw::SubscriberData& s : subscribers) w.bytes(s.serialize());
   w.u64(policies.size());
@@ -43,7 +42,6 @@ common::Result<DesiredState> DesiredState::deserialize(common::BytesView d) {
   rpc::Reader r(d);
   DesiredState state;
   state.version = r.u64();
-  state.changed = r.boolean();
   const std::uint64_t sub_count = r.u64();
   for (std::uint64_t i = 0; i < sub_count; ++i) {
     auto sub = agw::SubscriberData::deserialize(r.bytes());

@@ -42,11 +42,9 @@ struct GetUpdatesRequest {
   static common::Result<GetUpdatesRequest> deserialize(common::BytesView d);
 };
 
-// Full desired-state payload (carried inside a kFull DesiredUpdate, and
-// still the unit the orchestrator's northbound desired_state() returns).
+// Full desired-state payload (carried inside a kFull DesiredUpdate).
 struct DesiredState {
   std::uint64_t version = 0;
-  bool changed = false;  // false: caller's version is current; blobs empty
   std::vector<agw::SubscriberData> subscribers;
   std::vector<core::Policy> policies;
 

@@ -2,34 +2,6 @@
 
 namespace magma::proto::lte {
 
-const char* emm_state_name(EmmState state) {
-  switch (state) {
-    case EmmState::kDeregistered: return "DEREGISTERED";
-    case EmmState::kAuthPending: return "AUTH_PENDING";
-    case EmmState::kSecurityPending: return "SECURITY_PENDING";
-    case EmmState::kContextPending: return "CONTEXT_PENDING";
-    case EmmState::kRegistered: return "REGISTERED";
-    case EmmState::kDeregisterPending: return "DEREGISTER_PENDING";
-  }
-  return "?";
-}
-
-const char* emm_event_name(EmmEvent event) {
-  switch (event) {
-    case EmmEvent::kAttachRequested: return "ATTACH_REQUESTED";
-    case EmmEvent::kAuthSucceeded: return "AUTH_SUCCEEDED";
-    case EmmEvent::kAuthFailed: return "AUTH_FAILED";
-    case EmmEvent::kSecurityEstablished: return "SECURITY_ESTABLISHED";
-    case EmmEvent::kSecurityRejected: return "SECURITY_REJECTED";
-    case EmmEvent::kContextEstablished: return "CONTEXT_ESTABLISHED";
-    case EmmEvent::kContextFailed: return "CONTEXT_FAILED";
-    case EmmEvent::kDetachRequested: return "DETACH_REQUESTED";
-    case EmmEvent::kDetachComplete: return "DETACH_COMPLETE";
-    case EmmEvent::kImplicitDetach: return "IMPLICIT_DETACH";
-  }
-  return "?";
-}
-
 bool EmmFsm::valid(EmmState from, EmmEvent event, EmmState* to) {
   EmmState next = from;
   bool ok = true;

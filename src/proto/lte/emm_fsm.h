@@ -22,8 +22,6 @@ enum class EmmState : std::uint8_t {
   kDeregisterPending,
 };
 
-const char* emm_state_name(EmmState state);
-
 enum class EmmEvent : std::uint8_t {
   kAttachRequested = 0,  // Deregistered -> AuthPending
   kAuthSucceeded,        // AuthPending -> SecurityPending
@@ -36,8 +34,6 @@ enum class EmmEvent : std::uint8_t {
   kDetachComplete,       // DeregisterPending -> Deregistered
   kImplicitDetach,       // any -> Deregistered (timeout / failure)
 };
-
-const char* emm_event_name(EmmEvent event);
 
 // NAS retransmission/guard timers (TS 24.301 §10.2). These bound how long
 // an attach attempt can remain outstanding before it is counted as failed —

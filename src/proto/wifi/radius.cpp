@@ -136,16 +136,4 @@ common::Result<RadiusPacket> decode_radius(common::BytesView data) {
   return pkt;
 }
 
-std::string radius_code_name(RadiusCode code) {
-  switch (code) {
-    case RadiusCode::kAccessRequest: return "Access-Request";
-    case RadiusCode::kAccessAccept: return "Access-Accept";
-    case RadiusCode::kAccessReject: return "Access-Reject";
-    case RadiusCode::kAccountingRequest: return "Accounting-Request";
-    case RadiusCode::kAccountingResponse: return "Accounting-Response";
-    case RadiusCode::kAccessChallenge: return "Access-Challenge";
-  }
-  return "?";
-}
-
 }  // namespace magma::proto::wifi

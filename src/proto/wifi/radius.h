@@ -57,6 +57,5 @@ struct RadiusPacket {
 
 common::Bytes encode_radius(const RadiusPacket& pkt);
 common::Result<RadiusPacket> decode_radius(common::BytesView data);
-std::string radius_code_name(RadiusCode code);
 
 }  // namespace magma::proto::wifi

@@ -26,12 +26,6 @@ void WifiAp::send_radius(const wifi::RadiusPacket& packet) {
   radius_.send(wifi::encode_radius(packet));
 }
 
-int WifiAp::associated_clients() const {
-  int count = 0;
-  for (const auto& [_, entry] : clients_) count += entry.associated ? 1 : 0;
-  return count;
-}
-
 void WifiAp::associate(WifiClientLink* client, const common::Imsi& user,
                        const std::string& password) {
   if (static_cast<int>(clients_.size()) >= config_.max_clients) {

@@ -67,7 +67,6 @@ class WifiAp {
   void uplink_data(const common::Imsi& user, datapath::PacketBatch batch);
   void deliver_downlink(datapath::PacketBatch batch);
 
-  int associated_clients() const;
   const WifiApStats& stats() const { return stats_; }
 
  private:

@@ -248,4 +248,12 @@ void RpcNode::handle_response(Reader& r) {
   }
 }
 
+RpcLink::RpcLink(sim::Kernel& kernel, sim::Rng& rng, std::string server_name,
+                 std::string client_name, const sim::LinkConfig& link,
+                 const net::ReliableConfig& reliable)
+    : path(kernel, rng, link),
+      channels(net::make_reliable_pair(kernel, path, reliable)),
+      server(kernel, *channels.a, std::move(server_name)),
+      client(kernel, *channels.b, std::move(client_name)) {}
+
 }  // namespace magma::rpc

@@ -142,4 +142,21 @@ class RpcNode {
   RpcStats stats_;
 };
 
+// One RPC connection over a simulated path: a duplex link, a reliable
+// channel pair on it, and an RpcNode at each end — `server` on the pair's
+// `a` end, `client` on its `b` end. Members are built in declaration order
+// (link, pair, server node, client node), which fixes the RNG draws and
+// event order for a given seed.
+struct RpcLink {
+  RpcLink(sim::Kernel& kernel, sim::Rng& rng, std::string server_name,
+          std::string client_name,
+          const sim::LinkConfig& link = sim::fiber_backhaul(),
+          const net::ReliableConfig& reliable = {});
+
+  net::DuplexLink path;
+  net::ReliablePair channels;
+  RpcNode server;
+  RpcNode client;
+};
+
 }  // namespace magma::rpc

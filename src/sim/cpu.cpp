@@ -147,12 +147,6 @@ void CpuModel::on_core_idle(int core) {
   }
 }
 
-double CpuModel::instantaneous_utilization() const {
-  int busy = 0;
-  for (const auto& c : cores_) busy += c.busy ? 1 : 0;
-  return static_cast<double>(busy) / static_cast<double>(config_.cores);
-}
-
 std::map<std::string, double> CpuModel::service_busy_seconds() const {
   std::map<std::string, double> out;
   for (const TaskLabelStats& ls : labels_) {

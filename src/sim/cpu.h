@@ -111,9 +111,6 @@ class CpuModel {
               std::function<void()> done);
   static constexpr LabelId kUnattributed = 0;
 
-  // Instantaneous view: fraction of cores currently busy, [0,1].
-  double instantaneous_utilization() const;
-
   const CpuStats& stats() const { return stats_; }
   const CpuConfig& config() const { return config_; }
   Kernel& kernel() { return kernel_; }

@@ -210,21 +210,18 @@ TEST_F(FederationTest, FetchSubscribersServesMnoHss) {
   roamer.policy_name = "mno-gold";
   mno_.hss().upsert(roamer);
 
-  net::DuplexLink rpc_link(kernel_, rng_, sim::fiber_backhaul());
-  net::ReliablePair rpc_channels = net::make_reliable_pair(kernel_, rpc_link);
-  rpc::RpcNode server(kernel_, *rpc_channels.a, "feg-server");
-  rpc::RpcNode client(kernel_, *rpc_channels.b, "agw-client");
-  feg_.bind(server);
+  rpc::RpcLink rpc(kernel_, rng_, "feg-server", "agw-client");
+  feg_.bind(rpc.server);
 
   agw::SubscriberDb local([]() { return 0ULL; });
   bool synced = false;
-  client.call(FederationGateway::kService,
-              FederationGateway::kFetchSubscribers, {}, 5 * sim::kSecond,
-              [&](rpc::Result<rpc::Bytes> result) {
-                ASSERT_TRUE(result.ok());
-                ASSERT_TRUE(local.restore(result.value()).ok());
-                synced = true;
-              });
+  rpc.client.call(FederationGateway::kService,
+                  FederationGateway::kFetchSubscribers, {}, 5 * sim::kSecond,
+                  [&](rpc::Result<rpc::Bytes> result) {
+                    ASSERT_TRUE(result.ok());
+                    ASSERT_TRUE(local.restore(result.value()).ok());
+                    synced = true;
+                  });
   kernel_.run();
   EXPECT_TRUE(synced);
   ASSERT_TRUE(local.get(imsi(77)).has_value());

@@ -7,10 +7,10 @@
 #include <algorithm>
 
 #include "agw/magmad.h"
-#include "net/channel.h"
 #include "obs/tail_sampler.h"
 #include "orc8r/ingest.h"
 #include "orc8r/orchestrator.h"
+#include "rpc/rpc.h"
 
 namespace magma {
 namespace {
@@ -360,24 +360,18 @@ class FleetScaleRpcTest : public ::testing::Test {
   FleetScaleRpcTest()
       : rng_(5),
         orc8r_(kernel_),
-        link_(kernel_, rng_, sim::fiber_backhaul()),
-        channels_(net::make_reliable_pair(kernel_, link_)),
-        server_node_(kernel_, *channels_.a, "orc8r-server"),
-        client_node_(kernel_, *channels_.b, "agw-client"),
+        rpc_(kernel_, rng_, "orc8r-server", "agw-client"),
         subscribers_([this]() { return rng_.next_u64(); }),
-        magmad_(kernel_, "gw0", &client_node_, subscribers_, policies_,
+        magmad_(kernel_, "gw0", &rpc_.client, subscribers_, policies_,
                 []() { return common::Bytes{}; },
                 []() { return std::vector<orc8r::MetricSample>{}; }) {
-    orc8r_.bind(server_node_);
+    orc8r_.bind(rpc_.server);
   }
 
   sim::Kernel kernel_;
   sim::Rng rng_;
   orc8r::Orchestrator orc8r_;
-  net::DuplexLink link_;
-  net::ReliablePair channels_;
-  rpc::RpcNode server_node_;
-  rpc::RpcNode client_node_;
+  rpc::RpcLink rpc_;
   agw::SubscriberDb subscribers_;
   agw::PolicyDb policies_;
   agw::Magmad magmad_;
@@ -439,7 +433,7 @@ TEST_F(FleetScaleRpcTest, SouthboundReportsFlowThroughIngestShards) {
   agw::MagmadConfig config;
   config.metrics_interval = 5 * sim::kSecond;
   agw::Magmad magmad(
-      kernel_, "gw0", &client_node_, subscribers_, policies_,
+      kernel_, "gw0", &rpc_.client, subscribers_, policies_,
       []() { return common::Bytes{}; },
       [this]() {
         return std::vector<orc8r::MetricSample>{

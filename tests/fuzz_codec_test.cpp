@@ -1,8 +1,25 @@
-// Robustness fuzzing: every decoder must survive arbitrary bytes — a
-// malformed or malicious PDU from the RAN side must never crash a gateway
-// (fail-soft is a stated property of the wire layer; this enforces it for
-// all codecs and store images).
+// Robustness fuzzing and the wire-codec contract: a malformed or malicious
+// PDU from the RAN side, or a corrupted report on the backhaul, must never
+// crash a gateway or the orchestrator (fail-soft is a stated property of the
+// wire layer; this enforces it for every codec and store image).
+//
+// One harness checks every wire codec against one contract:
+//  * generated samples round-trip — the decode succeeds and re-encodes to
+//    the same bytes;
+//  * every strict prefix of a valid encoding is rejected;
+//  * internal codecs reject one trailing byte (the 3GPP and RADIUS codecs
+//    follow their own framing and are exempt);
+//  * bit flips either fail to decode or decode to a value that passes the
+//    codec's own invariant.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <initializer_list>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "agw/lte_frontend.h"
 #include "agw/pipelined.h"
@@ -24,11 +41,14 @@
 #include "proto/wifi/radius.h"
 #include "rpc/wire.h"
 #include "sim/random.h"
-#include "store/state_store.h"
 #include "store/wal_store.h"
 
 namespace magma {
 namespace {
+
+namespace lte = proto::lte;
+namespace nr5g = proto::nr5g;
+namespace wifi = proto::wifi;
 
 common::Bytes random_bytes(sim::Rng& rng, std::size_t max_len) {
   common::Bytes out(rng.uniform_int(max_len + 1));
@@ -36,38 +56,493 @@ common::Bytes random_bytes(sim::Rng& rng, std::size_t max_len) {
   return out;
 }
 
-// Decoders under test, applied to the same inputs.
-void decode_everything(common::BytesView data) {
-  (void)proto::lte::decode_nas(data);
-  (void)proto::lte::decode_s1ap(data);
-  (void)proto::lte::decode_gtpc(data);
-  (void)proto::nr5g::decode_nas5g(data);
-  (void)proto::nr5g::decode_ngap(data);
-  (void)proto::wifi::decode_radius(data);
-  (void)datapath::Packet::parse(data);
-  (void)store::WalStore::deserialize(data);
-  (void)store::StateStore::restore(data);
-  (void)agw::SessionFlows::deserialize(data);
-  (void)agw::SubscriberData::deserialize(data);
-  (void)core::Policy::deserialize(data);
-  (void)orc8r::DesiredState::deserialize(data);
-  (void)orc8r::DesiredUpdate::deserialize(data);
-  (void)orc8r::GetUpdatesRequest::deserialize(data);
-  (void)orc8r::decode_metric_report(data);
-  (void)orc8r::decode_histogram_report(data);
-  (void)obs::decode_event_report(data);
-  (void)obs::decode_gateway_status(data);
-  (void)obs::decode_trace_summaries(data);
-  (void)obs::sketch::decode_sketch_report(data);
-  (void)net::decode_segment_header(data);
+std::string random_string(sim::Rng& rng, std::size_t max_len) {
+  return std::string(rng.uniform_int(max_len + 1), 'x');
 }
 
+std::uint32_t u32(sim::Rng& rng) {
+  return static_cast<std::uint32_t>(rng.next_u64());
+}
+
+template <std::size_t N>
+std::array<std::uint8_t, N> random_array(sim::Rng& rng) {
+  std::array<std::uint8_t, N> out{};
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+  return out;
+}
+
+common::Imsi random_imsi(sim::Rng& rng) {
+  return common::Imsi::from_digits(1010000000000ULL + rng.uniform_int(1000000));
+}
+
+template <typename T>
+T pick(sim::Rng& rng, const std::vector<T>& options) {
+  return options[rng.uniform_int(options.size())];
+}
+
+// --- sample generators and invariants, one set per codec ---------------------
+
+net::SegmentHeader segment_header(sim::Rng& rng) {
+  net::SegmentHeader h;
+  for (std::uint64_t* field : {&h.epoch, &h.seq, &h.ack, &h.ack_epoch}) {
+    *field = rng.next_u64() >> rng.uniform_int(64);  // any width
+  }
+  h.is_ack = rng.bernoulli(0.5);
+  h.is_rst = rng.bernoulli(0.1);
+  if (rng.bernoulli(0.7)) {
+    h.has_ts = true;
+    h.tsval = static_cast<sim::TimePoint>(rng.uniform_int(1u << 30));
+    h.tsecr = static_cast<sim::TimePoint>(rng.uniform_int(1u << 30));
+  }
+  // Ascending, disjoint, non-empty blocks as the encoder contract asks.
+  std::uint64_t cursor = rng.uniform_int(1000);
+  const int blocks = static_cast<int>(rng.uniform_int(5));
+  for (int b = 0; b < blocks; ++b) {
+    net::SackBlock block;
+    block.start = cursor + rng.uniform_int(50);
+    block.end = block.start + 1 + rng.uniform_int(20);
+    cursor = block.end + rng.uniform_int(10);
+    h.sack.push_back(block);
+  }
+  return h;
+}
+
+// What the receiver relies on: SACK blocks ascending, disjoint, non-empty.
+bool sack_blocks_ascending(const net::SegmentHeader& h) {
+  std::uint64_t prev_end = 0;
+  for (const net::SackBlock& block : h.sack) {
+    if (block.start >= block.end || block.start < prev_end) return false;
+    prev_end = block.end;
+  }
+  return true;
+}
+
+std::vector<obs::ServiceStatus> gateway_status(sim::Rng& rng) {
+  std::vector<obs::ServiceStatus> services(rng.uniform_int(4));
+  for (obs::ServiceStatus& s : services) {
+    s = {random_string(rng, 12), random_string(rng, 8),
+         static_cast<sim::Duration>(rng.next_u64() >> 1), rng.next_u64(),
+         rng.next_u64(), rng.next_u64(), random_string(rng, 40),
+         static_cast<sim::TimePoint>(rng.next_u64() >> 1)};
+  }
+  return services;
+}
+
+std::vector<obs::TraceSummary> trace_summaries(sim::Rng& rng) {
+  std::vector<obs::TraceSummary> summaries(rng.uniform_int(4));
+  for (obs::TraceSummary& s : summaries) {
+    s = {random_string(rng, 16), random_string(rng, 12),
+         random_string(rng, 10), rng.next_u64(),
+         static_cast<sim::TimePoint>(rng.next_u64() >> 1),
+         static_cast<sim::Duration>(rng.next_u64() >> 1)};
+    for (auto& d : s.breakdown) {
+      d = static_cast<sim::Duration>(rng.next_u64() >> 1);
+    }
+  }
+  return summaries;
+}
+
+obs::sketch::SketchReport sketch_report(sim::Rng& rng) {
+  obs::sketch::SketchConfig config;
+  config.topk_capacity = 4 + rng.uniform_int(12);
+  obs::sketch::SubscriberSketches sketches(config);
+  const std::uint64_t keys = rng.uniform_int(40);
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const common::Imsi imsi =
+        common::Imsi::from_digits(1010000000000ULL + rng.uniform_int(25));
+    const auto metric = static_cast<obs::sketch::SubscriberMetric>(
+        rng.uniform_int(obs::sketch::kSubscriberMetricCount));
+    sketches.record(metric, imsi.value, 1 + rng.uniform_int(9),
+                    rng.next_u64());
+    sketches.record_active(imsi.value, static_cast<sim::TimePoint>(i));
+  }
+  return sketches.snapshot("gw-fuzz", 1000);
+}
+
+// Sound sketches only: K in range, and no error bound above its count.
+bool sketch_bounds_hold(const obs::sketch::SketchReport& report) {
+  if (report.topk_capacity < 1 || report.topk_capacity > 4096) return false;
+  for (const obs::sketch::SpaceSaving& s : report.topk) {
+    for (const obs::sketch::HeavyHitter& h : s.top()) {
+      if (h.error > h.count) return false;
+    }
+  }
+  return true;
+}
+
+orc8r::DesiredUpdate desired_update(sim::Rng& rng) {
+  orc8r::DesiredUpdate u;
+  u.version = rng.next_u64() >> 1;
+  u.epoch = rng.next_u64() >> 1;
+  u.mode = static_cast<orc8r::SyncMode>(rng.uniform_int(3));
+  if (u.mode == orc8r::SyncMode::kDelta) {
+    u.entries.resize(rng.uniform_int(4));
+    for (orc8r::DeltaEntry& e : u.entries) {
+      e.kind = static_cast<orc8r::DeltaEntry::Kind>(rng.uniform_int(2));
+      e.remove = rng.bernoulli(0.3);
+      e.key = random_string(rng, 16);
+      if (!e.remove) e.blob = random_bytes(rng, 32);
+    }
+  } else if (u.mode == orc8r::SyncMode::kFull) {
+    u.full = random_bytes(rng, 64);
+  }
+  return u;
+}
+
+// In-range mode and kinds, and no remove entry smuggling a blob.
+bool delta_entries_sane(const orc8r::DesiredUpdate& u) {
+  if (static_cast<std::uint8_t>(u.mode) > 2) return false;
+  for (const orc8r::DeltaEntry& e : u.entries) {
+    if (static_cast<std::uint8_t>(e.kind) > 1) return false;
+    if (e.remove && !e.blob.empty()) return false;
+  }
+  return true;
+}
+
+agw::SubscriberData subscriber_data(sim::Rng& rng) {
+  return {random_imsi(rng),      random_array<16>(rng),
+          random_array<16>(rng), rng.next_u64() >> 16,
+          random_string(rng, 12), random_string(rng, 12),
+          rng.bernoulli(0.8)};
+}
+
+core::Policy policy(sim::Rng& rng) {
+  core::Policy p;
+  p.name = random_string(rng, 12);
+  p.tiers.resize(1 + rng.uniform_int(4));
+  for (core::PolicyTier& t : p.tiers) {
+    t = {rng.next_u64() >> 20, rng.next_u64() >> 20, rng.next_u64() >> 20};
+  }
+  p.charging = static_cast<core::ChargingMode>(rng.uniform_int(3));
+  p.quota_bytes = rng.next_u64() >> 20;
+  p.interval_ns = static_cast<std::int64_t>(rng.next_u64() >> 1);
+  p.qci = static_cast<std::uint8_t>(1 + rng.uniform_int(9));
+  return p;
+}
+
+// Field order: cookie, UE address, tunneled, AGW/eNodeB tunnel ids and
+// address, rates, blocked/idle/home-routed flags, home-routing tunnel.
+agw::SessionFlows session_flows(sim::Rng& rng) {
+  return {rng.next_u64(),     {u32(rng)},         rng.bernoulli(0.5),
+          {u32(rng)},         {u32(rng)},         {u32(rng)},
+          rng.next_u64(),     rng.next_u64(),     rng.bernoulli(0.2),
+          rng.bernoulli(0.2), rng.bernoulli(0.2), {u32(rng)},
+          {u32(rng)},         {u32(rng)}};
+}
+
+orc8r::DesiredState full_state(sim::Rng& rng) {
+  orc8r::DesiredState state;
+  state.version = rng.next_u64() >> 1;
+  state.subscribers.resize(rng.uniform_int(3));
+  for (auto& s : state.subscribers) s = subscriber_data(rng);
+  state.policies.resize(rng.uniform_int(3));
+  for (auto& p : state.policies) p = policy(rng);
+  return state;
+}
+
+orc8r::GetUpdatesRequest get_updates_request(sim::Rng& rng) {
+  return {random_string(rng, 10), rng.next_u64(), rng.next_u64()};
+}
+
+std::vector<orc8r::MetricSample> metric_report(sim::Rng& rng) {
+  std::vector<orc8r::MetricSample> samples(rng.uniform_int(5));
+  for (orc8r::MetricSample& s : samples) {
+    s = {random_string(rng, 10), random_string(rng, 24),
+         rng.uniform(-1e9, 1e9),
+         static_cast<sim::TimePoint>(rng.next_u64() >> 1)};
+  }
+  return samples;
+}
+
+std::vector<orc8r::HistogramSnapshot> histogram_report(sim::Rng& rng) {
+  std::vector<orc8r::HistogramSnapshot> snapshots(rng.uniform_int(4));
+  for (orc8r::HistogramSnapshot& s : snapshots) {
+    s.gateway_id = random_string(rng, 10);
+    s.name = random_string(rng, 24);
+    s.delta = rng.bernoulli(0.5);
+    const auto buckets = static_cast<std::uint32_t>(rng.uniform_int(8));
+    double bound = 1e-4;
+    for (std::uint32_t i = 0; i < buckets; ++i) {
+      if (s.delta) {
+        s.changed.emplace_back(i, rng.next_u64());
+      } else {
+        bound *= rng.uniform(1.0, 10.0);  // ascending, as decode demands
+        s.bounds.push_back(bound);
+        s.counts.push_back(rng.uniform_int(1000));
+      }
+    }
+    if (!s.delta) s.counts.push_back(rng.uniform_int(1000));  // overflow
+    s.sum = rng.uniform(0, 1e6);
+    s.time = static_cast<sim::TimePoint>(rng.next_u64() >> 1);
+  }
+  return snapshots;
+}
+
+std::vector<obs::Event> event_report(sim::Rng& rng) {
+  std::vector<obs::Event> events(rng.uniform_int(4));
+  for (obs::Event& e : events) {
+    e = {static_cast<sim::TimePoint>(rng.next_u64() >> 1),
+         random_string(rng, 10), random_string(rng, 16),
+         random_string(rng, 12), random_string(rng, 40),
+         static_cast<obs::EventSeverity>(rng.uniform_int(3)),
+         obs::TraceContext{rng.next_u64(), rng.next_u64()}};
+  }
+  return events;
+}
+
+// A 3GPP message of a random type (every alternative of the codec's
+// variant), with random identities, ids and payloads where it has them.
+template <typename Message, std::size_t... I>
+Message alternative(std::size_t index, std::index_sequence<I...>) {
+  Message msg;
+  ((index == I ? (void)msg.template emplace<I>() : (void)0), ...);
+  return msg;
+}
+
+template <typename Message>
+Message any_message(sim::Rng& rng) {
+  constexpr std::size_t kTypes = std::variant_size_v<Message>;
+  Message msg = alternative<Message>(rng.uniform_int(kTypes),
+                                     std::make_index_sequence<kTypes>{});
+  auto randomize = [&rng](auto& m) {
+    if constexpr (requires { m.imsi; }) m.imsi = random_imsi(rng);
+    if constexpr (requires { m.supi; }) m.supi = random_imsi(rng);
+    if constexpr (requires { m.nas_pdu; }) m.nas_pdu = random_bytes(rng, 32);
+    if constexpr (requires { m.mac; }) m.mac = u32(rng);
+    if constexpr (requires { m.sequence; }) m.sequence = u32(rng);
+    if constexpr (requires { m.enb_ue_s1ap_id; }) m.enb_ue_s1ap_id = u32(rng);
+    if constexpr (requires { m.ran_ue_ngap_id; }) m.ran_ue_ngap_id = u32(rng);
+  };
+  std::visit(randomize, msg);
+  return msg;
+}
+
+wifi::RadiusPacket radius_packet(sim::Rng& rng) {
+  wifi::RadiusPacket pkt;
+  pkt.code = pick<wifi::RadiusCode>(
+      rng, {wifi::RadiusCode::kAccessRequest, wifi::RadiusCode::kAccessAccept,
+            wifi::RadiusCode::kAccessReject,
+            wifi::RadiusCode::kAccountingRequest,
+            wifi::RadiusCode::kAccountingResponse,
+            wifi::RadiusCode::kAccessChallenge});
+  pkt.identifier = static_cast<std::uint8_t>(rng.next_u64());
+  wifi::RadiusAttributes& a = pkt.attributes;
+  if (rng.bernoulli(0.5)) a.user_name = "IMSI" + random_imsi(rng).value;
+  if (rng.bernoulli(0.5)) a.chap_password = random_bytes(rng, 16);
+  if (rng.bernoulli(0.5)) a.framed_ip = common::Ipv4{u32(rng)};
+  if (rng.bernoulli(0.5)) a.calling_station_id = random_string(rng, 17);
+  if (rng.bernoulli(0.5)) a.acct_status = wifi::AcctStatus::kInterimUpdate;
+  if (rng.bernoulli(0.5)) a.acct_input_octets = u32(rng);
+  if (rng.bernoulli(0.5)) a.acct_output_octets = u32(rng);
+  if (rng.bernoulli(0.5)) a.acct_session_id = random_string(rng, 16);
+  if (rng.bernoulli(0.5)) a.chap_challenge = random_bytes(rng, 16);
+  return pkt;
+}
+
+// --- the codec table ---------------------------------------------------------
+
+enum class Decoded { kRejected, kAccepted, kInvariantBroken };
+
+// One row per wire codec, type-erased so one harness checks them all.
+struct Codec {
+  std::string name;
+  // Draws one valid value, checks that it round-trips, returns its encoding.
+  std::function<common::Bytes(sim::Rng&)> sample;
+  std::function<Decoded(common::BytesView)> decode;
+  bool internal = true;  // internal codecs also reject a trailing byte
+  int samples = 300;
+  // Samples that also get the every-prefix sweep, which is quadratic in the
+  // encoding's size.
+  int prefix_samples = 300;
+};
+
+template <typename T>
+Codec codec(std::string name, T (*generate)(sim::Rng&),
+            common::Bytes (*encode)(const T&),
+            common::Result<T> (*decode)(common::BytesView),
+            bool (*invariant)(const T&) = nullptr) {
+  auto sample = [=](sim::Rng& rng) {
+    const common::Bytes wire = encode(generate(rng));
+    auto decoded = decode(wire);
+    EXPECT_TRUE(decoded.ok()) << "valid sample rejected";
+    if (decoded.ok()) {
+      EXPECT_EQ(encode(decoded.value()), wire) << "round trip changed bytes";
+    }
+    return wire;
+  };
+  auto check = [=](common::BytesView data) {
+    auto decoded = decode(data);
+    if (!decoded.ok()) return Decoded::kRejected;
+    return invariant == nullptr || invariant(decoded.value())
+               ? Decoded::kAccepted
+               : Decoded::kInvariantBroken;
+  };
+  return Codec{std::move(name), sample, check};
+}
+
+// Codecs that are a type's own serialize()/deserialize() pair.
+template <typename T>
+Codec member_codec(std::string name, T (*generate)(sim::Rng&),
+                   bool (*invariant)(const T&) = nullptr) {
+  return codec<T>(
+      std::move(name), generate,
+      [](const T& value) { return value.serialize(); },
+      [](common::BytesView data) { return T::deserialize(data); }, invariant);
+}
+
+// 3GPP and RADIUS framing leaves trailing bytes to the transport.
+Codec external(Codec c) {
+  c.internal = false;
+  return c;
+}
+
+// Sampling budget for codecs whose encodings are unusually small or large.
+Codec sampled(Codec c, int samples, int prefix_samples) {
+  c.samples = samples;
+  c.prefix_samples = prefix_samples;
+  return c;
+}
+
+const std::vector<Codec>& codecs() {
+  static const std::vector<Codec> table = [] {
+    return std::vector<Codec>{
+        sampled(codec("segment_header", segment_header,
+                      net::encode_segment_header, net::decode_segment_header,
+                      sack_blocks_ascending),
+                2000, 2000),
+        codec("gateway_status", gateway_status, obs::encode_gateway_status,
+              obs::decode_gateway_status),
+        codec("trace_summaries", trace_summaries, obs::encode_trace_summaries,
+              obs::decode_trace_summaries),
+        // ~11 KB of HLL registers each: sweep the prefixes of a few only.
+        sampled(codec("sketch_report", sketch_report,
+                      obs::sketch::encode_sketch_report,
+                      obs::sketch::decode_sketch_report, sketch_bounds_hold),
+                200, 3),
+        member_codec("desired_update", desired_update, delta_entries_sane),
+        member_codec("full_state", full_state),
+        member_codec("get_updates_request", get_updates_request),
+        member_codec("subscriber_data", subscriber_data),
+        member_codec("policy", policy),
+        member_codec("session_flows", session_flows),
+        codec("metric_report", metric_report, orc8r::encode_metric_report,
+              orc8r::decode_metric_report),
+        codec("histogram_report", histogram_report,
+              orc8r::encode_histogram_report, orc8r::decode_histogram_report),
+        codec("event_report", event_report, obs::encode_event_report,
+              obs::decode_event_report),
+        external(codec("nas", any_message<lte::NasMessage>, lte::encode_nas,
+                       lte::decode_nas)),
+        external(codec("s1ap", any_message<lte::S1apMessage>,
+                       lte::encode_s1ap, lte::decode_s1ap)),
+        external(codec("gtpc", any_message<lte::GtpcMessage>,
+                       lte::encode_gtpc, lte::decode_gtpc)),
+        external(codec("nas5g", any_message<nr5g::Nas5gMessage>,
+                       nr5g::encode_nas5g, nr5g::decode_nas5g)),
+        external(codec("ngap", any_message<nr5g::NgapMessage>,
+                       nr5g::encode_ngap, nr5g::decode_ngap)),
+        external(codec("radius", radius_packet, wifi::encode_radius,
+                       wifi::decode_radius)),
+    };
+  }();
+  return table;
+}
+
+// --- the harness -------------------------------------------------------------
+
+void expect_contract(const Codec& codec) {
+  SCOPED_TRACE(codec.name);
+  sim::Rng rng(std::hash<std::string>{}(codec.name));
+  // One broken sample says enough; stop before the sweep floods the log.
+  for (int i = 0; i < codec.samples && !::testing::Test::HasFailure(); ++i) {
+    const common::Bytes wire = codec.sample(rng);
+    for (std::size_t keep = 0; i < codec.prefix_samples && keep < wire.size();
+         ++keep) {
+      EXPECT_EQ(codec.decode(common::BytesView(wire.data(), keep)),
+                Decoded::kRejected)
+          << "prefix " << keep << " of " << wire.size() << " decoded";
+    }
+    if (codec.internal) {
+      common::Bytes padded = wire;
+      padded.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+      EXPECT_EQ(codec.decode(padded), Decoded::kRejected)
+          << "trailing byte accepted";
+    }
+    if (wire.empty()) continue;
+    common::Bytes mutated = wire;
+    const int flips = 1 + static_cast<int>(rng.uniform_int(4));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.uniform_int(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    }
+    EXPECT_NE(codec.decode(mutated), Decoded::kInvariantBroken)
+        << "bit flips decoded into a value breaking the codec's invariant";
+  }
+}
+
+void expect_contracts(std::initializer_list<std::string_view> names) {
+  for (const std::string_view name : names) {
+    bool found = false;
+    for (const Codec& codec : codecs()) {
+      if (codec.name != name) continue;
+      expect_contract(codec);
+      found = true;
+    }
+    EXPECT_TRUE(found) << "no codec named " << name;
+  }
+}
+
+TEST(FuzzSegmentHeader, RoundTripAndGarbageSafety) {
+  expect_contracts({"segment_header"});
+  // Option billing matches the TCP option sizes the header comment promises.
+  sim::Rng rng(17);
+  for (int i = 0; i < 200; ++i) {
+    const net::SegmentHeader h = segment_header(rng);
+    EXPECT_EQ(net::segment_option_bytes(h),
+              (h.has_ts ? 10u : 0u) +
+                  (h.sack.empty() ? 0u : 2u + 8u * h.sack.size()));
+  }
+}
+
+TEST(FuzzGatewayStatus, RoundTripMutationAndTruncation) {
+  expect_contracts({"gateway_status"});
+}
+
+TEST(FuzzTraceSummary, RoundTripMutationAndTruncation) {
+  expect_contracts({"trace_summaries"});
+}
+
+TEST(FuzzSketchReport, RoundTripMutationAndTruncation) {
+  expect_contracts({"sketch_report"});
+}
+
+TEST(FuzzDeltaStream, UpdateRoundTripMutationAndTruncation) {
+  expect_contracts({"desired_update", "get_updates_request"});
+}
+
+TEST(FuzzMutation, TruncatedDesiredStateAlwaysRejected) {
+  expect_contracts({"full_state"});
+}
+
+TEST(FuzzMutation, BitFlipsOnValidMessages) {
+  expect_contracts({"nas", "s1ap", "gtpc", "nas5g", "ngap", "radius"});
+}
+
+TEST(CodecContract, RecordsAndReports) {
+  expect_contracts({"subscriber_data", "policy", "session_flows",
+                    "metric_report", "histogram_report", "event_report"});
+}
+
+// Random bytes at every decoder, store images and raw packets included.
 class FuzzSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSweep, RandomBytesNeverCrashAnyDecoder) {
   sim::Rng rng(GetParam());
   for (int i = 0; i < 2000; ++i) {
-    decode_everything(random_bytes(rng, 256));
+    const common::Bytes data = random_bytes(rng, 256);
+    for (const Codec& codec : codecs()) (void)codec.decode(data);
+    (void)store::WalStore::deserialize(data);
+    (void)datapath::Packet::parse(data);
   }
   SUCCEED();
 }
@@ -75,215 +550,7 @@ TEST_P(FuzzSweep, RandomBytesNeverCrashAnyDecoder) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep,
                          ::testing::Range<std::uint64_t>(1, 6));
 
-// Structured mutation: take valid encodings and flip bytes / truncate.
-// Decoders must reject or produce *some* valid object — never crash — and
-// an unmodified prefix-truncation must never round-trip as valid-and-equal.
-TEST(FuzzMutation, BitFlipsOnValidMessages) {
-  sim::Rng rng(99);
-
-  proto::lte::AttachAccept accept;
-  accept.m_tmsi = 7;
-  accept.bearer.pdn_address = common::Ipv4::from_octets(172, 16, 0, 3);
-  const common::Bytes nas =
-      proto::lte::encode_nas(proto::lte::NasMessage{accept});
-
-  proto::lte::InitialContextSetupRequest ics;
-  ics.nas_pdu = nas;
-  const common::Bytes s1ap =
-      proto::lte::encode_s1ap(proto::lte::S1apMessage{ics});
-
-  for (const common::Bytes& base : {nas, s1ap}) {
-    for (int round = 0; round < 500; ++round) {
-      common::Bytes mutated = base;
-      const int flips = 1 + static_cast<int>(rng.uniform_int(4));
-      for (int f = 0; f < flips; ++f) {
-        mutated[rng.uniform_int(mutated.size())] ^=
-            static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-      }
-      decode_everything(mutated);
-    }
-    for (std::size_t keep = 0; keep < base.size(); ++keep) {
-      decode_everything(common::BytesView(base.data(), keep));
-    }
-  }
-  SUCCEED();
-}
-
-// Segment headers carry the SACK-block and timestamp options across the
-// simulated wire. Round trip: every structurally valid header re-decodes
-// byte-identically. Garbage: random and mutated bytes must decode to an
-// error or a *valid* header (ascending disjoint SACK blocks) — never crash
-// and never yield a header the receiver would misinterpret.
-TEST(FuzzSegmentHeader, RoundTripAndGarbageSafety) {
-  sim::Rng rng(17);
-  for (int round = 0; round < 2000; ++round) {
-    net::SegmentHeader h;
-    h.epoch = rng.next_u64() >> (rng.uniform_int(64));
-    h.seq = rng.next_u64() >> (rng.uniform_int(64));
-    h.ack = rng.next_u64() >> (rng.uniform_int(64));
-    h.ack_epoch = rng.next_u64() >> (rng.uniform_int(64));
-    h.is_ack = rng.bernoulli(0.5);
-    h.is_rst = rng.bernoulli(0.1);
-    if (rng.bernoulli(0.7)) {
-      h.has_ts = true;
-      h.tsval = static_cast<sim::TimePoint>(rng.uniform_int(1u << 30));
-      h.tsecr = static_cast<sim::TimePoint>(rng.uniform_int(1u << 30));
-    }
-    // Ascending, disjoint, non-empty blocks as the encoder contract asks.
-    std::uint64_t cursor = rng.uniform_int(1000);
-    const int blocks = static_cast<int>(rng.uniform_int(5));
-    for (int b = 0; b < blocks; ++b) {
-      net::SackBlock block;
-      block.start = cursor + rng.uniform_int(50);
-      block.end = block.start + 1 + rng.uniform_int(20);
-      cursor = block.end + rng.uniform_int(10);
-      h.sack.push_back(block);
-    }
-
-    const common::Bytes wire = net::encode_segment_header(h);
-    auto decoded = net::decode_segment_header(wire);
-    ASSERT_TRUE(decoded.ok());
-    const net::SegmentHeader& d = decoded.value();
-    EXPECT_EQ(d.epoch, h.epoch);
-    EXPECT_EQ(d.seq, h.seq);
-    EXPECT_EQ(d.ack, h.ack);
-    EXPECT_EQ(d.ack_epoch, h.ack_epoch);
-    EXPECT_EQ(d.is_ack, h.is_ack);
-    EXPECT_EQ(d.is_rst, h.is_rst);
-    EXPECT_EQ(d.has_ts, h.has_ts);
-    if (h.has_ts) {
-      EXPECT_EQ(d.tsval, h.tsval);
-      EXPECT_EQ(d.tsecr, h.tsecr);
-    }
-    EXPECT_EQ(d.sack, h.sack);
-    // Option billing matches the TCP option sizes the comment promises.
-    EXPECT_EQ(net::segment_option_bytes(h),
-              (h.has_ts ? 10u : 0u) +
-                  (h.sack.empty() ? 0u : 2u + 8u * h.sack.size()));
-
-    // Mutations of the valid encoding: reject or produce a valid header.
-    common::Bytes mutated = wire;
-    const int flips = 1 + static_cast<int>(rng.uniform_int(4));
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng.uniform_int(mutated.size())] ^=
-          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-    }
-    auto survived = net::decode_segment_header(mutated);
-    if (survived.ok()) {
-      std::uint64_t prev_end = 0;
-      for (const net::SackBlock& block : survived.value().sack) {
-        EXPECT_LT(block.start, block.end);
-        EXPECT_GE(block.start, prev_end);
-        prev_end = block.end;
-      }
-    }
-    // Truncations of a valid encoding never parse (every prefix is short).
-    for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-      EXPECT_FALSE(
-          net::decode_segment_header(common::BytesView(wire.data(), keep))
-              .ok())
-          << "prefix " << keep << " parsed as valid";
-    }
-  }
-}
-
-// The checkin payload (gateway Service303 snapshot) crosses the same trust
-// boundary as every other wire codec: round-trip structured inputs, then
-// mutate and truncate them.
-TEST(FuzzGatewayStatus, RoundTripMutationAndTruncation) {
-  sim::Rng rng(31);
-  for (int round = 0; round < 500; ++round) {
-    std::vector<obs::ServiceStatus> services(rng.uniform_int(4));
-    for (obs::ServiceStatus& s : services) {
-      s.service = std::string(rng.uniform_int(12), 's');
-      s.phase = std::string(rng.uniform_int(8), 'p');
-      s.uptime = static_cast<sim::Duration>(rng.next_u64() >> 1);
-      s.requests = rng.next_u64();
-      s.errors = rng.next_u64();
-      s.deadlines = rng.next_u64();
-      s.last_error = std::string(rng.uniform_int(40), 'e');
-      s.last_error_time = static_cast<sim::TimePoint>(rng.next_u64() >> 1);
-    }
-    const common::Bytes wire = obs::encode_gateway_status(services);
-    auto decoded = obs::decode_gateway_status(wire);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), services.size());
-    for (std::size_t i = 0; i < services.size(); ++i) {
-      EXPECT_EQ(decoded.value()[i].service, services[i].service);
-      EXPECT_EQ(decoded.value()[i].requests, services[i].requests);
-      EXPECT_EQ(decoded.value()[i].last_error, services[i].last_error);
-    }
-
-    if (!wire.empty()) {
-      common::Bytes mutated = wire;
-      const int flips = 1 + static_cast<int>(rng.uniform_int(4));
-      for (int f = 0; f < flips; ++f) {
-        mutated[rng.uniform_int(mutated.size())] ^=
-            static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-      }
-      (void)obs::decode_gateway_status(mutated);  // must never crash
-      for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-        (void)obs::decode_gateway_status(common::BytesView(wire.data(), keep));
-      }
-    }
-  }
-  SUCCEED();
-}
-
-// Trace summaries ride the same best-effort magmad→metricsd path as metric
-// reports; the decoder must reject truncation and trailing garbage, and a
-// hostile per-summary state count must never drive an allocation or a read
-// past the buffer.
-TEST(FuzzTraceSummary, RoundTripMutationAndTruncation) {
-  sim::Rng rng(43);
-  for (int round = 0; round < 500; ++round) {
-    std::vector<obs::TraceSummary> summaries(rng.uniform_int(4));
-    for (obs::TraceSummary& s : summaries) {
-      s.root_op = std::string(rng.uniform_int(16), 'o');
-      s.root_service = std::string(rng.uniform_int(12), 's');
-      s.gateway_id = std::string(rng.uniform_int(10), 'g');
-      s.trace_id = rng.next_u64();
-      s.start = static_cast<sim::TimePoint>(rng.next_u64() >> 1);
-      s.duration = static_cast<sim::Duration>(rng.next_u64() >> 1);
-      for (auto& d : s.breakdown) {
-        d = static_cast<sim::Duration>(rng.next_u64() >> 1);
-      }
-    }
-    const common::Bytes wire = obs::encode_trace_summaries(summaries);
-    auto decoded = obs::decode_trace_summaries(wire);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_EQ(decoded.value().size(), summaries.size());
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      EXPECT_EQ(decoded.value()[i].root_op, summaries[i].root_op);
-      EXPECT_EQ(decoded.value()[i].trace_id, summaries[i].trace_id);
-      EXPECT_EQ(decoded.value()[i].duration, summaries[i].duration);
-      EXPECT_EQ(decoded.value()[i].breakdown, summaries[i].breakdown);
-    }
-
-    // Truncations are short by construction — every prefix must be rejected.
-    for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-      EXPECT_FALSE(
-          obs::decode_trace_summaries(common::BytesView(wire.data(), keep))
-              .ok())
-          << "prefix " << keep << " parsed as valid";
-    }
-    // Trailing garbage after a valid report: at_end() must catch it.
-    common::Bytes padded = wire;
-    padded.push_back(0x5a);
-    EXPECT_FALSE(obs::decode_trace_summaries(padded).ok());
-    // Bit flips: reject or decode, never crash.
-    if (!wire.empty()) {
-      common::Bytes mutated = wire;
-      const int flips = 1 + static_cast<int>(rng.uniform_int(4));
-      for (int f = 0; f < flips; ++f) {
-        mutated[rng.uniform_int(mutated.size())] ^=
-            static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-      }
-      (void)obs::decode_trace_summaries(mutated);
-    }
-  }
-  SUCCEED();
-}
+// --- hostile lengths ---------------------------------------------------------
 
 TEST(FuzzTraceSummary, HostileLengthsRejectedWithoutAllocating) {
   // A count field claiming 2^61 summaries in a 16-byte buffer: the capped
@@ -311,89 +578,6 @@ TEST(FuzzTraceSummary, HostileLengthsRejectedWithoutAllocating) {
     // The first string length lives right after the 8-byte count.
     for (std::size_t i = 8; i < 16 && i < wire.size(); ++i) wire[i] = 0xff;
     EXPECT_FALSE(obs::decode_trace_summaries(wire).ok());
-  }
-}
-
-// The sketch report is the newest magmad→metricsd payload; a hostile or
-// corrupted report must never crash metricsd, never drive an unbounded
-// allocation, and never decode into a sketch violating its own invariants
-// (error bound exceeding the count estimate, out-of-range capacity).
-TEST(FuzzSketchReport, RoundTripMutationAndTruncation) {
-  sim::Rng rng(71);
-  for (int round = 0; round < 200; ++round) {
-    obs::sketch::SketchConfig config;
-    config.topk_capacity = 4 + rng.uniform_int(12);
-    obs::sketch::SubscriberSketches sketches(config);
-    const std::uint64_t keys = rng.uniform_int(40);
-    for (std::uint64_t i = 0; i < keys; ++i) {
-      const common::Imsi imsi =
-          common::Imsi::from_digits(1010000000000ULL + rng.uniform_int(25));
-      const auto metric = static_cast<obs::sketch::SubscriberMetric>(
-          rng.uniform_int(obs::sketch::kSubscriberMetricCount));
-      sketches.record(metric, imsi.value, 1 + rng.uniform_int(9),
-                      rng.next_u64());
-      sketches.record_active(imsi.value, static_cast<sim::TimePoint>(i));
-    }
-
-    const obs::sketch::SketchReport report =
-        sketches.snapshot("gw-fuzz", 1000);
-    const common::Bytes wire = obs::sketch::encode_sketch_report(report);
-    auto decoded = obs::sketch::decode_sketch_report(wire);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().gateway_id, report.gateway_id);
-    EXPECT_EQ(decoded.value().time, report.time);
-    EXPECT_EQ(decoded.value().topk_capacity, report.topk_capacity);
-    for (std::size_t m = 0; m < obs::sketch::kSubscriberMetricCount; ++m) {
-      const auto want = report.topk[m].top();
-      const auto got = decoded.value().topk[m].top();
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].key, want[i].key);
-        EXPECT_EQ(got[i].count, want[i].count);
-        EXPECT_EQ(got[i].error, want[i].error);
-        EXPECT_EQ(got[i].exemplar_trace_id, want[i].exemplar_trace_id);
-      }
-      EXPECT_EQ(decoded.value().topk[m].total_weight(),
-                report.topk[m].total_weight());
-    }
-    EXPECT_EQ(decoded.value().active_total.registers(),
-              report.active_total.registers());
-    EXPECT_EQ(decoded.value().active_window.registers(),
-              report.active_window.registers());
-
-    // Every strict prefix cuts a read short somewhere — all must fail.
-    // The sweep is quadratic in the ~11 KB wire (the HLL registers), so
-    // run it on a handful of differently-shaped reports, not all 200.
-    if (round < 3) {
-      for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-        EXPECT_FALSE(obs::sketch::decode_sketch_report(
-                         common::BytesView(wire.data(), keep))
-                         .ok())
-            << "prefix " << keep << " parsed as valid";
-      }
-    }
-    // Trailing garbage after a valid report: at_end() must catch it.
-    common::Bytes padded = wire;
-    padded.push_back(0xc3);
-    EXPECT_FALSE(obs::sketch::decode_sketch_report(padded).ok());
-    // Bit flips: reject, or decode into a report that still holds the
-    // sketch invariants — never crash, never yield error > count.
-    common::Bytes mutated = wire;
-    const int flips = 1 + static_cast<int>(rng.uniform_int(4));
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng.uniform_int(mutated.size())] ^=
-          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-    }
-    auto survived = obs::sketch::decode_sketch_report(mutated);
-    if (survived.ok()) {
-      EXPECT_GE(survived.value().topk_capacity, 1u);
-      EXPECT_LE(survived.value().topk_capacity, 4096u);
-      for (const obs::sketch::SpaceSaving& s : survived.value().topk) {
-        for (const obs::sketch::HeavyHitter& h : s.top()) {
-          EXPECT_LE(h.error, h.count);
-        }
-      }
-    }
   }
 }
 
@@ -476,78 +660,6 @@ TEST(FuzzSketchReport, HostileFieldsRejectedWithoutAllocating) {
   }
 }
 
-// The delta-stream envelope is what every GetUpdates poll decodes on the
-// gateway side; it crosses the same trust boundary as the full-state codec.
-TEST(FuzzDeltaStream, UpdateRoundTripMutationAndTruncation) {
-  sim::Rng rng(57);
-  for (int round = 0; round < 500; ++round) {
-    orc8r::DesiredUpdate u;
-    u.version = rng.next_u64() >> 1;
-    u.epoch = rng.next_u64() >> 1;
-    const std::uint64_t pick = rng.uniform_int(3);
-    u.mode = static_cast<orc8r::SyncMode>(pick);
-    if (u.mode == orc8r::SyncMode::kDelta) {
-      const std::uint64_t entries = rng.uniform_int(4);
-      for (std::uint64_t i = 0; i < entries; ++i) {
-        orc8r::DeltaEntry e;
-        e.kind = rng.bernoulli(0.5) ? orc8r::DeltaEntry::Kind::kSubscriber
-                                    : orc8r::DeltaEntry::Kind::kPolicy;
-        e.remove = rng.bernoulli(0.3);
-        e.key = std::string(rng.uniform_int(16), 'k');
-        if (!e.remove) e.blob = random_bytes(rng, 32);
-        u.entries.push_back(std::move(e));
-      }
-    } else if (u.mode == orc8r::SyncMode::kFull) {
-      u.full = random_bytes(rng, 64);
-    }
-
-    const common::Bytes wire = u.serialize();
-    auto decoded = orc8r::DesiredUpdate::deserialize(wire);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().version, u.version);
-    EXPECT_EQ(decoded.value().epoch, u.epoch);
-    EXPECT_EQ(decoded.value().mode, u.mode);
-    EXPECT_EQ(decoded.value().full, u.full);
-    ASSERT_EQ(decoded.value().entries.size(), u.entries.size());
-    for (std::size_t i = 0; i < u.entries.size(); ++i) {
-      EXPECT_EQ(decoded.value().entries[i].kind, u.entries[i].kind);
-      EXPECT_EQ(decoded.value().entries[i].remove, u.entries[i].remove);
-      EXPECT_EQ(decoded.value().entries[i].key, u.entries[i].key);
-      EXPECT_EQ(decoded.value().entries[i].blob, u.entries[i].blob);
-    }
-
-    // Every strict prefix is short somewhere — all must be rejected.
-    for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-      EXPECT_FALSE(orc8r::DesiredUpdate::deserialize(
-                       common::BytesView(wire.data(), keep))
-                       .ok())
-          << "prefix " << keep << " parsed as valid";
-    }
-    // Trailing garbage after a valid envelope: at_end() must catch it.
-    common::Bytes padded = wire;
-    padded.push_back(0xa5);
-    EXPECT_FALSE(orc8r::DesiredUpdate::deserialize(padded).ok());
-    // Bit flips: reject or decode to *some* in-range envelope, never crash.
-    common::Bytes mutated = wire;
-    const int flips = 1 + static_cast<int>(rng.uniform_int(4));
-    for (int f = 0; f < flips; ++f) {
-      mutated[rng.uniform_int(mutated.size())] ^=
-          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-    }
-    auto survived = orc8r::DesiredUpdate::deserialize(mutated);
-    if (survived.ok()) {
-      EXPECT_LE(static_cast<std::uint8_t>(survived.value().mode), 2);
-      for (const orc8r::DeltaEntry& e : survived.value().entries) {
-        EXPECT_LE(static_cast<std::uint8_t>(e.kind), 1);
-        if (e.remove) {
-          EXPECT_TRUE(e.blob.empty());
-        }
-      }
-    }
-  }
-  SUCCEED();
-}
-
 TEST(FuzzDeltaStream, HostileLengthsRejectedWithoutAllocating) {
   // A kDelta header whose entry count claims 2^64-1 entries in an empty
   // payload: the capped reserve must not trust it, and the loop must stop
@@ -597,23 +709,6 @@ TEST(FuzzDeltaStream, HostileLengthsRejectedWithoutAllocating) {
                        common::BytesView(wire.data(), keep))
                        .ok());
     }
-  }
-}
-
-TEST(FuzzMutation, TruncatedDesiredStateAlwaysRejected) {
-  orc8r::DesiredState state;
-  state.version = 3;
-  state.changed = true;
-  agw::SubscriberData sub;
-  sub.imsi = common::Imsi::from_digits(1010000000001ULL);
-  state.subscribers.push_back(sub);
-  state.policies.push_back(core::unlimited_policy());
-  const common::Bytes wire = state.serialize();
-  for (std::size_t keep = 0; keep < wire.size(); ++keep) {
-    EXPECT_FALSE(orc8r::DesiredState::deserialize(
-                     common::BytesView(wire.data(), keep))
-                     .ok())
-        << "prefix " << keep << " parsed as valid";
   }
 }
 

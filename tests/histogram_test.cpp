@@ -1,7 +1,5 @@
 // Histogram merge edge cases: mismatched bucket layouts, counter
-// saturation near uint64 max, merge-with-empty — plus the per-bucket
-// exemplar contract (displacement, merge fill, quantile pivot) the
-// metrics→trace pivot rides on.
+// saturation near uint64 max, merge-with-empty, and snapshot assign.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -84,48 +82,10 @@ TEST(HistogramObserve, TotalCountSaturates) {
   EXPECT_EQ(a.count(), kMax);
 }
 
-TEST(HistogramExemplar, ObserveDisplacesAndReturnsPrevious) {
-  Histogram h = small_hist();
-  EXPECT_EQ(h.observe(0.5, 0xA), 0u);  // bucket had no exemplar
-  EXPECT_EQ(h.observe(0.5, 0xB), 0xAu);  // displaced A
-  // Same trace observed again: returned as displaced too (refcounted pins
-  // make pin(new) + unpin(displaced) net to zero).
-  EXPECT_EQ(h.observe(0.5, 0xB), 0xBu);
-  // Exemplar-less observation keeps the current exemplar.
-  EXPECT_EQ(h.observe(0.5), 0u);
-  EXPECT_EQ(h.exemplars()[0], 0xBu);
-}
-
-TEST(HistogramExemplar, MergeFillsOnlyEmptyBuckets) {
-  Histogram a = small_hist();
-  Histogram b = small_hist();
-  a.observe(0.5, 0xA);   // bucket 0: A
-  b.observe(0.5, 0xB);   // bucket 0: B (must not overwrite A)
-  b.observe(50.0, 0xC);  // bucket 2: only b has one
-  ASSERT_TRUE(a.merge(b));
-  EXPECT_EQ(a.exemplars()[0], 0xAu);
-  EXPECT_EQ(a.exemplars()[2], 0xCu);
-}
-
-TEST(HistogramExemplar, NearQuantileWalksDownToTaggedBucket) {
-  Histogram h = small_hist();
-  for (int i = 0; i < 198; ++i) h.observe(0.5);  // no exemplar
-  h.observe(0.5, 0xA);
-  h.observe(500.0);  // overflow bucket, no exemplar
-  // p99 lands in the overflow bucket which carries none — the pivot walks
-  // down to the nearest tagged bucket below.
-  EXPECT_EQ(h.exemplar_near_quantile(0.999), 0xAu);
-  EXPECT_EQ(h.exemplar_near_quantile(0.5), 0xAu);
-
-  Histogram empty = small_hist();
-  EXPECT_EQ(empty.exemplar_near_quantile(0.99), 0u);
-}
-
 TEST(HistogramAssign, ResetsExemplarsAndRejectsBadLayout) {
   Histogram h = small_hist();
-  h.observe(0.5, 0xA);
+  h.observe(0.5);
   ASSERT_TRUE(h.assign({1.0, 10.0, 100.0}, {3, 0, 0, 0}, 1.5));
-  EXPECT_EQ(h.exemplars()[0], 0u);  // snapshot codec re-applies exemplars
   // counts must be bounds.size() + 1.
   EXPECT_FALSE(h.assign({1.0, 10.0}, {1, 2}, 0.0));
   // The failed assign leaves the previous contents in place.

@@ -4,8 +4,8 @@
 
 #include "agw/magmad.h"
 #include "core/network.h"
-#include "net/channel.h"
 #include "orc8r/orchestrator.h"
+#include "rpc/rpc.h"
 
 namespace magma {
 namespace {
@@ -47,20 +47,6 @@ TEST(Orchestrator, PolicyCrudAndVersionBump) {
   EXPECT_FALSE(orc8r.get_policy("rate_limited").has_value());
 }
 
-TEST(Orchestrator, DesiredStateVersioned) {
-  sim::Kernel kernel;
-  orc8r::Orchestrator orc8r(kernel);
-  orc8r.add_subscriber(subscriber(1, "p"));
-  const orc8r::DesiredState fresh = orc8r.desired_state(0);
-  EXPECT_TRUE(fresh.changed);
-  EXPECT_EQ(fresh.subscribers.size(), 1u);
-
-  // A caller that already has the current version gets a cheap no-op.
-  const orc8r::DesiredState current = orc8r.desired_state(fresh.version);
-  EXPECT_FALSE(current.changed);
-  EXPECT_TRUE(current.subscribers.empty());
-}
-
 TEST(Orchestrator, ConfigSurvivesCrash) {
   sim::Kernel kernel;
   orc8r::Orchestrator orc8r(kernel);
@@ -80,9 +66,14 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
   orc8r.add_subscriber(subscriber(1, "p"));
   orc8r.store().put("sub/corrupt", common::to_bytes("garbage"));
 
-  const orc8r::DesiredState state = orc8r.desired_state(0);
+  // First contact: the streamer builds (and decodes) the full state.
+  const orc8r::GetUpdatesRequest first_contact{"gw0", 0, 0};
+  const orc8r::DesiredUpdate update = orc8r.desired_update(first_contact);
+  ASSERT_EQ(update.mode, orc8r::SyncMode::kFull);
+  auto state = orc8r::DesiredState::deserialize(update.full);
+  ASSERT_TRUE(state.ok());
   // The good subscriber survives; the corrupt one is counted, not silent.
-  EXPECT_EQ(state.subscribers.size(), 1u);
+  EXPECT_EQ(state.value().subscribers.size(), 1u);
   EXPECT_EQ(orc8r.stats().store_decode_errors, 1u);
   EXPECT_EQ(
       orc8r.metrics().latest("orc8r", "orchestrator_store_decode_errors"),
@@ -95,7 +86,7 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
   // The default growth alert fires once the gauge rises past its baseline
   // (the corrupt blob is recounted on the next full-state rebuild).
   orc8r.add_subscriber(subscriber(2, "p"));
-  (void)orc8r.desired_state(0);
+  (void)orc8r.desired_update(first_contact);
   EXPECT_EQ(orc8r.stats().store_decode_errors, 2u);
   bool firing = false;
   for (const orc8r::ActiveAlert& a : orc8r.metrics().active_alerts()) {
@@ -107,7 +98,6 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
 TEST(DesiredState, SerializeRoundTrip) {
   orc8r::DesiredState state;
   state.version = 42;
-  state.changed = true;
   state.subscribers.push_back(subscriber(1, "gold"));
   state.policies.push_back(core::tiered_policy(1e7, 1 << 30, 1e6));
   auto round = orc8r::DesiredState::deserialize(state.serialize());
@@ -124,24 +114,18 @@ class MagmadTest : public ::testing::Test {
   MagmadTest()
       : rng_(5),
         orc8r_(kernel_),
-        link_(kernel_, rng_, sim::fiber_backhaul()),
-        channels_(net::make_reliable_pair(kernel_, link_)),
-        server_node_(kernel_, *channels_.a, "orc8r-server"),
-        client_node_(kernel_, *channels_.b, "agw-client"),
+        rpc_(kernel_, rng_, "orc8r-server", "agw-client"),
         subscribers_([this]() { return rng_.next_u64(); }),
-        magmad_(kernel_, "gw0", &client_node_, subscribers_, policies_,
+        magmad_(kernel_, "gw0", &rpc_.client, subscribers_, policies_,
                 [this]() { return checkpoint_payload_; },
                 [this]() { return metrics_payload_; }) {
-    orc8r_.bind(server_node_);
+    orc8r_.bind(rpc_.server);
   }
 
   sim::Kernel kernel_;
   sim::Rng rng_;
   orc8r::Orchestrator orc8r_;
-  net::DuplexLink link_;
-  net::ReliablePair channels_;
-  rpc::RpcNode server_node_;
-  rpc::RpcNode client_node_;
+  rpc::RpcLink rpc_;
   agw::SubscriberDb subscribers_;
   agw::PolicyDb policies_;
   common::Bytes checkpoint_payload_ = common::to_bytes("ckpt");
@@ -202,7 +186,7 @@ TEST_F(MagmadTest, ConvergesAfterOrchestratorRestartWithOlderStore) {
   replacement.add_subscriber(subscriber(100, "new"));
   ASSERT_LT(replacement.config_version(), old_version);
   ASSERT_NE(replacement.epoch(), old_epoch);
-  replacement.bind(server_node_);  // re-registration replaces the handlers
+  replacement.bind(rpc_.server);  // re-registration replaces the handlers
 
   bool applied = false;
   magmad_.sync_config_now([&](bool a) { applied = a; });
@@ -223,8 +207,8 @@ TEST_F(MagmadTest, ConvergesAfterOrchestratorRestartWithOlderStore) {
 }
 
 TEST_F(MagmadTest, SyncFailsGracefullyWhenDisconnected) {
-  link_.forward.set_up(false);
-  link_.reverse.set_up(false);
+  rpc_.path.forward.set_up(false);
+  rpc_.path.reverse.set_up(false);
   bool applied = true;
   magmad_.sync_config_now([&](bool a) { applied = a; });
   kernel_.run_until(30 * sim::kSecond);
@@ -273,13 +257,10 @@ class MagmadShippingTest : public ::testing::Test {
   MagmadShippingTest()
       : rng_(5),
         orc8r_(kernel_),
-        link_(kernel_, rng_, sim::fiber_backhaul()),
-        channels_(net::make_reliable_pair(kernel_, link_)),
-        server_node_(kernel_, *channels_.a, "orc8r-server"),
-        client_node_(kernel_, *channels_.b, "agw-client"),
+        rpc_(kernel_, rng_, "orc8r-server", "agw-client"),
         subscribers_([this]() { return rng_.next_u64(); }),
         registry_(kernel_),
-        magmad_(kernel_, "gw0", &client_node_, subscribers_, policies_,
+        magmad_(kernel_, "gw0", &rpc_.client, subscribers_, policies_,
                 []() { return common::Bytes{}; },
                 []() { return std::vector<orc8r::MetricSample>{}; },
                 fast_metrics(), nullptr,
@@ -295,16 +276,13 @@ class MagmadShippingTest : public ::testing::Test {
                       std::move(snap)};
                 },
                 [this]() { return registry_.snapshot(); }) {
-    orc8r_.bind(server_node_);
+    orc8r_.bind(rpc_.server);
   }
 
   sim::Kernel kernel_;
   sim::Rng rng_;
   orc8r::Orchestrator orc8r_;
-  net::DuplexLink link_;
-  net::ReliablePair channels_;
-  rpc::RpcNode server_node_;
-  rpc::RpcNode client_node_;
+  rpc::RpcLink rpc_;
   agw::SubscriberDb subscribers_;
   agw::PolicyDb policies_;
   obs::StatusRegistry registry_;
@@ -369,14 +347,14 @@ TEST_F(MagmadShippingTest, LostReportForcesFullReship) {
 
   // Partition the backhaul across the next tick: the delta report dies on
   // its deadline, so magmad must assume metricsd missed it.
-  link_.forward.set_up(false);
-  link_.reverse.set_up(false);
+  rpc_.path.forward.set_up(false);
+  rpc_.path.reverse.set_up(false);
   hist_.observe(2.0);
   kernel_.run_until(31 * sim::kSecond);
   ASSERT_GE(magmad_.stats().histogram_reports_lost, 1u);
 
-  link_.forward.set_up(true);
-  link_.reverse.set_up(true);
+  rpc_.path.forward.set_up(true);
+  rpc_.path.reverse.set_up(true);
   hist_.observe(2.0);
   kernel_.run_until(60 * sim::kSecond);
   // Recovery re-shipped a full snapshot (cumulative, so the orchestrator
@@ -451,7 +429,7 @@ TEST_F(MagmadTest, BackpressureShedsTelemetryButNeverTheSync) {
   // still learns its subscribers while metrics and checkpoints yield.
   agw::MagmadConfig config;
   config.telemetry_backpressure = 0;
-  agw::Magmad magmad(kernel_, "gw0", &client_node_, subscribers_, policies_,
+  agw::Magmad magmad(kernel_, "gw0", &rpc_.client, subscribers_, policies_,
                      [this]() { return checkpoint_payload_; },
                      [this]() { return metrics_payload_; }, config);
   orc8r_.add_subscriber(subscriber(1, "p"));

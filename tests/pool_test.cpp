@@ -1,4 +1,4 @@
-// Property/stress suite for the common::Pool freelist pools (DESIGN.md §9).
+// Property/stress suite for the BlockPool freelist pools (DESIGN.md §9).
 //
 // The pools sit under the hottest paths in the simulator — event closures,
 // reliable-channel map nodes, microflow-cache nodes — so their invariants
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/pool.h"
-#include "datapath/packet.h"
 
 namespace magma::common {
 namespace {
@@ -147,47 +146,6 @@ TEST(BlockPool, DisabledToggleRoutesEverythingToHeap) {
   pool.deallocate(p);
   EXPECT_EQ(pool.stats().live, 0u);
   EXPECT_EQ(pool.stats().free_blocks, 0u);
-}
-
-TEST(TypedPool, ConstructsAndDestroysObjects) {
-  PoolingGuard guard;
-  set_memory_pooling_enabled(true);
-  static int live_payloads = 0;
-  struct Tracked {
-    explicit Tracked(int v) : value(v) { ++live_payloads; }
-    ~Tracked() { --live_payloads; }
-    int value;
-  };
-  Pool<Tracked> pool;
-  Tracked* a = pool.acquire(7);
-  EXPECT_EQ(a->value, 7);
-  EXPECT_EQ(live_payloads, 1);
-  pool.release(a);
-  EXPECT_EQ(live_payloads, 0);
-  // Reuses the same block for the next object.
-  Tracked* b = pool.acquire(9);
-  EXPECT_EQ(static_cast<void*>(b), static_cast<void*>(a));
-  pool.release(b);
-}
-
-// The ISSUE names datapath::Packet as a pooled type: the per-packet descriptor
-// cycles through a typed pool without heap traffic after warmup.
-TEST(TypedPool, PacketDescriptorsCycleAllocationFree) {
-  PoolingGuard guard;
-  set_memory_pooling_enabled(true);
-  Pool<datapath::Packet> pool;
-  // Warm the pool (first acquire carves a chunk).
-  datapath::Packet* warm = pool.acquire();
-  pool.release(warm);
-  const std::uint64_t hits_before = pool.stats().pool_hits;
-  for (int i = 0; i < 1000; ++i) {
-    datapath::Packet* pkt = pool.acquire();
-    pkt->ip.ttl = 64;
-    pool.release(pkt);
-  }
-  EXPECT_EQ(pool.stats().pool_hits - hits_before, 1000u);
-  EXPECT_EQ(pool.stats().heap_fallbacks, 0u);
-  EXPECT_EQ(pool.stats().capacity, pool.stats().free_blocks);
 }
 
 TEST(PoolAllocator, MapNodesComeFromThePool) {

@@ -69,10 +69,10 @@ TEST(Wire, EmptyStringAndBytes) {
 struct RpcHarness {
   sim::Kernel kernel;
   sim::Rng rng{7};
-  net::DuplexLink path{kernel, rng, sim::lan_link()};
-  net::ReliablePair channels = net::make_reliable_pair(kernel, path);
-  RpcNode server{kernel, *channels.a, "server"};
-  RpcNode client{kernel, *channels.b, "client"};
+  RpcLink link{kernel, rng, "server", "client", sim::lan_link()};
+  RpcNode& server = link.server;
+  RpcNode& client = link.client;
+  net::DuplexLink& path = link.path;
 };
 
 TEST(RpcNode, UnaryCallRoundTrip) {
@@ -214,13 +214,11 @@ TEST(RpcNode, TransportResetFailsCallsFastNotAtDeadline) {
   // silently dropped the frame and left the call waiting out its deadline.
   sim::Kernel kernel;
   sim::Rng rng{7};
-  net::DuplexLink path{kernel, rng, sim::lan_link()};
   net::ReliableConfig rel;
   rel.max_retries = 2;  // transport resets after 1+2+4 s of backoff
-  net::ReliablePair channels = net::make_reliable_pair(kernel, path, rel);
-  RpcNode server{kernel, *channels.a, "server"};
-  RpcNode client{kernel, *channels.b, "client"};
-  path.reverse.set_up(false);  // client→server direction is dead
+  RpcLink link{kernel, rng, "server", "client", sim::lan_link(), rel};
+  RpcNode& client = link.client;
+  link.path.reverse.set_up(false);  // client→server direction is dead
 
   ErrorCode code = ErrorCode::kOk;
   sim::TimePoint failed_at = 0;

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "agw/sessiond.h"
-#include "net/channel.h"
 #include "ocs/ocs.h"
+#include "rpc/rpc.h"
 
 namespace magma::agw {
 namespace {
@@ -195,8 +195,8 @@ TEST_F(SessiondTest, UpdateBearerRetargetsDownlink) {
 class SessiondOcsTest : public ::testing::Test {
  protected:
   SessiondOcsTest() {
-    ocs_.bind(*server_node_);
-    sessiond_.set_ocs(client_node_.get());
+    ocs_.bind(ocs_link_.server);
+    sessiond_.set_ocs(&ocs_link_.client);
   }
 
   Sessiond::CreateRequest request(std::uint64_t n, std::uint64_t quota) {
@@ -222,12 +222,8 @@ class SessiondOcsTest : public ::testing::Test {
 
   sim::Kernel kernel_;
   sim::Rng rng_{17};
-  net::DuplexLink link_{kernel_, rng_, sim::lan_link()};
-  net::ReliablePair channels_ = net::make_reliable_pair(kernel_, link_);
-  std::unique_ptr<rpc::RpcNode> server_node_ =
-      std::make_unique<rpc::RpcNode>(kernel_, *channels_.a, "ocs-server");
-  std::unique_ptr<rpc::RpcNode> client_node_ =
-      std::make_unique<rpc::RpcNode>(kernel_, *channels_.b, "ocs-client");
+  rpc::RpcLink ocs_link_{kernel_, rng_, "ocs-server", "ocs-client",
+                         sim::lan_link()};
   ocs::Ocs ocs_;
   Pipelined pipelined_;
   Sessiond sessiond_{kernel_, pipelined_, nullptr};

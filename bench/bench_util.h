@@ -18,6 +18,45 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
   std::printf("==============================================================\n");
 }
 
+// One SHAPE-check line: "  <what> ... OK|FAIL"; counts failures.
+inline bool check(bool ok, const char* what, int& failures) {
+  std::printf("  %-68s %s\n", what, ok ? "OK" : "FAIL");
+  if (!ok) ++failures;
+  return ok;
+}
+
+// A deterministic subscriber for fleet benches that drive the orchestrator
+// directly (no USIM on the other end, so the keys only need to differ).
+inline agw::SubscriberData fleet_subscriber(
+    std::uint64_t n, const std::string& policy = "unlimited") {
+  agw::SubscriberData sub;
+  sub.imsi = common::Imsi::from_digits(1010000000000ULL + n);
+  sub.k[0] = static_cast<std::uint8_t>(n);
+  sub.policy_name = policy;
+  return sub;
+}
+
+// A magmad-only gateway for control-plane fleet benches: an RpcLink whose
+// server end is bound to `orc8r`, and a Magmad with empty checkpoint and
+// metric sources syncing into its own SubscriberDb/PolicyDb. Call
+// magmad.start() to boot it.
+struct MagmadGateway {
+  MagmadGateway(sim::Kernel& kernel, sim::Rng& rng, orc8r::Orchestrator& orc8r,
+                const std::string& id, const agw::MagmadConfig& config)
+      : rpc(kernel, rng, "orc8r-server", "agw-client"),
+        subscribers([&rng]() { return rng.next_u64(); }),
+        magmad(kernel, id, &rpc.client, subscribers, policies,
+               []() { return common::Bytes{}; },
+               []() { return std::vector<orc8r::MetricSample>{}; }, config) {
+    orc8r.bind(rpc.server);
+  }
+
+  rpc::RpcLink rpc;
+  agw::SubscriberDb subscribers;
+  agw::PolicyDb policies;
+  agw::Magmad magmad;
+};
+
 // Provision `n` LTE subscribers, sync config, and return UEs.
 inline std::vector<ran::UeLte*> provision_lte_ues(core::Network& net, int n,
                                                   const std::string& policy =

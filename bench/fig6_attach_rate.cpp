@@ -264,16 +264,8 @@ int main() {
                   "attach p50 = %.3f ms (%.1f%% attributed)\n",
                   1e3 * sim::to_seconds(attributed),
                   1e3 * sim::to_seconds(p50), ratio * 100);
-      // Sub-classify the remainder: `other` time on spans whose boundary
-      // samples of the kernel event queue were both non-empty was spent
-      // behind a backlog of scheduled work, not genuinely untracked.
-      const sim::Duration other = cp.component(obs::WaitState::kOther);
-      std::printf("  other = %.3f ms (backlogged %.3f ms, untracked %.3f ms; "
-                  "max event-queue depth at span boundaries %zu)\n",
-                  1e3 * sim::to_seconds(other),
-                  1e3 * sim::to_seconds(cp.other_backlogged),
-                  1e3 * sim::to_seconds(other - cp.other_backlogged),
-                  cp.max_queue_depth);
+      std::printf("  other = %.3f ms\n",
+                  1e3 * sim::to_seconds(cp.component(obs::WaitState::kOther)));
     }
 
     // The fleet view of the same question: the gateway's TailSampler kept

@@ -31,7 +31,6 @@
 #include "obs/bench_json.h"
 #include "obs/host_profiler.h"
 #include "orc8r/orchestrator.h"
-#include "rpc/rpc.h"
 
 using namespace magma;
 
@@ -185,21 +184,6 @@ void bench_lte_attach(bool quick) {
 // prices the checkin drain, then config mutations price the delta apply via
 // the HostProfiler's (magmad, apply_delta) label.
 
-struct FleetGateway {
-  std::unique_ptr<rpc::RpcLink> rpc;
-  std::unique_ptr<agw::SubscriberDb> subscribers;
-  agw::PolicyDb policies;
-  std::unique_ptr<agw::Magmad> magmad;
-};
-
-agw::SubscriberData make_fleet_subscriber(std::uint64_t n) {
-  agw::SubscriberData sub;
-  sub.imsi = common::Imsi::from_digits(1010000000000ULL + n);
-  sub.k[0] = static_cast<std::uint8_t>(n);
-  sub.policy_name = "unlimited";
-  return sub;
-}
-
 void bench_fleet(bool quick) {
   const int kFleet = quick ? 100 : 1000;
   const int kMutations = quick ? 2 : 3;
@@ -207,33 +191,25 @@ void bench_fleet(bool quick) {
   sim::Rng rng(2023);
   orc8r::Orchestrator orc8r(kernel);
   for (int i = 0; i < 50; ++i) {
-    orc8r.add_subscriber(make_fleet_subscriber(static_cast<std::uint64_t>(i)));
+    orc8r.add_subscriber(
+        benchutil::fleet_subscriber(static_cast<std::uint64_t>(i)));
   }
   agw::MagmadConfig config;
   config.metrics_interval = sim::kHour;
   config.checkpoint_interval = sim::kHour;
   config.event_flush_interval = sim::kHour;
 
-  std::vector<std::unique_ptr<FleetGateway>> fleet;
+  std::vector<std::unique_ptr<benchutil::MagmadGateway>> fleet;
   fleet.reserve(static_cast<std::size_t>(kFleet));
   for (int i = 0; i < kFleet; ++i) {
-    auto gw = std::make_unique<FleetGateway>();
-    gw->rpc = std::make_unique<rpc::RpcLink>(kernel, rng, "orc8r-server",
-                                             "agw-client");
-    gw->subscribers = std::make_unique<agw::SubscriberDb>(
-        [&rng]() { return rng.next_u64(); });
     char id[16];
     std::snprintf(id, sizeof(id), "gw%04d", i);
-    gw->magmad = std::make_unique<agw::Magmad>(
-        kernel, id, &gw->rpc->client, *gw->subscribers, gw->policies,
-        []() { return common::Bytes{}; },
-        []() { return std::vector<orc8r::MetricSample>{}; }, config);
-    orc8r.bind(gw->rpc->server);
+    fleet.push_back(std::make_unique<benchutil::MagmadGateway>(
+        kernel, rng, orc8r, id, config));
     const sim::Duration offset =
         static_cast<sim::Duration>(i) * (30 * sim::kSecond) / kFleet;
-    agw::Magmad* m = gw->magmad.get();
+    agw::Magmad* m = &fleet.back()->magmad;
     kernel.schedule(offset, [m]() { m->start(); });
-    fleet.push_back(std::move(gw));
   }
 
   // Primitive 6: the boot wave — every gateway checks in and takes its
@@ -255,7 +231,8 @@ void bench_fleet(bool quick) {
   obs::HostProfiler profiler;
   profiler.install();
   for (int k = 0; k < kMutations; ++k) {
-    orc8r.add_subscriber(make_fleet_subscriber(9000u + static_cast<std::uint64_t>(k)));
+    orc8r.add_subscriber(
+        benchutil::fleet_subscriber(9000u + static_cast<std::uint64_t>(k)));
     kernel.run_until((35 + 30 * (k + 1)) * sim::kSecond);
   }
   const obs::HostLabelStats applies = profiler.stats_for("magmad",

@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "obs/host_profiler.h"
 #include "orc8r/orchestrator.h"
-#include "rpc/rpc.h"
 
 using namespace magma;
 
@@ -34,26 +33,7 @@ namespace {
 constexpr int kFleet = 1000;
 constexpr int kSubscribers = 200;
 
-struct Gateway {
-  std::unique_ptr<rpc::RpcLink> rpc;
-  std::unique_ptr<agw::SubscriberDb> subscribers;
-  agw::PolicyDb policies;
-  std::unique_ptr<agw::Magmad> magmad;
-};
-
-agw::SubscriberData make_subscriber(std::uint64_t n, const std::string& pol) {
-  agw::SubscriberData sub;
-  sub.imsi = common::Imsi::from_digits(1010000000000ULL + n);
-  sub.k[0] = static_cast<std::uint8_t>(n);
-  sub.policy_name = pol;
-  return sub;
-}
-
-bool check(bool ok, const char* what, int& failures) {
-  std::printf("  %-68s %s\n", what, ok ? "OK" : "FAIL");
-  if (!ok) ++failures;
-  return ok;
-}
+using benchutil::check;
 
 }  // namespace
 
@@ -71,7 +51,7 @@ int main() {
   orc8r.set_fleet_trace_budget(4ull * kFleet);
 
   for (int i = 0; i < kSubscribers; ++i) {
-    orc8r.add_subscriber(make_subscriber(i, "unlimited"));
+    orc8r.add_subscriber(benchutil::fleet_subscriber(i));
   }
 
   // Control-plane-focused cadences: config sync and checkin at their
@@ -88,28 +68,19 @@ int main() {
       obs::HostProfiler::process_alloc_count();
   const std::uint64_t boot_bytes_before =
       obs::HostProfiler::process_alloc_bytes();
-  std::vector<std::unique_ptr<Gateway>> fleet;
+  std::vector<std::unique_ptr<benchutil::MagmadGateway>> fleet;
   fleet.reserve(kFleet);
   for (int i = 0; i < kFleet; ++i) {
-    auto gw = std::make_unique<Gateway>();
-    gw->rpc = std::make_unique<rpc::RpcLink>(kernel, rng, "orc8r-server",
-                                             "agw-client");
-    gw->subscribers = std::make_unique<agw::SubscriberDb>(
-        [&rng]() { return rng.next_u64(); });
     char id[16];
     std::snprintf(id, sizeof(id), "gw%04d", i);
-    gw->magmad = std::make_unique<agw::Magmad>(
-        kernel, id, &gw->rpc->client, *gw->subscribers, gw->policies,
-        []() { return common::Bytes{}; },
-        []() { return std::vector<orc8r::MetricSample>{}; }, config);
-    orc8r.bind(gw->rpc->server);
+    fleet.push_back(std::make_unique<benchutil::MagmadGateway>(
+        kernel, rng, orc8r, id, config));
     // Stagger boots across one poll interval so the orchestrator sees a
     // steady poll stream, not 1000 simultaneous RPCs.
     const sim::Duration offset =
         static_cast<sim::Duration>(i) * (30 * sim::kSecond) / kFleet;
-    agw::Magmad* m = gw->magmad.get();
+    agw::Magmad* m = &fleet.back()->magmad;
     kernel.schedule(offset, [m]() { m->start(); });
-    fleet.push_back(std::move(gw));
   }
   const std::uint64_t boot_allocs_per_agw =
       (obs::HostProfiler::process_alloc_count() - boot_allocs_before) / kFleet;
@@ -136,7 +107,7 @@ int main() {
   const double phase1_wall_ms = phase_wall_ms();
   int synced = 0;
   for (const auto& gw : fleet) {
-    if (gw->magmad->synced_version() == orc8r.config_version()) ++synced;
+    if (gw->magmad.synced_version() == orc8r.config_version()) ++synced;
   }
   const std::uint64_t serializations_initial =
       orc8r.stats().full_serializations;
@@ -151,15 +122,15 @@ int main() {
 
   // ---- Phase 2: one config change fans out as deltas -------------------
   const std::uint64_t deltas_before = orc8r.stats().delta_pushes;
-  orc8r.add_subscriber(make_subscriber(9000, "unlimited"));
+  orc8r.add_subscriber(benchutil::fleet_subscriber(9000));
   phase_start = std::chrono::steady_clock::now();
   kernel.run_until(75 * sim::kSecond);
   const double phase2_wall_ms = phase_wall_ms();
   synced = 0;
   int applied_delta = 0;
   for (const auto& gw : fleet) {
-    if (gw->magmad->synced_version() == orc8r.config_version()) ++synced;
-    if (gw->magmad->stats().config_delta_syncs >= 1) ++applied_delta;
+    if (gw->magmad.synced_version() == orc8r.config_version()) ++synced;
+    if (gw->magmad.stats().config_delta_syncs >= 1) ++applied_delta;
   }
   std::printf("\nPhase 2 — single config change:\n");
   check(synced == kFleet, "every gateway holds the new version", failures);
@@ -177,9 +148,8 @@ int main() {
   // 20 mutations, 5 surviving keys: 4 rewrites of each of 5 subscribers.
   for (int round = 0; round < 4; ++round) {
     for (int s = 0; s < 5; ++s) {
-      orc8r.add_subscriber(make_subscriber(9100 + s, round % 2 == 0
-                                                         ? "unlimited"
-                                                         : "throttled"));
+      orc8r.add_subscriber(benchutil::fleet_subscriber(
+          9100 + s, round % 2 == 0 ? "unlimited" : "throttled"));
     }
   }
   phase_start = std::chrono::steady_clock::now();
@@ -200,7 +170,7 @@ int main() {
   // ---- Phase 4: fleet tail budget + ingest health ----------------------
   int budgeted = 0;
   for (const auto& gw : fleet) {
-    if (gw->magmad->assigned_tail_keep() == 4) ++budgeted;
+    if (gw->magmad.assigned_tail_keep() == 4) ++budgeted;
   }
   std::printf("\nPhase 4 — checkin plane:\n");
   check(budgeted == kFleet, "every gateway was assigned keep-per-op K=4",

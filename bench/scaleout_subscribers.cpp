@@ -34,7 +34,6 @@
 #include "obs/host_profiler.h"
 #include "obs/sketch/subscriber_sketches.h"
 #include "orc8r/orchestrator.h"
-#include "rpc/rpc.h"
 
 using namespace magma;
 
@@ -43,44 +42,7 @@ namespace {
 constexpr int kPlanted = 10;
 constexpr int kSketchGateways = 4;
 
-struct Gateway {
-  std::unique_ptr<rpc::RpcLink> rpc;
-  std::unique_ptr<agw::SubscriberDb> subscribers;
-  agw::PolicyDb policies;
-  obs::sketch::SubscriberSketches sketches;
-  std::unique_ptr<agw::Magmad> magmad;
-};
-
-std::unique_ptr<Gateway> make_gateway(sim::Kernel& kernel, sim::Rng& rng,
-                                      orc8r::Orchestrator& orc8r,
-                                      const std::string& id,
-                                      const agw::MagmadConfig& config) {
-  auto gw = std::make_unique<Gateway>();
-  gw->rpc = std::make_unique<rpc::RpcLink>(kernel, rng, "orc8r-server",
-                                           "agw-client");
-  gw->subscribers =
-      std::make_unique<agw::SubscriberDb>([&rng]() { return rng.next_u64(); });
-  gw->magmad = std::make_unique<agw::Magmad>(
-      kernel, id, &gw->rpc->client, *gw->subscribers, gw->policies,
-      []() { return common::Bytes{}; },
-      []() { return std::vector<orc8r::MetricSample>{}; }, config);
-  orc8r.bind(gw->rpc->server);
-  return gw;
-}
-
-agw::SubscriberData make_subscriber(std::uint64_t n) {
-  agw::SubscriberData sub;
-  sub.imsi = common::Imsi::from_digits(1010000000000ULL + n);
-  sub.k[0] = static_cast<std::uint8_t>(n);
-  sub.policy_name = "unlimited";
-  return sub;
-}
-
-bool check(bool ok, const char* what, int& failures) {
-  std::printf("  %-68s %s\n", what, ok ? "OK" : "FAIL");
-  if (!ok) ++failures;
-  return ok;
-}
+using benchutil::check;
 
 double wall_ms_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -121,17 +83,19 @@ int main(int argc, char** argv) {
   sketch_config.event_flush_interval = sim::kHour;
   sketch_config.metrics_interval = 15 * sim::kSecond;
 
-  std::vector<std::unique_ptr<Gateway>> fleet;
+  std::vector<obs::sketch::SubscriberSketches> sketches(kSketchGateways);
+  std::vector<std::unique_ptr<benchutil::MagmadGateway>> fleet;
   for (int g = 0; g < kSketchGateways; ++g) {
     char id[16];
     std::snprintf(id, sizeof(id), "sketch-gw%d", g);
-    auto gw = make_gateway(kernel, rng, orc8r, id, sketch_config);
-    obs::sketch::SubscriberSketches* sk = &gw->sketches;
-    gw->magmad->set_sketch_source([sk, &kernel, id = std::string(id)]() {
-      return sk->snapshot(id, kernel.now());
-    });
-    gw->magmad->start();
-    fleet.push_back(std::move(gw));
+    fleet.push_back(std::make_unique<benchutil::MagmadGateway>(
+        kernel, rng, orc8r, id, sketch_config));
+    obs::sketch::SubscriberSketches* sk = &sketches[g];
+    fleet.back()->magmad.set_sketch_source(
+        [sk, &kernel, id = std::string(id)]() {
+          return sk->snapshot(id, kernel.now());
+        });
+    fleet.back()->magmad.start();
   }
 
   // Planted worst offenders: IMSI 999...00i fails attach (kPlanted - i) *
@@ -148,12 +112,12 @@ int main(int argc, char** argv) {
     planted.push_back(imsi);
     planted_total.push_back(total);
     for (int g = 0; g < kSketchGateways; ++g) {
-      fleet[g]->sketches.record(SubscriberMetric::kAttachFailures, imsi,
+      sketches[g].record(SubscriberMetric::kAttachFailures, imsi,
                                 total / kSketchGateways,
                                 0xE000000000000000ULL + i);
       // The same subscribers also dominate bytes — a second axis through
       // the same pipe.
-      fleet[g]->sketches.record(SubscriberMetric::kBytes, imsi,
+      sketches[g].record(SubscriberMetric::kBytes, imsi,
                                 total * 1000 / kSketchGateways);
     }
   }
@@ -171,7 +135,7 @@ int main(int argc, char** argv) {
                                     static_cast<std::uint64_t>(g) * 1000000 +
                                     j)
               .value;
-      fleet[g]->sketches.record(SubscriberMetric::kAttachFailures, imsi,
+      sketches[g].record(SubscriberMetric::kAttachFailures, imsi,
                                 1 + rng.next_u64() % 3);
       ++noise_offers;
     }
@@ -184,7 +148,7 @@ int main(int argc, char** argv) {
   // Distinct-active ground truth: every provisioned subscriber plus the
   // noise and planted IMSIs touches exactly one gateway's HLL.
   for (int n = 0; n < kSubscribers; ++n) {
-    fleet[static_cast<std::size_t>(n % kSketchGateways)]->sketches
+    sketches[static_cast<std::size_t>(n % kSketchGateways)]
         .record_active(common::Imsi::from_digits(1010000000000ULL + n).value,
                        kernel.now());
   }
@@ -193,7 +157,7 @@ int main(int argc, char** argv) {
       static_cast<double>(kSketchGateways) * kNoisePerGateway + kPlanted;
   for (int g = 0; g < kSketchGateways; ++g) {
     for (int j = 0; j < kNoisePerGateway; ++j) {
-      fleet[g]->sketches.record_active(
+      sketches[g].record_active(
           common::Imsi::from_digits(5000000000000ULL +
                                     static_cast<std::uint64_t>(g) * 1000000 +
                                     j)
@@ -201,7 +165,7 @@ int main(int argc, char** argv) {
           kernel.now());
     }
     for (const std::string& imsi : planted) {
-      fleet[g]->sketches.record_active(imsi, kernel.now());
+      sketches[g].record_active(imsi, kernel.now());
     }
   }
 
@@ -214,7 +178,7 @@ int main(int argc, char** argv) {
               "IMSIs each):\n",
               kSketchGateways, kNoisePerGateway);
   std::uint64_t reports_sent = 0;
-  for (const auto& gw : fleet) reports_sent += gw->magmad->stats().sketch_reports_sent;
+  for (const auto& gw : fleet) reports_sent += gw->magmad.stats().sketch_reports_sent;
   check(reports_sent >= static_cast<std::uint64_t>(kSketchGateways),
         "every gateway shipped a sketch report on the metrics tick",
         failures);
@@ -267,7 +231,8 @@ int main(int argc, char** argv) {
       obs::HostProfiler::process_alloc_count();
   phase_start = std::chrono::steady_clock::now();
   for (int n = 0; n < kSubscribers; ++n) {
-    orc8r.add_subscriber(make_subscriber(static_cast<std::uint64_t>(n)));
+    orc8r.add_subscriber(
+        benchutil::fleet_subscriber(static_cast<std::uint64_t>(n)));
   }
   const double load_wall_ms = wall_ms_since(phase_start);
   const double load_allocs_per_sub =
@@ -283,11 +248,12 @@ int main(int argc, char** argv) {
   sync_config.checkin_interval = sim::kHour;
   sync_config.checkpoint_interval = sim::kHour;
   sync_config.event_flush_interval = sim::kHour;
-  auto sync_gw = make_gateway(kernel, rng, orc8r, "sync-gw", sync_config);
+  auto sync_gw = std::make_unique<benchutil::MagmadGateway>(
+      kernel, rng, orc8r, "sync-gw", sync_config);
   const std::uint64_t sync_allocs_before =
       obs::HostProfiler::process_alloc_count();
   phase_start = std::chrono::steady_clock::now();
-  sync_gw->magmad->start();
+  sync_gw->magmad.start();
   kernel.run_until(kernel.now() + 40 * sim::kSecond);
   const double sync_wall_ms = wall_ms_since(phase_start);
   const double sync_allocs_per_sub =
@@ -297,9 +263,9 @@ int main(int argc, char** argv) {
 
   std::printf("\nPhase 3 — full sync of %d subscribers to one gateway:\n",
               kSubscribers);
-  check(sync_gw->subscribers->size() == static_cast<std::size_t>(kSubscribers),
+  check(sync_gw->subscribers.size() == static_cast<std::size_t>(kSubscribers),
         "the gateway holds every provisioned subscriber", failures);
-  check(sync_gw->magmad->synced_version() == orc8r.config_version(),
+  check(sync_gw->magmad.synced_version() == orc8r.config_version(),
         "the gateway converged on the store version", failures);
   check(orc8r.stats().full_serializations - serializations_before == 1,
         "the full-state blob was serialized exactly once", failures);
@@ -313,10 +279,10 @@ int main(int argc, char** argv) {
   for (int n = 0; n < kSubscribers; ++n) {
     big_load.offer(common::Imsi::from_digits(7000000000000ULL + n).value);
   }
-  const std::size_t sketch_memory = fleet[0]->sketches.memory_bytes();
+  const std::size_t sketch_memory = sketches[0].memory_bytes();
   const common::Bytes wire =
       obs::sketch::encode_sketch_report(
-          fleet[0]->sketches.snapshot("sketch-gw0", kernel.now()));
+          sketches[0].snapshot("sketch-gw0", kernel.now()));
   std::printf("\nPhase 4 — memory independence (%d distinct keys offered):\n",
               kSubscribers);
   check(big_load.memory_bytes() == small_load.memory_bytes(),

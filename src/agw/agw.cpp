@@ -117,7 +117,9 @@ void AccessGateway::set_tracer(obs::Tracer* tracer) {
   accessd_->set_observability(tracer_, id_.value);
   sessiond_->set_observability(tracer_, id_.value);
   lte_frontend_->set_observability(tracer_, id_.value, &events_);
-  if (orc8r_node_ != nullptr) orc8r_node_->set_tracer(tracer_, id_.value);
+  if (orc8r_link_ != nullptr) {
+    orc8r_link_->client.set_tracer(tracer_, id_.value);
+  }
   if (ocs_node_ != nullptr) ocs_node_->set_tracer(tracer_, id_.value);
   if (tracer_ == nullptr) return;
   tail_sampler_ =
@@ -142,15 +144,13 @@ void AccessGateway::start_service_loops() {
   });
 }
 
-void AccessGateway::connect_orchestrator(net::Channel& channel,
+void AccessGateway::connect_orchestrator(rpc::RpcLink& link,
                                          MagmadConfig magmad_config) {
-  control_transport_ = dynamic_cast<net::ReliableChannel*>(&channel);
-  orc8r_node_ = std::make_unique<rpc::RpcNode>(kernel_, channel,
-                                               id_.value + "-orc8r-client");
-  if (tracer_ != nullptr) orc8r_node_->set_tracer(tracer_, id_.value);
-  orc8r_node_->set_wait_attribution(&cpu_);
+  orc8r_link_ = &link;
+  if (tracer_ != nullptr) link.client.set_tracer(tracer_, id_.value);
+  link.client.set_wait_attribution(&cpu_);
   magmad_ = std::make_unique<Magmad>(
-      kernel_, id_.value, orc8r_node_.get(), subscriberdb_, policydb_,
+      kernel_, id_.value, &link.client, subscriberdb_, policydb_,
       [this]() { return checkpoint(); },
       [this]() { return telemetry_snapshot(); }, magmad_config, &events_,
       [this]() { return histogram_snapshot(); },
@@ -172,12 +172,11 @@ void AccessGateway::connect_orchestrator(net::Channel& channel,
   magmad_->set_status(svc_magmad_);
 }
 
-void AccessGateway::connect_ocs(net::Channel& channel) {
-  ocs_node_ = std::make_unique<rpc::RpcNode>(kernel_, channel,
-                                             id_.value + "-ocs-client");
-  if (tracer_ != nullptr) ocs_node_->set_tracer(tracer_, id_.value);
-  ocs_node_->set_wait_attribution(&cpu_);
-  sessiond_->set_ocs(ocs_node_.get());
+void AccessGateway::connect_ocs(rpc::RpcNode& client) {
+  ocs_node_ = &client;
+  if (tracer_ != nullptr) client.set_tracer(tracer_, id_.value);
+  client.set_wait_attribution(&cpu_);
+  sessiond_->set_ocs(&client);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,18 +326,17 @@ std::vector<orc8r::MetricSample> AccessGateway::telemetry_snapshot() {
     }
   }
   // Backhaul health as seen from this gateway: transmit-queue depth and
-  // cumulative drops per direction (uplink = toward the orchestrator).
-  if (backhaul_ul_ != nullptr) {
-    gauge("link_queue_depth_ul",
-          static_cast<double>(backhaul_ul_->queue_depth()));
+  // cumulative drops per direction. The client end sends on the reverse
+  // path, so that is the uplink toward the orchestrator.
+  if (orc8r_link_ != nullptr) {
+    const sim::Link& ul = orc8r_link_->path.reverse;
+    const sim::Link& dl = orc8r_link_->path.forward;
+    gauge("link_queue_depth_ul", static_cast<double>(ul.queue_depth()));
     gauge("link_dropped_packets_ul",
-          static_cast<double>(backhaul_ul_->stats().packets_dropped));
-  }
-  if (backhaul_dl_ != nullptr) {
-    gauge("link_queue_depth_dl",
-          static_cast<double>(backhaul_dl_->queue_depth()));
+          static_cast<double>(ul.stats().packets_dropped));
+    gauge("link_queue_depth_dl", static_cast<double>(dl.queue_depth()));
     gauge("link_dropped_packets_dl",
-          static_cast<double>(backhaul_dl_->stats().packets_dropped));
+          static_cast<double>(dl.stats().packets_dropped));
   }
   {
     const std::vector<sim::Duration> per_core = cpu_.core_busy_ns();
@@ -370,12 +368,13 @@ std::vector<orc8r::MetricSample> AccessGateway::telemetry_snapshot() {
   gauge("accessd_overload_rejections",
         static_cast<double>(acc.overload_rejections));
   gauge("accessd_queued_work", static_cast<double>(accessd_->queued_work()));
-  if (control_transport_ != nullptr) {
+  if (orc8r_link_ != nullptr) {
     // Transport health of the orchestrator control channel (§3.1: control
     // traffic must survive degraded backhaul; a too-short RTO shows up here
     // as spurious retransmissions at the far end and retransmissions at
     // ours).
-    const net::ReliableStats& t = control_transport_->stats();
+    const net::ReliableChannel& control = *orc8r_link_->channels.b;
+    const net::ReliableStats& t = control.stats();
     gauge("transport_srtt_s", sim::to_seconds(t.srtt));
     gauge("transport_rto_s", sim::to_seconds(t.rto));
     gauge("transport_retransmissions", static_cast<double>(t.retransmissions));
@@ -395,9 +394,9 @@ std::vector<orc8r::MetricSample> AccessGateway::telemetry_snapshot() {
           static_cast<double>(t.sack_retransmits));
     gauge("transport_rto_at_cap", static_cast<double>(t.rto_at_cap));
     gauge("transport_reorder_backlog",
-          static_cast<double>(control_transport_->reorder_backlog()));
+          static_cast<double>(control.reorder_backlog()));
     gauge("transport_send_backlog",
-          static_cast<double>(control_transport_->send_backlog()));
+          static_cast<double>(control.send_backlog()));
     gauge("magmad_telemetry_sheds",
           static_cast<double>(magmad_->stats().telemetry_sheds));
     gauge("magmad_histogram_buckets_shipped",

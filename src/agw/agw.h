@@ -32,14 +32,12 @@
 #include "agw/sessiond.h"
 #include "agw/subscriberdb.h"
 #include "agw/wifi_frontend.h"
-#include "net/channel.h"
 #include "obs/events.h"
 #include "obs/histogram.h"
 #include "obs/sketch/subscriber_sketches.h"
 #include "obs/status.h"
 #include "obs/tail_sampler.h"
 #include "obs/trace.h"
-#include "sim/link.h"
 #include "rpc/rpc.h"
 #include "sim/cpu.h"
 #include "sim/kernel.h"
@@ -85,14 +83,15 @@ class AccessGateway {
   AccessGateway& operator=(const AccessGateway&) = delete;
 
   // --- wiring -------------------------------------------------------------
-  // Give the AGW its control channel to the orchestrator (magmad's RPC
-  // client rides on it). Call magmad().start() to begin the periodic loops.
-  // `magmad_config` tunes the periodic cadences (checkin interval must
-  // match what the orchestrator's statusd expects).
-  void connect_orchestrator(net::Channel& channel,
+  // Give the AGW its orchestrator connection (non-owning): magmad calls
+  // through its `client` node, and telemetry reads its transport stats and
+  // backhaul gauges (uplink = the reverse path the client sends on). Call
+  // magmad().start() to begin the periodic loops; `magmad_config`'s checkin
+  // interval must match what the orchestrator's statusd expects.
+  void connect_orchestrator(rpc::RpcLink& link,
                             MagmadConfig magmad_config = {});
-  // Give sessiond its OCS channel (volume billing deployments only).
-  void connect_ocs(net::Channel& channel);
+  // Give sessiond its OCS client node (volume billing only; non-owning).
+  void connect_ocs(rpc::RpcNode& client);
   // Attach the (network-wide) tracer: instruments every service on this
   // gateway and starts aggregating per-stage attach latency histograms.
   // Also starts the gateway's TailSampler (keep-K-slowest traces per root
@@ -100,14 +99,6 @@ class AccessGateway {
   // magmad ships to metricsd. Call before or after connect_orchestrator —
   // both orders work.
   void set_tracer(obs::Tracer* tracer);
-  // Point telemetry at the backhaul's two directions (non-owning; typically
-  // wired by core::Network). Adds link_queue_depth / link drop gauges to
-  // the metrics snapshot.
-  void set_backhaul_telemetry(const sim::Link* uplink,
-                              const sim::Link* downlink) {
-    backhaul_ul_ = uplink;
-    backhaul_dl_ = downlink;
-  }
 
   // --- user plane ----------------------------------------------------------
   // Uplink traffic arriving from the RAN side (GTP-encapsulated for LTE/5G,
@@ -194,13 +185,10 @@ class AccessGateway {
   PolicyDb policydb_;
   Mobilityd mobilityd_;
   Pipelined pipelined_;
-  std::unique_ptr<rpc::RpcNode> ocs_node_;
+  rpc::RpcNode* ocs_node_ = nullptr;
   std::unique_ptr<Sessiond> sessiond_;
   std::unique_ptr<Accessd> accessd_;
-  std::unique_ptr<rpc::RpcNode> orc8r_node_;
-  // Non-owning view of the control channel's transport stats (set when the
-  // orchestrator channel is reliable); feeds telemetry_snapshot().
-  net::ReliableChannel* control_transport_ = nullptr;
+  rpc::RpcLink* orc8r_link_ = nullptr;
   std::unique_ptr<Magmad> magmad_;
   std::unique_ptr<LteFrontend> lte_frontend_;
   std::unique_ptr<NrFrontend> nr_frontend_;
@@ -214,8 +202,6 @@ class AccessGateway {
   obs::Tracer* tracer_ = nullptr;
   obs::TailSamplerConfig tail_config_;
   std::unique_ptr<obs::TailSampler> tail_sampler_;
-  const sim::Link* backhaul_ul_ = nullptr;
-  const sim::Link* backhaul_dl_ = nullptr;
   obs::EventBuffer events_{1024};
   obs::sketch::SubscriberSketches subscriber_sketches_;
   // Per-stage attach latency, keyed "span_<service>_<name>_s". std::map:

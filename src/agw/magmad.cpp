@@ -39,13 +39,28 @@ void Magmad::set_reachable(bool up) {
   obs::svc_phase(status_, up ? "connected" : "headless");
 }
 
+template <typename Tick>
+void Magmad::every(sim::Duration interval, Tick tick) {
+  if (!wedged_) tick();
+  kernel_.schedule(interval,
+                   [this, interval, tick]() { every(interval, tick); });
+}
+
+template <typename Done>
+void Magmad::report(const char* service, const char* method,
+                    common::Bytes payload, Done done) {
+  obs::svc_request(status_);
+  orc8r_->call(service, method, std::move(payload), config_.rpc_deadline,
+               [done](rpc::Result<rpc::Bytes> result) { done(result.ok()); });
+}
+
 void Magmad::start() {
   if (started_ || orc8r_ == nullptr) return;
   started_ = true;
-  config_tick();
-  checkin_tick();
-  metrics_tick();
-  checkpoint_tick();
+  every(config_.config_poll_interval, [this]() { sync_config_now(); });
+  every(config_.checkin_interval, [this]() { checkin(); });
+  every(config_.metrics_interval, [this]() { ship_metrics(); });
+  every(config_.checkpoint_interval, [this]() { ship_checkpoint(); });
   if (events_ != nullptr) event_tick();
 }
 
@@ -182,20 +197,7 @@ void Magmad::sync_config_now(std::function<void(bool)> done) {
       });
 }
 
-void Magmad::config_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.config_poll_interval, [this]() { config_tick(); });
-    return;
-  }
-  sync_config_now();
-  kernel_.schedule(config_.config_poll_interval, [this]() { config_tick(); });
-}
-
-void Magmad::checkin_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.checkin_interval, [this]() { checkin_tick(); });
-    return;
-  }
+void Magmad::checkin() {
   rpc::Writer w;
   w.str(gateway_id_);
   w.str("agw");
@@ -233,7 +235,6 @@ void Magmad::checkin_tick() {
                    set_reachable(false);
                  }
                });
-  kernel_.schedule(config_.checkin_interval, [this]() { checkin_tick(); });
 }
 
 bool Magmad::shed_telemetry() {
@@ -287,84 +288,58 @@ std::vector<orc8r::HistogramSnapshot> Magmad::prepare_histogram_report(
   return out;
 }
 
-void Magmad::metrics_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.metrics_interval, [this]() { metrics_tick(); });
-    return;
-  }
-  if (shed_telemetry()) {
-    kernel_.schedule(config_.metrics_interval, [this]() { metrics_tick(); });
-    return;
-  }
+void Magmad::ship_metrics() {
+  if (shed_telemetry()) return;
   const std::vector<orc8r::MetricSample> samples = metric_source_();
   if (!samples.empty()) {
     // Best effort (§3.4 metrics state): one attempt, short deadline, losses
     // tolerated.
-    obs::svc_request(status_);
-    orc8r_->call(orc8r::kMetricsService, orc8r::kReportMetrics,
-                 orc8r::encode_metric_report(samples), config_.rpc_deadline,
-                 [this](rpc::Result<rpc::Bytes> result) {
-                   if (result.ok()) {
-                     ++stats_.metric_reports_sent;
-                   } else {
-                     ++stats_.metric_reports_lost;
-                   }
-                 });
+    report(orc8r::kMetricsService, orc8r::kReportMetrics,
+           orc8r::encode_metric_report(samples), [this](bool ok) {
+             ++(ok ? stats_.metric_reports_sent : stats_.metric_reports_lost);
+           });
   }
   if (histogram_source_) {
     std::vector<orc8r::HistogramSnapshot> snapshots =
         prepare_histogram_report(histogram_source_());
     if (!snapshots.empty()) {
-      obs::svc_request(status_);
-      orc8r_->call(orc8r::kMetricsService, orc8r::kReportHistograms,
-                   orc8r::encode_histogram_report(snapshots),
-                   config_.rpc_deadline,
-                   [this](rpc::Result<rpc::Bytes> result) {
-                     if (result.ok()) {
-                       ++stats_.histogram_reports_sent;
-                     } else {
-                       ++stats_.histogram_reports_lost;
-                       // Metricsd may have missed the base these deltas were
-                       // built on — re-ship everything full next tick.
-                       last_shipped_counts_.clear();
-                     }
-                   });
+      report(orc8r::kMetricsService, orc8r::kReportHistograms,
+             orc8r::encode_histogram_report(snapshots), [this](bool ok) {
+               if (ok) {
+                 ++stats_.histogram_reports_sent;
+               } else {
+                 ++stats_.histogram_reports_lost;
+                 // Metricsd may have missed the base these deltas were
+                 // built on — re-ship everything full next tick.
+                 last_shipped_counts_.clear();
+               }
+             });
     }
   }
   if (trace_source_) {
     const std::vector<obs::TraceSummary> summaries = trace_source_();
     if (!summaries.empty()) {
       const std::size_t count = summaries.size();
-      obs::svc_request(status_);
-      orc8r_->call(orc8r::kMetricsService, orc8r::kReportTraceSummaries,
-                   obs::encode_trace_summaries(summaries),
-                   config_.rpc_deadline,
-                   [this, count](rpc::Result<rpc::Bytes> result) {
-                     if (result.ok()) {
-                       ++stats_.trace_reports_sent;
-                       stats_.trace_summaries_shipped += count;
-                     } else {
-                       ++stats_.trace_reports_lost;
-                     }
-                   });
+      report(orc8r::kMetricsService, orc8r::kReportTraceSummaries,
+             obs::encode_trace_summaries(summaries), [this, count](bool ok) {
+               if (ok) {
+                 ++stats_.trace_reports_sent;
+                 stats_.trace_summaries_shipped += count;
+               } else {
+                 ++stats_.trace_reports_lost;
+               }
+             });
     }
   }
   if (sketch_source_) {
     // Cumulative snapshot, like histograms: a lost report costs nothing,
     // the next tick's snapshot supersedes it.
-    obs::svc_request(status_);
-    orc8r_->call(orc8r::kMetricsService, orc8r::kReportSketches,
-                 obs::sketch::encode_sketch_report(sketch_source_()),
-                 config_.rpc_deadline,
-                 [this](rpc::Result<rpc::Bytes> result) {
-                   if (result.ok()) {
-                     ++stats_.sketch_reports_sent;
-                   } else {
-                     ++stats_.sketch_reports_lost;
-                   }
-                 });
+    report(orc8r::kMetricsService, orc8r::kReportSketches,
+           obs::sketch::encode_sketch_report(sketch_source_()),
+           [this](bool ok) {
+             ++(ok ? stats_.sketch_reports_sent : stats_.sketch_reports_lost);
+           });
   }
-  kernel_.schedule(config_.metrics_interval, [this]() { metrics_tick(); });
 }
 
 void Magmad::event_tick() {
@@ -430,32 +405,15 @@ void Magmad::event_tick() {
   kernel_.schedule(next, [this]() { event_tick(); });
 }
 
-void Magmad::checkpoint_tick() {
-  if (wedged_) {
-    kernel_.schedule(config_.checkpoint_interval,
-                     [this]() { checkpoint_tick(); });
-    return;
-  }
-  if (shed_telemetry()) {
-    kernel_.schedule(config_.checkpoint_interval,
-                     [this]() { checkpoint_tick(); });
-    return;
-  }
+void Magmad::ship_checkpoint() {
+  if (shed_telemetry()) return;
   rpc::Writer w;
   w.str(gateway_id_);
   w.bytes(checkpoint_source_());
-  obs::svc_request(status_);
-  orc8r_->call(orc8r::kStateService, orc8r::kReportCheckpoint,
-               std::move(w).take(), config_.rpc_deadline,
-               [this](rpc::Result<rpc::Bytes> result) {
-                 if (result.ok()) {
-                   ++stats_.checkpoints_shipped;
-                 } else {
-                   ++stats_.checkpoint_failures;
-                 }
-               });
-  kernel_.schedule(config_.checkpoint_interval,
-                   [this]() { checkpoint_tick(); });
+  report(orc8r::kStateService, orc8r::kReportCheckpoint, std::move(w).take(),
+         [this](bool ok) {
+           ++(ok ? stats_.checkpoints_shipped : stats_.checkpoint_failures);
+         });
 }
 
 }  // namespace magma::agw

@@ -6,7 +6,7 @@
 // orchestrator (§3.2 headless operation):
 //   * config sync   — poll the streamer with our current version; apply the
 //                     full desired state (subscribers + policies) when it
-//                     changed. Retries with backoff survive backhaul loss.
+//                     changed. A failed poll is simply repeated next tick.
 //   * check-in      — device heartbeat into the gateway inventory.
 //   * metrics       — best-effort telemetry shipping (no retries, §3.4).
 //   * checkpoint    — serialize AGW runtime state and ship it to the
@@ -188,11 +188,20 @@ class Magmad {
   const MagmadStats& stats() const { return stats_; }
 
  private:
-  void config_tick();
-  void checkin_tick();
-  void metrics_tick();
-  void checkpoint_tick();
+  // Run `tick` now and every `interval` after, skipping the body (but not
+  // the reschedule) while wedged.
+  template <typename Tick>
+  void every(sim::Duration interval, Tick tick);
+  void checkin();
+  void ship_metrics();
+  void ship_checkpoint();
   void event_tick();
+  // One best-effort report RPC: counts a Service303 request, then
+  // `done(ok)`. A template, not std::function, so each completion still
+  // fits the RPC callback's inline storage (no allocation per report).
+  template <typename Done>
+  void report(const char* service, const char* method, common::Bytes payload,
+              Done done);
   void handle_update(const orc8r::DesiredUpdate& update,
                      const std::function<void(bool)>& done);
   void apply(const orc8r::DesiredState& state);

@@ -31,6 +31,7 @@ Network::AgwNode* Network::node_for(agw::AccessGateway& agw) {
   for (auto& node : agws_) {
     if (node->agw.get() == &agw) return node.get();
   }
+  assert(false && "gateway not added to this network");
   return nullptr;
 }
 
@@ -54,32 +55,23 @@ agw::AccessGateway& Network::add_agw(
       rng_.fork());
 
   // Control backhaul to the orchestrator (reliable, gRPC-style).
-  node->backhaul = std::make_unique<net::DuplexLink>(
-      kernel_, rng_, backhaul.value_or(config_.backhaul));
-  node->control =
-      net::make_reliable_pair(kernel_, *node->backhaul, config_.transport);
-  node->orc8r_server = std::make_unique<rpc::RpcNode>(
-      kernel_, *node->control.a, "orc8r-server-gw" + std::to_string(index));
-  node->orc8r_server->set_tracer(&tracer_, "orc8r");
-  orchestrator_->bind(*node->orc8r_server);
+  const std::string gw = node->agw->id().value;
+  node->control = std::make_unique<rpc::RpcLink>(
+      kernel_, rng_, "orc8r-server-" + gw, gw + "-orc8r-client",
+      backhaul.value_or(config_.backhaul), config_.transport);
+  node->control->server.set_tracer(&tracer_, "orc8r");
+  orchestrator_->bind(node->control->server);
   node->agw->set_tracer(&tracer_);
-  // Backhaul gauges: the AGW (side b) sends on the reverse link, so that is
-  // its uplink toward the orchestrator.
-  node->agw->set_backhaul_telemetry(&node->backhaul->reverse,
-                                    &node->backhaul->forward);
-  node->agw->connect_orchestrator(*node->control.b, config_.magmad);
-  orchestrator_->register_gateway("gw" + std::to_string(index), profile.name);
+  node->agw->connect_orchestrator(*node->control, config_.magmad);
+  orchestrator_->register_gateway(gw, profile.name);
 
   if (ocs_) {
-    node->ocs_link = std::make_unique<net::DuplexLink>(
-        kernel_, rng_, backhaul.value_or(config_.backhaul));
-    node->ocs_channel =
-        net::make_reliable_pair(kernel_, *node->ocs_link, config_.transport);
-    node->ocs_server = std::make_unique<rpc::RpcNode>(
-        kernel_, *node->ocs_channel.a, "ocs-server-gw" + std::to_string(index));
-    node->ocs_server->set_tracer(&tracer_, "ocs");
-    ocs_->bind(*node->ocs_server);
-    node->agw->connect_ocs(*node->ocs_channel.b);
+    node->ocs = std::make_unique<rpc::RpcLink>(
+        kernel_, rng_, "ocs-server-" + gw, gw + "-ocs-client",
+        backhaul.value_or(config_.backhaul), config_.transport);
+    node->ocs->server.set_tracer(&tracer_, "ocs");
+    ocs_->bind(node->ocs->server);
+    node->agw->connect_ocs(node->ocs->client);
   }
 
   wire_egress(*node);
@@ -131,7 +123,6 @@ ran::EnodeB& Network::add_enodeb(agw::AccessGateway& agw,
                                  ran::EnodebConfig config,
                                  std::optional<sim::LinkConfig> s1_link) {
   AgwNode* node = node_for(agw);
-  assert(node != nullptr);
 
   const std::uint32_t ran_id = next_ran_id_++;
   if (config.id.value == 1 && ran_id != 1) config.id.value = ran_id;
@@ -168,7 +159,6 @@ ran::EnodeB& Network::add_enodeb(agw::AccessGateway& agw,
 
 ran::Gnb& Network::add_gnb(agw::AccessGateway& agw, ran::GnbConfig config) {
   AgwNode* node = node_for(agw);
-  assert(node != nullptr);
 
   const std::uint32_t ran_id = next_ran_id_++;
   if (config.id.value == 1 && ran_id != 1) config.id.value = ran_id;
@@ -200,7 +190,6 @@ ran::Gnb& Network::add_gnb(agw::AccessGateway& agw, ran::GnbConfig config) {
 ran::WifiAp& Network::add_wifi_ap(agw::AccessGateway& agw,
                                   ran::WifiApConfig config) {
   AgwNode* node = node_for(agw);
-  assert(node != nullptr);
 
   // RADIUS rides UDP (datagram) over the site LAN, as in real deployments.
   node->ran_links.push_back(
@@ -221,16 +210,13 @@ ran::WifiAp& Network::add_wifi_ap(agw::AccessGateway& agw,
 }
 
 rpc::RpcNode& Network::orc8r_node_for(agw::AccessGateway& agw) {
-  AgwNode* node = node_for(agw);
-  assert(node != nullptr);
-  return *node->orc8r_server;
+  return node_for(agw)->control->server;
 }
 
 void Network::adopt_ran(agw::AccessGateway& backup,
                         agw::AccessGateway& failed) {
   AgwNode* to = node_for(backup);
   AgwNode* from = node_for(failed);
-  assert(to != nullptr && from != nullptr);
   agw::AccessGateway* backup_ptr = &backup;
   for (auto& [addr, enb] : from->enbs_by_address) {
     to->enbs_by_address[addr] = enb;
@@ -254,9 +240,8 @@ void Network::adopt_ran(agw::AccessGateway& backup,
 
 void Network::set_backhaul_up(agw::AccessGateway& agw, bool up) {
   AgwNode* node = node_for(agw);
-  assert(node != nullptr);
-  node->backhaul->forward.set_up(up);
-  node->backhaul->reverse.set_up(up);
+  node->control->path.forward.set_up(up);
+  node->control->path.reverse.set_up(up);
   // An outage cuts everything crossing the WAN — including the S1 of a
   // traditional (remote-core) deployment. Magma's site-local S1 is
   // untouched, which is the point of §3.1.
@@ -268,23 +253,18 @@ void Network::set_backhaul_up(agw::AccessGateway& agw, bool up) {
 
 void Network::set_backhaul_loss(agw::AccessGateway& agw,
                                 double loss_probability) {
-  AgwNode* node = node_for(agw);
-  assert(node != nullptr);
-  node->backhaul->forward.set_loss_probability(loss_probability);
-  node->backhaul->reverse.set_loss_probability(loss_probability);
+  net::DuplexLink& path = node_for(agw)->control->path;
+  path.forward.set_loss_probability(loss_probability);
+  path.reverse.set_loss_probability(loss_probability);
 }
 
 const net::ReliableStats& Network::control_stats_orc8r(
     agw::AccessGateway& agw) {
-  AgwNode* node = node_for(agw);
-  assert(node != nullptr);
-  return node->control.a->stats();
+  return node_for(agw)->control->channels.a->stats();
 }
 
 const net::ReliableStats& Network::control_stats_agw(agw::AccessGateway& agw) {
-  AgwNode* node = node_for(agw);
-  assert(node != nullptr);
-  return node->control.b->stats();
+  return node_for(agw)->control->channels.b->stats();
 }
 
 agw::SubscriberData Network::provision_subscriber(

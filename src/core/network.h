@@ -145,13 +145,12 @@ class Network {
 
  private:
   struct AgwNode {
+    // The gateway's orchestrator and OCS connections (server = the cloud
+    // side, client = the AGW side). Declared before `agw` so the gateway,
+    // whose services hold the client nodes, is destroyed first.
+    std::unique_ptr<rpc::RpcLink> control;
+    std::unique_ptr<rpc::RpcLink> ocs;
     std::unique_ptr<agw::AccessGateway> agw;
-    std::unique_ptr<net::DuplexLink> backhaul;
-    net::ReliablePair control;  // a = orchestrator side, b = AGW side
-    std::unique_ptr<rpc::RpcNode> orc8r_server;
-    std::unique_ptr<net::DuplexLink> ocs_link;
-    net::ReliablePair ocs_channel;
-    std::unique_ptr<rpc::RpcNode> ocs_server;
     // RAN registry for egress routing.
     std::map<common::Ipv4, ran::EnodeB*> enbs_by_address;
     std::map<common::Ipv4, ran::Gnb*> gnbs_by_address;

@@ -20,19 +20,9 @@ void charge(WaitVector& v, WaitState state, sim::Duration amount) {
   if (amount > 0) v[static_cast<std::size_t>(state)] += amount;
 }
 
-// True when both boundary samples of the kernel event queue were non-empty:
-// the span opened and closed behind a backlog, so its unattributed self-time
-// was most plausibly spent waiting out other scheduled work.
-bool span_backlogged(const SpanRecord& span) {
-  return std::min(span.queue_depth_open, span.queue_depth_close) > 0;
-}
-
 // Decompose `span.duration()` into a WaitVector that sums to it exactly.
-// `other_backlogged` accumulates the kOther charges made on backlogged spans
-// (sub-classification; the caller caps it at the final kOther component).
 WaitVector walk(const SpanRecord& span, const ChildIndex& children,
-                ChildIndex::mapped_type const* root_orphans,
-                sim::Duration& other_backlogged) {
+                ChildIndex::mapped_type const* root_orphans) {
   WaitVector out{};
   const sim::Duration total = span.duration();
   if (total <= 0) return out;
@@ -54,7 +44,7 @@ WaitVector walk(const SpanRecord& span, const ChildIndex& children,
       const sim::TimePoint e = std::min(child->end, span.end);
       const sim::Duration clipped = e - s;
       if (clipped <= 0) continue;
-      WaitVector sub = walk(*child, children, nullptr, other_backlogged);
+      WaitVector sub = walk(*child, children, nullptr);
       const sim::Duration child_total = child->duration();
       if (child_total > clipped) {
         // Clip truncated this child: scale its decomposition down so the
@@ -84,7 +74,7 @@ WaitVector walk(const SpanRecord& span, const ChildIndex& children,
       const sim::TimePoint s = std::max(orphan->start, cursor);
       const sim::TimePoint e = std::min(orphan->end, span.end);
       if (e <= s) continue;
-      WaitVector sub = walk(*orphan, children, nullptr, other_backlogged);
+      WaitVector sub = walk(*orphan, children, nullptr);
       add_into(out, sub);
       covered += e - s;
       cursor = std::max(cursor, e);
@@ -119,7 +109,6 @@ WaitVector walk(const SpanRecord& span, const ChildIndex& children,
     self -= claimed;
   }
   charge(out, WaitState::kOther, self);
-  if (self > 0 && span_backlogged(span)) other_backlogged += self;
   return out;
 }
 
@@ -157,16 +146,7 @@ CriticalPathResult critical_path(const std::vector<SpanRecord>& spans) {
   result.root_service = root->service;
   result.root_start = root->start;
   result.total = root->duration();
-  result.breakdown = walk(*root, children, &orphans, result.other_backlogged);
-  // Scaled clips can leave the accumulator slightly above the final kOther
-  // component; clamp so the sub-classification stays a true subset.
-  result.other_backlogged =
-      std::min(result.other_backlogged, result.component(WaitState::kOther));
-  for (const SpanRecord& s : spans) {
-    result.max_queue_depth = std::max(
-        result.max_queue_depth, std::max(s.queue_depth_open,
-                                         s.queue_depth_close));
-  }
+  result.breakdown = walk(*root, children, &orphans);
 
   // Dominant-cost chain: at every level follow the child with the largest
   // clipped contribution.

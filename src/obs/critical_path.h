@@ -50,13 +50,6 @@ struct CriticalPathResult {
   // Decomposition of `total` by wait state; components (including kOther)
   // sum to `total`.
   WaitVector breakdown{};
-  // Sub-classification of the kOther component: the share charged on spans
-  // whose boundary samples of the kernel event queue were both non-empty —
-  // unattributed time spent behind a backlog of other scheduled work rather
-  // than genuinely untracked. Always <= component(kOther).
-  sim::Duration other_backlogged = 0;
-  // Largest event-queue depth sampled at any span boundary of this trace.
-  std::size_t max_queue_depth = 0;
   // Dominant-cost edge chain from the root to a leaf.
   std::vector<CriticalPathEdge> path;
 

@@ -40,7 +40,6 @@ TraceContext Tracer::begin(std::string name, std::string service,
   span.service = std::move(service);
   span.node = std::move(node);
   span.start = kernel_.now();
-  span.queue_depth_open = kernel_.pending_events();
   ++spans_started_;
 
   const TraceContext ctx{span.trace_id, span.span_id};
@@ -76,7 +75,6 @@ void Tracer::end(TraceContext span) {
   SpanRecord record = std::move(it->second);
   open_.erase(it);
   record.end = kernel_.now();
-  record.queue_depth_close = kernel_.pending_events();
   ++spans_finished_;
 
   if (record.error) pin_trace(record.trace_id);

@@ -48,10 +48,12 @@ const char* span_kind_name(SpanKind kind);
 
 // Where a span's time went while it was open. The instrumented layers charge
 // these as they learn them: sim::CpuModel charges kCpu/kRunq when a task
-// starts, rpc::RpcNode charges kRpcWait when a call completes and kTimer for
-// retry backoff, and the access stack charges kLinkTransit for round trips
-// it spends waiting on the UE. kOther is never charged directly — the
-// critical-path walk uses it for self-time it cannot classify.
+// starts, rpc::RpcNode charges kRpcWait when a call completes, and the
+// access stack charges kLinkTransit for round trips it spends waiting on the
+// UE. No layer charges kTimer today; the state stays because the
+// TraceSummary wire format carries kWaitStateCount components. kOther is
+// never charged directly — the critical-path walk uses it for self-time it
+// cannot classify.
 enum class WaitState : std::uint8_t {
   kCpu = 0,          // on a core, executing
   kRunq = 1,         // runnable, waiting for a core (or a worker slot)
@@ -88,12 +90,6 @@ struct SpanRecord {
   // classifies the span's *self*-time against this vector and labels any
   // remainder kOther.
   WaitVector wait_ns{};
-  // Kernel event-queue depth sampled when the span opened/closed. A span
-  // whose boundaries both saw a non-empty queue spent its unattributed time
-  // behind other work, not idle — the critical-path walk uses this to
-  // sub-classify kOther into "backlogged" vs "untracked".
-  std::size_t queue_depth_open = 0;
-  std::size_t queue_depth_close = 0;
 
   sim::Duration duration() const { return end - start; }
   sim::Duration wait(WaitState state) const {

@@ -44,8 +44,8 @@ inline constexpr std::size_t kIngestKindCount = 5;
 struct IngestConfig {
   std::size_t shards = 4;
   // Pending applies per gateway before sheds start. One poll cycle's worth
-  // of reports is ~4 (checkin + metrics + histograms + traces); 64 absorbs
-  // a pump stall of over a dozen cycles before anything is lost.
+  // of reports is ~5 (checkin + metrics + histograms + traces + sketches);
+  // 64 absorbs a pump stall of a dozen cycles before anything is lost.
   std::size_t gateway_queue_max = 64;
   std::size_t batch_per_pump = 16;  // applies per shard per pump tick
   sim::Duration pump_interval = 5 * sim::kMillisecond;

@@ -180,10 +180,11 @@ class Metricsd {
   std::uint64_t samples_dropped() const;
   // Per-kind drop accounting: every sample metricsd discards — retention
   // trims, malformed histograms, undecodable reports — lands in exactly one
-  // kind, so silent telemetry truncation is itself a metric.
+  // kind, so silent telemetry truncation is itself a metric. An
+  // undecodable report of any of the four kinds counts one drop.
   enum class DropKind : std::uint8_t {
-    kMetric = 0,        // retention-cap trims of plain samples
-    kHistogram = 1,     // malformed layouts, orphaned deltas
+    kMetric = 0,        // retention-cap trims, undecodable metric reports
+    kHistogram = 1,     // malformed layouts, orphaned deltas, undecodable
     kTraceSummary = 2,  // undecodable trace-summary reports
     kSketch = 3,        // undecodable or stale sketch reports
   };

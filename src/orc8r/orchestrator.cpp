@@ -235,6 +235,10 @@ void Orchestrator::note_store_decode_error(const std::string& key,
   event.source = "streamer";
   event.message = key + ": " + what;
   event.severity = obs::EventSeverity::kWarn;
+  record_event(std::move(event));
+}
+
+void Orchestrator::record_event(obs::Event event) {
   events_.push_back(std::move(event));
   if (events_.size() > kEventRetention) {
     events_.pop_front();
@@ -422,19 +426,26 @@ std::vector<obs::slo::SloStatus> Orchestrator::slo_report(
   return rows;
 }
 
-void Orchestrator::on_downtime_open(const std::string& gateway_id,
-                                    sim::TimePoint start) {
-  (void)start;
-  // Snapshot the fleet critical-path profile now; the close-side join
-  // deltas against it to decide whether the outage window was
-  // runq-dominated (the overload lens).
+namespace {
+// Fleet critical-path profile (runq_s, total_s) summed over metricsd's
+// latency attribution — the overload lens of downtime attribution.
+std::pair<double, double> fleet_runq_profile(const Metricsd& metricsd) {
   double runq_s = 0;
   double total_s = 0;
-  for (const LatencyAttributionRow& row : metricsd_.latency_attribution()) {
+  for (const LatencyAttributionRow& row : metricsd.latency_attribution()) {
     runq_s += row.component_s[static_cast<std::size_t>(obs::WaitState::kRunq)];
     total_s += row.total_s;
   }
-  open_runq_snapshots_[gateway_id] = {runq_s, total_s};
+  return {runq_s, total_s};
+}
+}  // namespace
+
+void Orchestrator::on_downtime_open(const std::string& gateway_id,
+                                    sim::TimePoint start) {
+  (void)start;
+  // Snapshot the fleet profile now; the close-side join deltas against it
+  // to decide whether the outage window was runq-dominated.
+  open_runq_snapshots_[gateway_id] = fleet_runq_profile(metricsd_);
 }
 
 void Orchestrator::on_downtime_close(
@@ -494,13 +505,7 @@ void Orchestrator::attribute_interval(const std::string& gateway_id,
   signals.overload_rejections_growth = growth("accessd_overload_rejections");
   if (auto it = open_runq_snapshots_.find(gateway_id);
       it != open_runq_snapshots_.end()) {
-    double runq_s = 0;
-    double total_s = 0;
-    for (const LatencyAttributionRow& row : metricsd_.latency_attribution()) {
-      runq_s +=
-          row.component_s[static_cast<std::size_t>(obs::WaitState::kRunq)];
-      total_s += row.total_s;
-    }
+    const auto [runq_s, total_s] = fleet_runq_profile(metricsd_);
     const double total_delta = total_s - it->second.second;
     if (total_delta > 0) {
       signals.runq_wait_fraction =
@@ -527,16 +532,51 @@ void Orchestrator::attribute_interval(const std::string& gateway_id,
   event.message = std::string(obs::slo::downtime_cause_name(cause)) +
                   (detail.empty() ? "" : ": " + detail);
   event.severity = obs::EventSeverity::kWarn;
-  events_.push_back(std::move(event));
-  if (events_.size() > kEventRetention) {
-    events_.pop_front();
-    ++stats_.events_dropped;
-  }
+  record_event(std::move(event));
 }
 
 // ---------------------------------------------------------------------------
 // Southbound RPC surface
 // ---------------------------------------------------------------------------
+
+namespace {
+// The gateway a decoded report came from (its ingest-shard key).
+template <typename T>
+std::string report_gateway(const std::vector<T>& batch) {
+  return batch.empty() ? std::string{} : batch.front().gateway_id;
+}
+std::string report_gateway(const obs::sketch::SketchReport& report) {
+  return report.gateway_id;
+}
+}  // namespace
+
+template <auto kDecode, IngestKind kKind, Metricsd::DropKind kDrop,
+          std::uint64_t OrchestratorStats::*kReports, typename Apply>
+void Orchestrator::bind_report(rpc::RpcNode& node, const char* method,
+                               Apply apply) {
+  node.register_method(
+      kMetricsService, method,
+      [this, apply](const rpc::Bytes& request, rpc::Respond respond) {
+        obs::svc_request(svc_metricsd_);
+        auto decoded = kDecode(request);
+        if (!decoded.ok()) {
+          obs::svc_error(svc_metricsd_, decoded.error().message);
+          metricsd_.note_drop(kDrop);
+          respond(rpc::Error{decoded.error()});
+          return;
+        }
+        ++(stats_.*kReports);
+        auto batch = std::move(decoded).take();
+        const std::string gateway_id = report_gateway(batch);
+        if (!ingest_.submit(gateway_id, kKind,
+                            [this, apply, batch = std::move(batch)]() mutable {
+                              apply(metricsd_, batch);
+                            })) {
+          note_ingest_shed(kKind);
+        }
+        respond(rpc::Bytes{});
+      });
+}
 
 void Orchestrator::bind(rpc::RpcNode& node) {
   node.register_method(
@@ -631,99 +671,22 @@ void Orchestrator::bind(rpc::RpcNode& node) {
         respond(rpc::Bytes{});
       });
 
-  node.register_method(
-      kMetricsService, kReportMetrics,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto samples = decode_metric_report(request);
-        if (!samples.ok()) {
-          obs::svc_error(svc_metricsd_, samples.error().message);
-          respond(rpc::Error{samples.error()});
-          return;
-        }
-        ++stats_.metric_reports;
-        std::vector<MetricSample> batch = std::move(samples).take();
-        const std::string gateway_id =
-            batch.empty() ? std::string{} : batch.front().gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kMetrics,
-                            [this, batch = std::move(batch)]() {
-                              metricsd_.ingest(batch);
-                            })) {
-          note_ingest_shed(IngestKind::kMetrics);
-        }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kMetricsService, kReportHistograms,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto snapshots = decode_histogram_report(request);
-        if (!snapshots.ok()) {
-          obs::svc_error(svc_metricsd_, snapshots.error().message);
-          metricsd_.note_drop(Metricsd::DropKind::kHistogram);
-          respond(rpc::Error{snapshots.error()});
-          return;
-        }
-        ++stats_.histogram_reports;
-        std::vector<HistogramSnapshot> batch = std::move(snapshots).take();
-        const std::string gateway_id =
-            batch.empty() ? std::string{} : batch.front().gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kHistograms,
-                            [this, batch = std::move(batch)]() {
-                              metricsd_.ingest_histograms(batch);
-                            })) {
-          note_ingest_shed(IngestKind::kHistograms);
-        }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kMetricsService, kReportTraceSummaries,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto summaries = obs::decode_trace_summaries(request);
-        if (!summaries.ok()) {
-          obs::svc_error(svc_metricsd_, summaries.error().message);
-          metricsd_.note_drop(Metricsd::DropKind::kTraceSummary);
-          respond(rpc::Error{summaries.error()});
-          return;
-        }
-        ++stats_.trace_summary_reports;
-        std::vector<obs::TraceSummary> batch = std::move(summaries).take();
-        const std::string gateway_id =
-            batch.empty() ? std::string{} : batch.front().gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kTraceSummaries,
-                            [this, batch = std::move(batch)]() {
-                              metricsd_.ingest_trace_summaries(batch);
-                            })) {
-          note_ingest_shed(IngestKind::kTraceSummaries);
-        }
-        respond(rpc::Bytes{});
-      });
-
-  node.register_method(
-      kMetricsService, kReportSketches,
-      [this](const rpc::Bytes& request, rpc::Respond respond) {
-        obs::svc_request(svc_metricsd_);
-        auto report = obs::sketch::decode_sketch_report(request);
-        if (!report.ok()) {
-          obs::svc_error(svc_metricsd_, report.error().message);
-          metricsd_.note_drop(Metricsd::DropKind::kSketch);
-          respond(rpc::Error{report.error()});
-          return;
-        }
-        ++stats_.sketch_reports;
-        obs::sketch::SketchReport batch = std::move(report).take();
-        const std::string gateway_id = batch.gateway_id;
-        if (!ingest_.submit(gateway_id, IngestKind::kSketches,
-                            [this, batch = std::move(batch)]() mutable {
-                              metricsd_.ingest_sketch_report(std::move(batch));
-                            })) {
-          note_ingest_shed(IngestKind::kSketches);
-        }
-        respond(rpc::Bytes{});
-      });
+  using Drop = Metricsd::DropKind;
+  bind_report<decode_metric_report, IngestKind::kMetrics, Drop::kMetric,
+              &OrchestratorStats::metric_reports>(
+      node, kReportMetrics, [](Metricsd& m, auto& b) { m.ingest(b); });
+  bind_report<decode_histogram_report, IngestKind::kHistograms,
+              Drop::kHistogram, &OrchestratorStats::histogram_reports>(
+      node, kReportHistograms,
+      [](Metricsd& m, auto& b) { m.ingest_histograms(b); });
+  bind_report<obs::decode_trace_summaries, IngestKind::kTraceSummaries,
+              Drop::kTraceSummary, &OrchestratorStats::trace_summary_reports>(
+      node, kReportTraceSummaries,
+      [](Metricsd& m, auto& b) { m.ingest_trace_summaries(b); });
+  bind_report<obs::sketch::decode_sketch_report, IngestKind::kSketches,
+              Drop::kSketch, &OrchestratorStats::sketch_reports>(
+      node, kReportSketches,
+      [](Metricsd& m, auto& b) { m.ingest_sketch_report(std::move(b)); });
 
   node.register_method(
       kEventService, kLogEvents,
@@ -764,12 +727,8 @@ void Orchestrator::bind(rpc::RpcNode& node) {
             tracer_->tag(span, "gateway", e.gateway_id);
             tracer_->end(span);
           }
-          events_.push_back(std::move(e));
+          record_event(std::move(e));
           ++stats_.events_ingested;
-          if (events_.size() > kEventRetention) {
-            events_.pop_front();
-            ++stats_.events_dropped;
-          }
         }
         ++stats_.event_reports;
         respond(rpc::Bytes{});

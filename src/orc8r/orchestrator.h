@@ -222,6 +222,17 @@ class Orchestrator {
   void note_store_decode_error(const std::string& key,
                                const std::string& what);
   void note_ingest_shed(IngestKind kind);
+  // Append to the event store, dropping the oldest past kEventRetention.
+  void record_event(obs::Event event);
+  // Register one metricsd report method: decode inline (an undecodable
+  // report is a metricsd error and one kDrop drop), count it in kReports,
+  // run `apply(metricsd, batch)` on the gateway's ingest shard (or count
+  // the shed), and answer with an empty ack. The per-kind values are
+  // template arguments so the handler captures only `this` and `apply` and
+  // fits std::function's inline buffer (no allocation per bind).
+  template <auto kDecode, IngestKind kKind, Metricsd::DropKind kDrop,
+            std::uint64_t OrchestratorStats::*kReports, typename Apply>
+  void bind_report(rpc::RpcNode& node, const char* method, Apply apply);
   void slo_tick(sim::Duration interval);
   // Downtime attribution join (statusd ledger hooks): snapshot the
   // fleet critical-path profile when an interval opens, gather counter

@@ -90,49 +90,6 @@ void RpcNode::call(const std::string& service, const std::string& method,
   channel_.send(std::move(w).take());
 }
 
-void RpcNode::call_with_retries(const std::string& service,
-                                const std::string& method, Bytes request,
-                                sim::Duration deadline, int retries,
-                                sim::Duration backoff,
-                                std::function<void(Result<Bytes>)> on_done) {
-  // The span current at the original call site keeps waiting through every
-  // retry; charge the backoff gaps to it (and the rpc label) as timer wait.
-  const obs::TraceContext origin = obs::current_context(tracer_);
-  call(service, method, request, deadline,
-       [this, service, method, request, deadline, retries, backoff, origin,
-        on_done = std::move(on_done)](Result<Bytes> result) mutable {
-         const bool retryable = !result.ok() &&
-                                (result.code() == ErrorCode::kUnavailable ||
-                                 result.code() == ErrorCode::kDeadlineExceeded);
-         if (retryable && retries > 0) {
-           if (cpu_ != nullptr) {
-             cpu_->charge_wait(rpc_label(service, method),
-                               obs::WaitState::kTimer, backoff);
-           }
-           obs::add_span_wait(tracer_, origin, obs::WaitState::kTimer,
-                              backoff);
-           // Init-captures (not simple captures) for the strings: GCC 12
-           // mis-computes noexcept on a nested lambda's move constructor
-           // when it simple-captures a non-trivial capture of the enclosing
-           // lambda, and EventFn statically requires nothrow move.
-           kernel_.schedule(backoff, [this, service = std::move(service),
-                                      method = std::move(method),
-                                      request = std::move(request), deadline,
-                                      retries, backoff, origin,
-                                      on_done = std::move(on_done)]() mutable {
-             // Re-enter the originating context so the retried call's client
-             // span lands in the same trace (and later backoffs keep
-             // charging it).
-             const obs::Tracer::Scope scope(tracer_, origin);
-             call_with_retries(service, method, std::move(request), deadline,
-                               retries - 1, backoff * 2, std::move(on_done));
-           });
-           return;
-         }
-         on_done(std::move(result));
-       });
-}
-
 void RpcNode::on_message(Bytes raw) {
   Reader r(raw);
   const std::uint8_t type = r.u8();

@@ -70,14 +70,6 @@ class RpcNode {
             Bytes request, sim::Duration deadline,
             std::function<void(Result<Bytes>)> on_done);
 
-  // Convenience: call with automatic retries on UNAVAILABLE/DEADLINE, spaced
-  // by `backoff` (doubling). Used by AGW→orchestrator sync paths that must
-  // survive backhaul outages.
-  void call_with_retries(const std::string& service, const std::string& method,
-                         Bytes request, sim::Duration deadline, int retries,
-                         sim::Duration backoff,
-                         std::function<void(Result<Bytes>)> on_done);
-
   const RpcStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
   sim::Kernel& kernel() { return kernel_; }
@@ -97,10 +89,10 @@ class RpcNode {
 
   // Off-CPU wait attribution: when set, every call charges its blocked time
   // (issue → response/timeout/send-failure) against an interned
-  // ("rpc_client", "<service>/<method>") label on `cpu`, and retry backoff
-  // is charged as timer wait — the profiler's answer to "this label is 2%
-  // busy but its operations take 400 ms". The CpuModel is only used as the
-  // label registry + wait ledger; no work is submitted to it.
+  // ("rpc_client", "<service>/<method>") label on `cpu` — the profiler's
+  // answer to "this label is 2% busy but its operations take 400 ms". The
+  // CpuModel is only used as the label registry + wait ledger; no work is
+  // submitted to it.
   void set_wait_attribution(sim::CpuModel* cpu) { cpu_ = cpu; }
 
  private:

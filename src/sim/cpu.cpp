@@ -75,11 +75,6 @@ bool CpuModel::submit(WorkClass cls, LabelId label, double reference_seconds,
       return true;
     }
   }
-  if (config_.max_queue_depth != 0 &&
-      queue_[idx].size() >= config_.max_queue_depth) {
-    ++stats_.rejected[idx];
-    return false;
-  }
   queue_[idx].push_back(std::move(work));
   stats_.queue_depth[idx] = queue_[idx].size();
   return true;

@@ -46,10 +46,6 @@ struct CpuConfig {
   // remaining cores serve control-plane work. -1 means no partition: all
   // cores serve both classes (work-conserving, the "flexible" case).
   int user_plane_cores = -1;
-  // Bound on queued-but-not-running work per class; further submissions are
-  // rejected (models overload drops, e.g. attach requests beyond the MME's
-  // socket backlog). 0 means unbounded.
-  std::size_t max_queue_depth = 0;
 };
 
 // Cumulative counters; utilization over a window is computed from deltas.
@@ -65,9 +61,9 @@ struct CpuStats {
 // per-class and per-core totals exactly); queue_wait_ns is the time the task
 // sat runnable before a core picked it up. rpc_wait_ns and timer_wait_ns are
 // off-CPU charges reported by other layers via charge_wait() — the RPC stack
-// charges blocked-on-RPC time and retry-backoff time against the label that
-// issued the call — so wall time per label decomposes into
-// busy + queue_wait + rpc_wait + timer_wait.
+// charges blocked-on-RPC time against the label that issued the call — so
+// wall time per label decomposes into busy + queue_wait + rpc_wait +
+// timer_wait.
 struct TaskLabelStats {
   std::string service;  // e.g. "accessd", "pipelined"
   std::string op;       // e.g. "establish", "forward_ul"

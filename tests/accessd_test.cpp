@@ -187,7 +187,7 @@ class AccessdCpuTest : public ::testing::Test {
  protected:
   AccessdCpuTest()
       : rng_(1),
-        cpu_(kernel_, sim::CpuConfig{4, 1.6, -1, 0}),
+        cpu_(kernel_, sim::CpuConfig{4, 1.6, -1}),
         subscribers_([this]() { return rng_.next_u64(); }),
         mobilityd_(IpBlock{}),
         sessiond_(kernel_, pipelined_, nullptr) {}

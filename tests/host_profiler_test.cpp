@@ -1,7 +1,6 @@
 // Host profiler: wall-clock scoped timers, allocation attribution, kernel
-// event accounting, determinism (profiler on vs off), the <2% disabled
-// overhead bound, and the queue-depth sub-classification of critical-path
-// `other` time.
+// event accounting, determinism (profiler on vs off), and the <2% disabled
+// overhead bound.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,9 +10,7 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "obs/critical_path.h"
 #include "obs/host_profiler.h"
-#include "obs/trace.h"
 #include "sim/kernel.h"
 #include "sim/link.h"
 #include "sim/random.h"
@@ -283,78 +280,6 @@ TEST(HostProfilerOverhead, DisabledUnder2Percent) {
   }
   EXPECT_LT(best_ratio, 1.02) << "disabled-scope overhead above 2%";
   EXPECT_NE(sink, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Queue-depth sampling and the backlogged sub-classification
-// ---------------------------------------------------------------------------
-
-TEST(QueueDepthSampling, SpanBoundariesStampKernelQueueDepth) {
-  sim::Kernel kernel;
-  Tracer tracer(kernel);
-  // Three future events: any span opened now sees a backlog of 3.
-  for (int i = 1; i <= 3; ++i) {
-    kernel.schedule(static_cast<sim::Duration>(i) * sim::kSecond, []() {});
-  }
-  const TraceContext span = tracer.begin("busy", "svc", "node");
-  tracer.end(span);
-  ASSERT_EQ(tracer.finished().size(), 1u);
-  EXPECT_EQ(tracer.finished().back().queue_depth_open, 3u);
-  EXPECT_EQ(tracer.finished().back().queue_depth_close, 3u);
-
-  kernel.run_until(10 * sim::kSecond);
-  const TraceContext idle = tracer.begin("idle", "svc", "node");
-  tracer.end(idle);
-  EXPECT_EQ(tracer.finished().back().queue_depth_open, 0u);
-  EXPECT_EQ(tracer.finished().back().queue_depth_close, 0u);
-}
-
-SpanRecord make_span(std::uint64_t span_id, std::uint64_t parent,
-                     sim::TimePoint start, sim::TimePoint end,
-                     std::size_t depth_open, std::size_t depth_close) {
-  SpanRecord s;
-  s.trace_id = 1;
-  s.span_id = span_id;
-  s.parent_span_id = parent;
-  s.name = "span" + std::to_string(span_id);
-  s.service = "svc";
-  s.node = "node";
-  s.start = start;
-  s.end = end;
-  s.queue_depth_open = depth_open;
-  s.queue_depth_close = depth_close;
-  return s;
-}
-
-TEST(QueueDepthSampling, CriticalPathSubClassifiesBackloggedOther) {
-  // Root 0..100ms, no wait charges: all `other`. One child 0..40ms that was
-  // backlogged at both boundaries; the root itself opened on an empty queue.
-  std::vector<SpanRecord> spans;
-  spans.push_back(make_span(1, 0, 0, 100 * sim::kMillisecond, 0, 2));
-  spans.push_back(make_span(2, 1, 0, 40 * sim::kMillisecond, 5, 3));
-  const CriticalPathResult cp = critical_path(spans);
-  ASSERT_TRUE(cp.valid);
-  // Everything is `other` (no charges anywhere)...
-  EXPECT_EQ(cp.component(WaitState::kOther), cp.total);
-  // ...but only the child's 40 ms is sub-classified as backlogged: the root
-  // opened on an empty queue (min(0, 2) == 0).
-  EXPECT_EQ(cp.other_backlogged, 40 * sim::kMillisecond);
-  EXPECT_EQ(cp.max_queue_depth, 5u);
-}
-
-TEST(QueueDepthSampling, BackloggedNeverExceedsOther) {
-  // A backlogged span whose self-time is fully claimed by a CPU charge:
-  // nothing lands in `other`, so nothing may land in `other_backlogged`.
-  std::vector<SpanRecord> spans;
-  SpanRecord root = make_span(1, 0, 0, 10 * sim::kMillisecond, 4, 4);
-  root.wait_ns[static_cast<std::size_t>(WaitState::kCpu)] =
-      10 * sim::kMillisecond;
-  spans.push_back(root);
-  const CriticalPathResult cp = critical_path(spans);
-  ASSERT_TRUE(cp.valid);
-  EXPECT_EQ(cp.component(WaitState::kOther), 0);
-  EXPECT_EQ(cp.other_backlogged, 0);
-  EXPECT_EQ(cp.max_queue_depth, 4u);
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 // Orchestrator + magmad: northbound API, desired-state config sync over
-// realistic backhaul, check-in, checkpoint shipping, durability.
+// realistic backhaul, check-in, checkpoint shipping, durability, report
+// ingest, wedged loops, and control-link telemetry.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
 
 #include "agw/magmad.h"
 #include "core/network.h"
+#include "obs/sketch/subscriber_sketches.h"
+#include "obs/tail_sampler.h"
 #include "orc8r/orchestrator.h"
 #include "rpc/rpc.h"
 
@@ -93,6 +99,71 @@ TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
     if (a.rule == "orchestrator_store_decode_errors_growth") firing = true;
   }
   EXPECT_TRUE(firing);
+}
+
+TEST(OrchestratorReports, EveryReportMethodSharesOneHandlerShape) {
+  // All four metricsd report methods over a real RPC link: an undecodable
+  // payload is an RPC error, one dropped sample of its kind and one
+  // metricsd Service303 error; a valid one is counted, acked, and applied
+  // once the ingest shard pumps.
+  sim::Kernel kernel;
+  sim::Rng rng(9);
+  orc8r::Orchestrator orc8r(kernel);
+  rpc::RpcLink link(kernel, rng, "orc8r-server", "agw-client");
+  orc8r.bind(link.server);
+  const orc8r::Metricsd& m = orc8r.metrics();
+  const obs::Service303& svc = *orc8r.status().find("metricsd");
+
+  orc8r::HistogramSnapshot histogram;
+  histogram.gateway_id = "gw0";
+  histogram.name = "attach_s";
+  histogram.bounds = {0.1};
+  histogram.counts = {2, 1};
+  obs::TraceSummary summary{"attach", "lte_frontend", "gw0", 7};
+  obs::sketch::SubscriberSketches sketches;
+  sketches.record(obs::sketch::SubscriberMetric::kBytes, imsi(1).value);
+  using Drop = orc8r::Metricsd::DropKind;
+  using Stats = orc8r::OrchestratorStats;
+  struct Case {
+    const char* method;
+    Drop drop;
+    std::uint64_t Stats::*reports;
+    common::Bytes valid;
+    std::function<bool()> applied;
+  };
+  const Case cases[] = {
+      {orc8r::kReportMetrics, Drop::kMetric, &Stats::metric_reports,
+       orc8r::encode_metric_report({{"gw0", "active_sessions", 3.0, 0}}),
+       [&] { return m.latest("gw0", "active_sessions") == 3.0; }},
+      {orc8r::kReportHistograms, Drop::kHistogram, &Stats::histogram_reports,
+       orc8r::encode_histogram_report({histogram}),
+       [&] { return m.histogram_count("attach_s") == 3; }},
+      {orc8r::kReportTraceSummaries, Drop::kTraceSummary,
+       &Stats::trace_summary_reports, obs::encode_trace_summaries({summary}),
+       [&] { return m.trace_summaries_ingested() == 1; }},
+      {orc8r::kReportSketches, Drop::kSketch, &Stats::sketch_reports,
+       obs::sketch::encode_sketch_report(sketches.snapshot("gw0", 0)),
+       [&] { return m.sketch_reports_ingested() == 1; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.method);
+    const std::uint64_t drops = m.samples_dropped(c.drop);
+    const std::uint64_t errors = svc.status().errors;
+    const std::uint64_t reports = orc8r.stats().*c.reports;
+    std::vector<bool> acks;
+    for (const common::Bytes& payload : {common::Bytes{0xff, 0xff}, c.valid}) {
+      link.client.call(orc8r::kMetricsService, c.method, payload,
+                       sim::kSecond, [&](rpc::Result<rpc::Bytes> r) {
+                         acks.push_back(r.ok());
+                       });
+      kernel.run_until(kernel.now() + sim::kSecond);
+    }
+    EXPECT_EQ(acks, (std::vector<bool>{false, true}));
+    EXPECT_EQ(m.samples_dropped(c.drop), drops + 1);
+    EXPECT_EQ(svc.status().errors, errors + 1);
+    EXPECT_EQ(orc8r.stats().*c.reports, reports + 1);
+    EXPECT_TRUE(c.applied());
+  }
 }
 
 TEST(DesiredState, SerializeRoundTrip) {
@@ -236,6 +307,34 @@ TEST_F(MagmadTest, PeriodicLoopsShipEverything) {
   EXPECT_EQ(orc8r_.stored_checkpoint("gw0").value(),
             common::to_bytes("ckpt"));
   EXPECT_GT(orc8r_.metrics().total_samples(), 0u);
+}
+
+TEST_F(MagmadTest, WedgedLoopsStaySilentThenResumeOnTheNextBoundary) {
+  // Loops tick at 0, then every 15 s (metrics), 30 s (config) and 60 s
+  // (checkin, checkpoint). Wedged for five minutes, magmad sends nothing;
+  // unwedged, each loop resumes at its next boundary — proof the ticks kept
+  // rescheduling, since start() is idempotent and cannot restart them.
+  metrics_payload_ = {orc8r::MetricSample{"gw0", "active_sessions", 1.0, 0}};
+  magmad_.start();
+  kernel_.run_until(sim::kSecond);
+  const std::uint64_t calls = rpc_.client.stats().calls_sent;
+  ASSERT_EQ(calls, 4u);  // poll, checkin, metrics, checkpoint
+
+  magmad_.simulate_wedge(true);
+  kernel_.run_until(301 * sim::kSecond);
+  magmad_.simulate_wedge(false);
+  kernel_.run_until(314 * sim::kSecond);
+  EXPECT_EQ(rpc_.client.stats().calls_sent, calls);
+  EXPECT_EQ(orc8r_.stats().checkins, 1u);
+
+  kernel_.run_until(316 * sim::kSecond);
+  EXPECT_EQ(rpc_.client.stats().calls_sent, calls + 1);
+  EXPECT_EQ(magmad_.stats().metric_reports_sent, 2u);
+  kernel_.run_until(331 * sim::kSecond);
+  EXPECT_EQ(magmad_.stats().config_polls_noop, 1u);
+  kernel_.run_until(361 * sim::kSecond);
+  EXPECT_EQ(magmad_.stats().checkins_ok, 2u);
+  EXPECT_EQ(magmad_.stats().checkpoints_shipped, 2u);
 }
 
 // --- Health plane + histogram delta shipping ---------------------------------
@@ -420,6 +519,53 @@ TEST(TransportTelemetry, ControlChannelStatsReachMetricsd) {
   ASSERT_TRUE(metrics.latest("gw0", "transport_reorder_backlog").has_value());
   ASSERT_TRUE(metrics.latest("gw0", "transport_send_backlog").has_value());
   ASSERT_TRUE(metrics.latest("gw0", "magmad_telemetry_sheds").has_value());
+}
+
+TEST(TransportTelemetry, BackhaulLossShowsUpInLinkGauges) {
+  // The AGW's link gauges read its orchestrator control link: no drops on a
+  // clean backhaul, drops in both directions once it turns lossy.
+  core::Network net;
+  agw::AccessGateway& gw = net.add_agw(agw::virtual_xeon(2));
+  net.run_for(sim::kMinute);
+  const orc8r::Metricsd& metrics = net.orchestrator().metrics();
+  for (const std::string dir : {"ul", "dl"}) {
+    EXPECT_EQ(metrics.latest("gw0", "link_dropped_packets_" + dir), 0.0);
+    EXPECT_EQ(metrics.latest("gw0", "link_queue_depth_" + dir), 0.0);
+  }
+  net.set_backhaul_loss(gw, 0.3);
+  net.run_for(5 * sim::kMinute);
+  EXPECT_GT(metrics.latest("gw0", "link_dropped_packets_ul"), 0.0);
+  EXPECT_GT(metrics.latest("gw0", "link_dropped_packets_dl"), 0.0);
+}
+
+TEST(TransportTelemetry, UplinkGaugesReadTheReversePath) {
+  // The gateway is its control link's client end, which sends on the
+  // reverse path: loss on that direction alone lands in the _ul gauges.
+  sim::Kernel kernel;
+  sim::Rng rng(3);
+  orc8r::Orchestrator orc8r(kernel);
+  rpc::RpcLink link(kernel, rng, "orc8r-server", "gw0-orc8r-client");
+  agw::AccessGateway gw(kernel, common::GatewayId{"gw0"}, agw::virtual_xeon(2),
+                        rng.fork());
+  orc8r.bind(link.server);
+  gw.connect_orchestrator(link);
+  gw.magmad().start();
+  link.path.reverse.set_loss_probability(0.3);
+  kernel.run_until(5 * sim::kMinute);
+
+  std::map<std::string, double> gauges;
+  for (const orc8r::MetricSample& s : gw.telemetry_snapshot()) {
+    gauges[s.name] = s.value;
+  }
+  const sim::Link& ul = link.path.reverse;
+  EXPECT_GT(gauges.at("link_dropped_packets_ul"), 0.0);
+  EXPECT_EQ(gauges.at("link_dropped_packets_ul"),
+            static_cast<double>(ul.stats().packets_dropped));
+  EXPECT_EQ(gauges.at("link_dropped_packets_dl"), 0.0);
+  EXPECT_EQ(gauges.at("link_queue_depth_ul"),
+            static_cast<double>(ul.queue_depth()));
+  EXPECT_EQ(gauges.at("transport_retransmissions"),
+            static_cast<double>(link.channels.b->stats().retransmissions));
 }
 
 TEST_F(MagmadTest, BackpressureShedsTelemetryButNeverTheSync) {

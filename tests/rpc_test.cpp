@@ -1,4 +1,4 @@
-// RPC layer: wire format round-trips, call semantics, deadlines, retries.
+// RPC layer: wire format round-trips, call semantics, deadlines, resets.
 #include <gtest/gtest.h>
 
 #include "net/channel.h"
@@ -72,7 +72,6 @@ struct RpcHarness {
   RpcLink link{kernel, rng, "server", "client", sim::lan_link()};
   RpcNode& server = link.server;
   RpcNode& client = link.client;
-  net::DuplexLink& path = link.path;
 };
 
 TEST(RpcNode, UnaryCallRoundTrip) {
@@ -186,28 +185,6 @@ TEST(RpcNode, ManyConcurrentCallsMatchById) {
   EXPECT_EQ(correct, 100);
 }
 
-TEST(RpcNode, RetriesSurviveTransientOutage) {
-  RpcHarness h;
-  h.server.register_method("svc", "Get", [](const Bytes&, Respond respond) {
-    respond(common::to_bytes("data"));
-  });
-  // Take the link down; bring it back after 5 s.
-  h.path.forward.set_up(false);
-  h.path.reverse.set_up(false);
-  h.kernel.schedule(5 * sim::kSecond, [&h]() {
-    h.path.forward.set_up(true);
-    h.path.reverse.set_up(true);
-  });
-
-  bool ok = false;
-  h.client.call_with_retries("svc", "Get", {}, 2 * sim::kSecond, 5,
-                             sim::kSecond, [&](Result<Bytes> result) {
-                               ok = result.ok();
-                             });
-  h.kernel.run();
-  EXPECT_TRUE(ok);
-}
-
 TEST(RpcNode, TransportResetFailsCallsFastNotAtDeadline) {
   // A connection reset must surface as UNAVAILABLE the moment the transport
   // gives up — not as DEADLINE_EXCEEDED a minute later. The old transport
@@ -232,19 +209,6 @@ TEST(RpcNode, TransportResetFailsCallsFastNotAtDeadline) {
   EXPECT_LT(failed_at, 10 * sim::kSecond);  // ~7 s, far below the deadline
   EXPECT_EQ(client.stats().calls_send_failed, 1u);
   EXPECT_EQ(client.stats().calls_timed_out, 0u);
-}
-
-TEST(RpcNode, RetriesExhaustOnPermanentOutage) {
-  RpcHarness h;
-  h.path.forward.set_up(false);
-  ErrorCode code = ErrorCode::kOk;
-  h.client.call_with_retries("svc", "Get", {}, sim::kSecond, 3,
-                             100 * sim::kMillisecond,
-                             [&](Result<Bytes> result) {
-                               code = result.code();
-                             });
-  h.kernel.run();
-  EXPECT_EQ(code, ErrorCode::kDeadlineExceeded);
 }
 
 }  // namespace

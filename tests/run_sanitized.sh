@@ -61,6 +61,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|QueueDepth|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|FleetSloAvailability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|FleetSloAvailability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench' \
   "$@"
 echo "sanitized transport suite: OK"

@@ -91,23 +91,6 @@ TEST(CpuModel, ZeroCoresForClassRejects) {
   EXPECT_TRUE(cpu.submit(WorkClass::kUser, 1.0, []() {}));
 }
 
-TEST(CpuModel, QueueBoundRejectsOverload) {
-  Kernel kernel;
-  CpuConfig config;
-  config.cores = 1;
-  config.max_queue_depth = 2;
-  CpuModel cpu(kernel, config);
-  int completed = 0;
-  // 1 running + 2 queued accepted; 4th rejected.
-  EXPECT_TRUE(cpu.submit(WorkClass::kUser, 1.0, [&]() { ++completed; }));
-  EXPECT_TRUE(cpu.submit(WorkClass::kUser, 1.0, [&]() { ++completed; }));
-  EXPECT_TRUE(cpu.submit(WorkClass::kUser, 1.0, [&]() { ++completed; }));
-  EXPECT_FALSE(cpu.submit(WorkClass::kUser, 1.0, [&]() { ++completed; }));
-  kernel.run();
-  EXPECT_EQ(completed, 3);
-  EXPECT_EQ(cpu.stats().rejected[1], 1u);
-}
-
 TEST(CpuModel, BusyAccountingPerClass) {
   Kernel kernel;
   CpuConfig config;

@@ -152,7 +152,7 @@ TEST(Samplers, RateSamplerComputesPerIntervalRates) {
 
 TEST(Samplers, CpuSamplerTracksUtilizationWindows) {
   sim::Kernel kernel;
-  sim::CpuModel cpu(kernel, sim::CpuConfig{2, 1.0, -1, 0});
+  sim::CpuModel cpu(kernel, sim::CpuConfig{2, 1.0, -1});
   ran::CpuSampler sampler(kernel, cpu, sim::kSecond);
   sampler.start();
   // One core busy with control work for the first second only.

@@ -2,6 +2,7 @@
 
 #include "common/log.h"
 #include "common/pool.h"
+#include "obs/host_profiler.h"
 #include "rpc/wire.h"
 
 namespace magma::agw {
@@ -246,6 +247,7 @@ void AccessGateway::ingress(datapath::PacketBatch batch,
 // ---------------------------------------------------------------------------
 
 common::Bytes AccessGateway::checkpoint() const {
+  MAGMA_HOST_SCOPE("agw", "checkpoint");
   rpc::Writer w;
   // The UE address block is part of the gateway's identity: a backup
   // instance must keep handing out (and honouring) the same addresses.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/critical_path.h"
+#include "obs/host_profiler.h"
 #include "rpc/wire.h"
 
 namespace magma::obs {
@@ -153,6 +154,7 @@ void TailSampler::on_finish(const SpanRecord& span) {
 }
 
 void TailSampler::close_current_window() {
+  MAGMA_HOST_SCOPE("obs", "window_close");
   for (auto& [op, keeps] : kept_) {
     for (const Kept& k : keeps) {
       TraceSummary s;

@@ -79,6 +79,7 @@ void Tracer::end(TraceContext span) {
 
   if (record.error) pin_trace(record.trace_id);
   finished_.push_back(record);
+  by_trace_[record.trace_id].push_back(&finished_.back());
   evict_over_retention();
   // Iterate by index: a hook may add/remove hooks while running.
   for (std::size_t i = 0; i < hooks_.size(); ++i) {
@@ -134,10 +135,18 @@ void Tracer::evict_over_retention() {
       // after a full lap the size bound still wins and the front drops.
       std::size_t rotations = finished_.size();
       while (rotations-- > 0 && trace_pinned(finished_.front().trace_id)) {
+        const SpanRecord* from = &finished_.front();
         finished_.push_back(std::move(finished_.front()));
+        std::vector<const SpanRecord*>& spans =
+            by_trace_.at(finished_.back().trace_id);
+        *std::find(spans.begin(), spans.end(), from) = &finished_.back();
         finished_.pop_front();
       }
     }
+    const SpanRecord& oldest = finished_.front();
+    auto it = by_trace_.find(oldest.trace_id);
+    std::erase(it->second, &oldest);
+    if (it->second.empty()) by_trace_.erase(it);
     finished_.pop_front();
     ++spans_dropped_;
   }
@@ -145,9 +154,10 @@ void Tracer::evict_over_retention() {
 
 std::vector<SpanRecord> Tracer::trace_spans(std::uint64_t trace_id) const {
   std::vector<SpanRecord> out;
-  for (const SpanRecord& span : finished_) {
-    if (span.trace_id == trace_id) out.push_back(span);
-  }
+  auto it = by_trace_.find(trace_id);
+  if (it == by_trace_.end()) return out;
+  out.reserve(it->second.size());
+  for (const SpanRecord* span : it->second) out.push_back(*span);
   // span_id tie-break: ids are allocated sequentially, so spans begun at the
   // same instant still come out in begin order (parents before children).
   std::stable_sort(out.begin(), out.end(),

@@ -190,7 +190,8 @@ class Tracer {
   }
   std::size_t tail_pinned_traces() const { return tail_pinned_.size(); }
   const std::deque<SpanRecord>& finished() const { return finished_; }
-  // All finished spans of one trace, in start order.
+  // All finished spans of one trace, in start order. Served from a per-trace
+  // index, so the cost follows the trace's span count, not the ring's.
   std::vector<SpanRecord> trace_spans(std::uint64_t trace_id) const;
 
   std::size_t open_spans() const { return open_.size(); }
@@ -208,6 +209,10 @@ class Tracer {
   TraceContext current_{};
   std::unordered_map<std::uint64_t, SpanRecord> open_;  // by span_id
   std::deque<SpanRecord> finished_;
+  // trace id -> addresses of that trace's spans in finished_. A deque keeps
+  // element addresses across push_back and pop_front, so only end() and
+  // evict_over_retention() (which move spans in and out) touch the index.
+  std::unordered_map<std::uint64_t, std::vector<const SpanRecord*>> by_trace_;
   std::size_t max_finished_ = 65536;
   std::unordered_set<std::uint64_t> pinned_;  // trace ids with an error span
   std::deque<std::uint64_t> pin_order_;       // FIFO for the pin cap

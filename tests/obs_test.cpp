@@ -2,18 +2,23 @@
 // structured events, and the Chrome trace_event exporter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "obs/chrome_trace.h"
+#include "obs/critical_path.h"
 #include "obs/events.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "sim/kernel.h"
+#include "sim/random.h"
 
 namespace magma::obs {
 namespace {
@@ -247,6 +252,127 @@ TEST(Tracer, RetentionBoundWinsWhenEverythingIsPinned) {
   EXPECT_EQ(tracer.finished().size(), 2u);
   EXPECT_EQ(tracer.finished().back().name, "op4");
 }
+
+// trace_spans() reads a per-trace index of raw pointers into the ring. The
+// reference is the plain answer: filter finished() by trace id and order by
+// (start, span_id).
+std::vector<SpanRecord> brute_force_trace_spans(const Tracer& tracer,
+                                                std::uint64_t trace_id) {
+  std::vector<SpanRecord> out;
+  for (const SpanRecord& span : tracer.finished()) {
+    if (span.trace_id == trace_id) out.push_back(span);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
+              return std::tie(a.start, a.span_id) <
+                     std::tie(b.start, b.span_id);
+            });
+  return out;
+}
+
+// The fields a stale index entry gets wrong: identity and times, plus the
+// name and tags a move leaves empty behind it.
+using SpanFields = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                              sim::TimePoint, sim::TimePoint, std::string,
+                              std::size_t, bool>;
+std::vector<SpanFields> span_fields(const std::vector<SpanRecord>& spans) {
+  std::vector<SpanFields> out;
+  for (const SpanRecord& s : spans) {
+    out.emplace_back(s.trace_id, s.span_id, s.parent_span_id, s.start, s.end,
+                     s.name, s.tags.size(), s.error);
+  }
+  return out;
+}
+
+using PathFields =
+    std::tuple<bool, std::uint64_t, std::string, sim::TimePoint, sim::Duration,
+               WaitVector, std::vector<std::pair<std::uint64_t, sim::Duration>>>;
+PathFields path_fields(const CriticalPathResult& cp) {
+  std::vector<std::pair<std::uint64_t, sim::Duration>> path;
+  for (const CriticalPathEdge& edge : cp.path) {
+    path.emplace_back(edge.span_id, edge.duration);
+  }
+  return {cp.valid, cp.trace_id, cp.root_name, cp.root_start,
+          cp.total, cp.breakdown, path};
+}
+
+// Random steps over everything that moves spans in or out of the ring:
+// interleaved open spans (a trace's spans finish out of order), error tags,
+// refcounted pins (double pins, pin(0), pins of evicted traces), retention
+// down to 1-2 and back up, and a pin cap down to 0. After every step, every
+// trace id issued — evicted ones included — must read the same through the
+// index as through the brute-force filter.
+class TracerIndexSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TracerIndexSweep, TraceSpansMatchBruteForceFilter) {
+  sim::Rng rng(GetParam());
+  sim::Kernel kernel;
+  Tracer tracer(kernel);
+  tracer.set_retention(16);
+  std::vector<TraceContext> open;
+  std::vector<TraceContext> finished;
+  std::uint64_t last_trace_id = 0;  // trace ids are issued from 1 upward
+  const auto pick = [&rng](const std::vector<TraceContext>& from) {
+    return from[rng.uniform_int(from.size())];
+  };
+  const auto any_trace = [&] { return rng.uniform_int(last_trace_id + 1); };
+
+  for (int step = 0; step < 1500; ++step) {
+    // Half the steps share the previous instant, so same-start spans lean
+    // on the span_id tie-break.
+    if (rng.bernoulli(0.5)) {
+      kernel.run_until(kernel.now() +
+                       static_cast<sim::Duration>(1 + rng.uniform_int(50)));
+    }
+    const std::uint64_t action = rng.uniform_int(100);
+    if (open.empty() || action < 30) {
+      TraceContext parent{};  // a fresh root, or a child of any span
+      const std::uint64_t parent_from = rng.uniform_int(3);
+      if (parent_from == 1 && !open.empty()) parent = pick(open);
+      if (parent_from == 2 && !finished.empty()) parent = pick(finished);
+      // Names past the small-string buffer, so a moved-from record reads
+      // back empty.
+      const TraceContext span = tracer.begin(
+          "operation-with-a-long-name-" + std::to_string(step), "svc", "gw0",
+          static_cast<SpanKind>(rng.uniform_int(3)), parent);
+      last_trace_id = std::max(last_trace_id, span.trace_id);
+      open.push_back(span);
+    } else if (action < 62) {
+      const std::size_t i = rng.uniform_int(open.size());
+      tracer.end(open[i]);
+      finished.push_back(open[i]);
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (action < 68) {
+      tracer.tag(pick(open), "error", "boom");
+    } else if (action < 74) {
+      tracer.add_wait(pick(open),
+                      static_cast<WaitState>(rng.uniform_int(kWaitStateCount)),
+                      static_cast<sim::Duration>(rng.uniform_int(40)));
+    } else if (action < 84) {
+      tracer.pin(any_trace());
+    } else if (action < 92) {
+      tracer.unpin(any_trace());
+    } else if (action < 97) {
+      tracer.set_retention(rng.bernoulli(0.5) ? 1 + rng.uniform_int(2)
+                                              : 1 + rng.uniform_int(64));
+    } else {
+      tracer.set_max_pinned_traces(rng.uniform_int(4));
+    }
+
+    for (std::uint64_t id = 1; id <= last_trace_id; ++id) {
+      const std::vector<SpanRecord> expected =
+          brute_force_trace_spans(tracer, id);
+      ASSERT_EQ(span_fields(tracer.trace_spans(id)), span_fields(expected))
+          << "trace " << id << " after step " << step;
+      ASSERT_EQ(path_fields(critical_path(tracer, id)),
+                path_fields(critical_path(expected)))
+          << "trace " << id << " after step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TracerIndexSweep,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
 // Histogram

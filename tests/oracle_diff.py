@@ -6,7 +6,7 @@
 Runs each binary once per build, in a fresh directory (benches write
 BENCH_*.json there), and compares exit codes and stdout with host-measured
 "host:" lines dropped. The binaries are the change build's SameSeedStdout.*
-ctests (from `ctest --show-only=json-v1`) plus the two too slow for ctest.
+ctests (from `ctest --show-only=json-v1`) plus fig9, too slow for ctest.
 Prints one verdict per binary and exits 1 if any differs.
 """
 
@@ -17,8 +17,7 @@ import subprocess
 import sys
 import tempfile
 
-SLOW = [["bench/fig9_accessparks_usage"],
-        ["bench/fleet_slo_availability", "--quick"]]
+SLOW = [["bench/fig9_accessparks_usage"]]
 
 
 def oracle_commands(build):

@@ -26,16 +26,16 @@ SUITES=(
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
-# BenchCompareSelfDiff, FleetSloAvailabilityQuick) — running the microbench
-# under ASan exercises the operator new/delete overrides against the
-# sanitizer's interposition, and the availability bench drives statusd's
-# downtime hooks and the attribution join (closures scheduled from RPC
-# continuations — exactly the lifetime shape sanitizers exist for). If the
-# availability bench binary ever falls out of the build, the loop below
-# fails loudly rather than letting the SLO layer go unexercised. The
-# subscriber bench joins them: SpaceSaving merge moves HeavyHitter strings
-# between gateway-owned and metricsd-owned sketches — an aliasing bug there
-# is exactly an ASan find.
+# BenchCompareSelfDiff, SameSeedStdout.fleet_slo_availability) — running
+# the microbench under ASan exercises the operator new/delete overrides
+# against the sanitizer's interposition, and the availability bench drives
+# statusd's downtime hooks and the attribution join (closures scheduled
+# from RPC continuations — exactly the lifetime shape sanitizers exist
+# for). If the availability bench binary ever falls out of the build, the
+# loop below fails loudly rather than letting the SLO layer go
+# unexercised. The subscriber bench joins them: SpaceSaving merge moves
+# HeavyHitter strings between gateway-owned and metricsd-owned sketches —
+# an aliasing bug there is exactly an ASan find.
 BENCHES=(host_microbench bench_compare fleet_slo_availability
          scaleout_subscribers)
 
@@ -61,6 +61,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|FleetSloAvailability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench' \
   "$@"
 echo "sanitized transport suite: OK"

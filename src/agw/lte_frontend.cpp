@@ -22,17 +22,6 @@ lte::EmmCause cause_from_error(const common::Error& error) {
   }
 }
 
-// Zero the MAC field of a NAS message (MACs are computed with mac = 0).
-lte::NasMessage with_zero_mac(lte::NasMessage msg) {
-  if (auto* smc = std::get_if<lte::SecurityModeCommand>(&msg)) smc->mac = 0;
-  if (auto* smk = std::get_if<lte::SecurityModeComplete>(&msg)) smk->mac = 0;
-  if (auto* acc = std::get_if<lte::AttachAccept>(&msg)) acc->mac = 0;
-  if (auto* cpl = std::get_if<lte::AttachComplete>(&msg)) cpl->mac = 0;
-  if (auto* srq = std::get_if<lte::ServiceRequest>(&msg)) srq->mac = 0;
-  if (auto* sra = std::get_if<lte::ServiceAccept>(&msg)) sra->mac = 0;
-  return msg;
-}
-
 }  // namespace
 
 LteFrontend::LteFrontend(sim::Kernel& kernel, Accessd& accessd,
@@ -85,12 +74,6 @@ void LteFrontend::add_enb_channel(net::Channel& channel) {
 
 void LteFrontend::send(EnbConn& conn, const lte::S1apMessage& msg) {
   conn.channel->send(lte::encode_s1ap(msg));
-}
-
-std::uint32_t LteFrontend::compute_mac(const UeCtx& ue, std::uint32_t count,
-                                       lte::NasMessage msg) const {
-  return crypto::nas_mac(ue.k_nas_int, count,
-                         lte::encode_nas(with_zero_mac(std::move(msg))));
 }
 
 common::Bytes LteFrontend::protect_downlink(UeCtx& ue, common::Bytes pdu) {
@@ -323,7 +306,7 @@ void LteFrontend::handle_service_request(EnbConn& conn,
   if (ue == nullptr || !ue->idle) return;
 
   const std::uint32_t expected =
-      compute_mac(*ue, ue->ul_count, lte::NasMessage{sr});
+      lte::nas_mac(ue->k_nas_int, ue->ul_count, lte::NasMessage{sr});
   if (expected != sr.mac) {
     // An unauthentic ServiceRequest must not hijack the context.
     ++stats_.bad_mac;
@@ -362,7 +345,8 @@ void LteFrontend::handle_service_request(EnbConn& conn,
   }
 
   lte::ServiceAccept accept;
-  accept.mac = compute_mac(*ue, ue->dl_count, lte::NasMessage{accept});
+  accept.mac =
+      lte::nas_mac(ue->k_nas_int, ue->dl_count, lte::NasMessage{accept});
   ++ue->dl_count;
   ++stats_.service_accepts;
 
@@ -408,7 +392,8 @@ void LteFrontend::handle_nas(UeCtx& ue, const lte::NasMessage& nas) {
           ue->k_nas_enc =
               crypto::derive_k_nas_enc(ue->kasme, crypto::NasAlgorithm::kEea2);
           lte::SecurityModeCommand smc;
-          smc.mac = compute_mac(*ue, ue->dl_count, lte::NasMessage{smc});
+          smc.mac =
+              lte::nas_mac(ue->k_nas_int, ue->dl_count, lte::NasMessage{smc});
           ++ue->dl_count;
           ++stats_.smc_sent;
           send_nas(*ue, lte::NasMessage{smc});
@@ -444,7 +429,7 @@ void LteFrontend::handle_nas(UeCtx& ue, const lte::NasMessage& nas) {
 
   if (const auto* smc = std::get_if<lte::SecurityModeComplete>(&nas)) {
     const std::uint32_t expected =
-        compute_mac(ue, ue.ul_count, lte::NasMessage{*smc});
+        lte::nas_mac(ue.k_nas_int, ue.ul_count, lte::NasMessage{*smc});
     if (expected != smc->mac) {
       ++stats_.bad_mac;
       reject(ue, lte::EmmCause::kSecurityModeRejected);
@@ -478,7 +463,8 @@ void LteFrontend::handle_nas(UeCtx& ue, const lte::NasMessage& nas) {
           accept.bearer.qci = info.value().qci;
           accept.bearer.ambr_dl_bps = info.value().ambr_dl_bps;
           accept.bearer.ambr_ul_bps = info.value().ambr_ul_bps;
-          accept.mac = compute_mac(*ue, ue->dl_count, lte::NasMessage{accept});
+          accept.mac = lte::nas_mac(ue->k_nas_int, ue->dl_count,
+                                    lte::NasMessage{accept});
           ++ue->dl_count;
 
           lte::InitialContextSetupRequest ics;
@@ -498,7 +484,7 @@ void LteFrontend::handle_nas(UeCtx& ue, const lte::NasMessage& nas) {
 
   if (const auto* complete = std::get_if<lte::AttachComplete>(&nas)) {
     const std::uint32_t expected =
-        compute_mac(ue, ue.ul_count, lte::NasMessage{*complete});
+        lte::nas_mac(ue.k_nas_int, ue.ul_count, lte::NasMessage{*complete});
     if (expected != complete->mac) {
       ++stats_.bad_mac;
       return;

@@ -118,9 +118,6 @@ class LteFrontend {
   void finish_attach_trace(UeCtx& ue, const char* outcome, const char* type,
                            const std::string& detail);
 
-  // NAS integrity: MAC computed over the message with its mac field zeroed.
-  std::uint32_t compute_mac(const UeCtx& ue, std::uint32_t count,
-                            proto::lte::NasMessage msg) const;
   // Apply NAS ciphering to an outgoing (downlink) pdu if security is
   // active; consumes one downlink cipher count.
   common::Bytes protect_downlink(UeCtx& ue, common::Bytes pdu);

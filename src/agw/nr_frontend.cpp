@@ -21,14 +21,6 @@ nr::FgmmCause cause_from_error(const common::Error& error) {
   }
 }
 
-nr::Nas5gMessage with_zero_mac(nr::Nas5gMessage msg) {
-  if (auto* smc = std::get_if<nr::SecurityModeCommand5g>(&msg)) smc->mac = 0;
-  if (auto* smk = std::get_if<nr::SecurityModeComplete5g>(&msg)) smk->mac = 0;
-  if (auto* acc = std::get_if<nr::RegistrationAccept>(&msg)) acc->mac = 0;
-  if (auto* cpl = std::get_if<nr::RegistrationComplete>(&msg)) cpl->mac = 0;
-  return msg;
-}
-
 }  // namespace
 
 NrFrontend::NrFrontend(sim::Kernel& kernel, Accessd& accessd,
@@ -51,12 +43,6 @@ void NrFrontend::add_gnb_channel(net::Channel& channel) {
 
 void NrFrontend::send(GnbConn& conn, const nr::NgapMessage& msg) {
   conn.channel->send(nr::encode_ngap(msg));
-}
-
-std::uint32_t NrFrontend::compute_mac(const UeCtx& ue, std::uint32_t count,
-                                      nr::Nas5gMessage msg) const {
-  return crypto::nas_mac(ue.k_nas_int, count,
-                         nr::encode_nas5g(with_zero_mac(std::move(msg))));
 }
 
 void NrFrontend::send_nas(UeCtx& ue, const nr::Nas5gMessage& nas) {
@@ -190,7 +176,8 @@ void NrFrontend::handle_nas(UeCtx& ue, const nr::Nas5gMessage& nas) {
           ue->k_nas_int =
               crypto::derive_k_nas_int(ue->kasme, crypto::NasAlgorithm::kEia2);
           nr::SecurityModeCommand5g smc;
-          smc.mac = compute_mac(*ue, ue->dl_count, nr::Nas5gMessage{smc});
+          smc.mac =
+              nr::nas_mac(ue->k_nas_int, ue->dl_count, nr::Nas5gMessage{smc});
           ++ue->dl_count;
           send_nas(*ue, nr::Nas5gMessage{smc});
         });
@@ -199,7 +186,7 @@ void NrFrontend::handle_nas(UeCtx& ue, const nr::Nas5gMessage& nas) {
 
   if (const auto* smc = std::get_if<nr::SecurityModeComplete5g>(&nas)) {
     const std::uint32_t expected =
-        compute_mac(ue, ue.ul_count, nr::Nas5gMessage{*smc});
+        nr::nas_mac(ue.k_nas_int, ue.ul_count, nr::Nas5gMessage{*smc});
     if (expected != smc->mac) {
       ++stats_.bad_mac;
       reject_registration(ue, nr::FgmmCause::kIllegalUe);
@@ -210,7 +197,8 @@ void NrFrontend::handle_nas(UeCtx& ue, const nr::Nas5gMessage& nas) {
     // 5G: registration completes *without* a user-plane session.
     nr::RegistrationAccept accept;
     accept.fg_tmsi = next_fg_tmsi_++;
-    accept.mac = compute_mac(ue, ue.dl_count, nr::Nas5gMessage{accept});
+    accept.mac =
+        nr::nas_mac(ue.k_nas_int, ue.dl_count, nr::Nas5gMessage{accept});
     ++ue.dl_count;
     ue.registered = true;
     ++stats_.registrations_accepted;

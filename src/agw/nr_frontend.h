@@ -71,9 +71,6 @@ class NrFrontend {
   void release_ue(UeCtx& ue, const std::string& cause);
   UeCtx* find_by_amf_id(std::uint32_t amf_ue_id);
 
-  std::uint32_t compute_mac(const UeCtx& ue, std::uint32_t count,
-                            proto::nr5g::Nas5gMessage msg) const;
-
   sim::Kernel& kernel_;
   Accessd& accessd_;
   Sessiond& sessiond_;

@@ -2,54 +2,24 @@
 
 #include <algorithm>
 
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::agw {
 
 namespace dp = magma::datapath;
 
+MAGMA_WIRE_FIELDS(SessionFlows, m.cookie, m.ue_ip, m.tunneled, m.agw_teid_ul,
+                  m.enb_teid_dl, m.enb_address, m.dl_rate_bps, m.ul_rate_bps,
+                  m.blocked, m.idle, m.home_routed, m.home_teid_remote,
+                  m.home_agg_address, m.home_teid_local);
+
 common::Bytes SessionFlows::serialize() const {
-  rpc::Writer w;
-  w.u64(cookie);
-  w.u32(ue_ip.addr);
-  w.boolean(tunneled);
-  w.u32(agw_teid_ul.value);
-  w.u32(enb_teid_dl.value);
-  w.u32(enb_address.addr);
-  w.u64(dl_rate_bps);
-  w.u64(ul_rate_bps);
-  w.boolean(blocked);
-  w.boolean(idle);
-  w.boolean(home_routed);
-  w.u32(home_teid_remote.value);
-  w.u32(home_agg_address.addr);
-  w.u32(home_teid_local.value);
-  return std::move(w).take();
+  return rpc::encode_record(*this);
 }
 
 common::Result<SessionFlows> SessionFlows::deserialize(
     common::BytesView data) {
-  rpc::Reader r(data);
-  SessionFlows f;
-  f.cookie = r.u64();
-  f.ue_ip.addr = r.u32();
-  f.tunneled = r.boolean();
-  f.agw_teid_ul.value = r.u32();
-  f.enb_teid_dl.value = r.u32();
-  f.enb_address.addr = r.u32();
-  f.dl_rate_bps = r.u64();
-  f.ul_rate_bps = r.u64();
-  f.blocked = r.boolean();
-  f.idle = r.boolean();
-  f.home_routed = r.boolean();
-  f.home_teid_remote.value = r.u32();
-  f.home_agg_address.addr = r.u32();
-  f.home_teid_local.value = r.u32();
-  if (!r.ok() || !r.at_end()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt SessionFlows"};
-  }
-  return f;
+  return rpc::decode_record<SessionFlows>(data, "corrupt SessionFlows");
 }
 
 Pipelined::Pipelined() = default;

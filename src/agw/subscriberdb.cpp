@@ -3,12 +3,20 @@
 #include <algorithm>
 #include <cstring>
 
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::agw {
 
 namespace {
 constexpr std::array<std::uint8_t, 2> kAmf = {0x80, 0x00};
+
+// The row to cache for a pushed config row. SQN is runtime state owned by
+// this AGW: a config push, full or delta, must not rewind it, or the next
+// vector would be rejected by the USIM.
+SubscriberData keep_sqn(SubscriberData pushed, const SubscriberData* cached) {
+  if (cached != nullptr) pushed.sqn = std::max(pushed.sqn, cached->sqn);
+  return pushed;
+}
 }  // namespace
 
 std::array<std::uint8_t, 6> sqn_to_bytes(std::uint64_t sqn) {
@@ -26,39 +34,17 @@ std::uint64_t sqn_from_bytes(const std::array<std::uint8_t, 6>& bytes) {
   return sqn;
 }
 
+MAGMA_WIRE_FIELDS(SubscriberData, m.imsi, m.k, m.opc, m.sqn, m.policy_name,
+                  m.wifi_password, m.active);
+
 common::Bytes SubscriberData::serialize() const {
-  rpc::Writer w;
-  w.str(imsi.value);
-  w.bytes(common::BytesView(k.data(), k.size()));
-  w.bytes(common::BytesView(opc.data(), opc.size()));
-  w.u64(sqn);
-  w.str(policy_name);
-  w.str(wifi_password);
-  w.boolean(active);
-  return std::move(w).take();
+  return rpc::encode_record(*this);
 }
 
 common::Result<SubscriberData> SubscriberData::deserialize(
     common::BytesView data) {
-  rpc::Reader r(data);
-  SubscriberData s;
-  s.imsi.value = r.str();
-  const common::Bytes k = r.bytes();
-  const common::Bytes opc = r.bytes();
-  if (k.size() != 16 || opc.size() != 16) {
-    return common::Error{common::ErrorCode::kInvalidArgument, "bad key size"};
-  }
-  std::copy(k.begin(), k.end(), s.k.begin());
-  std::copy(opc.begin(), opc.end(), s.opc.begin());
-  s.sqn = r.u64();
-  s.policy_name = r.str();
-  s.wifi_password = r.str();
-  s.active = r.boolean();
-  if (!r.ok() || !r.at_end() || !s.imsi.valid()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt subscriber record"};
-  }
-  return s;
+  return rpc::decode_record<SubscriberData>(data,
+                                            "corrupt subscriber record");
 }
 
 SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source,
@@ -68,7 +54,8 @@ SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source,
 }
 
 void SubscriberDb::upsert(SubscriberData data) {
-  subscribers_[data.imsi] = std::move(data);
+  SubscriberData& cached = subscribers_[data.imsi];
+  cached = keep_sqn(std::move(data), &cached);
 }
 
 void SubscriberDb::remove(const common::Imsi& imsi) {
@@ -97,14 +84,9 @@ void SubscriberDb::replace_all(const std::vector<SubscriberData>& data) {
   std::unordered_map<common::Imsi, SubscriberData> next;
   next.reserve(data.size());
   for (const SubscriberData& s : data) {
-    SubscriberData entry = s;
-    // SQN is runtime state owned by this AGW: a config push must not
-    // rewind it, or the next vector would be rejected by the USIM.
     auto it = subscribers_.find(s.imsi);
-    if (it != subscribers_.end()) {
-      entry.sqn = std::max(entry.sqn, it->second.sqn);
-    }
-    next[entry.imsi] = std::move(entry);
+    next[s.imsi] =
+        keep_sqn(s, it == subscribers_.end() ? nullptr : &it->second);
   }
   subscribers_ = std::move(next);
 }

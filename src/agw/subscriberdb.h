@@ -70,6 +70,8 @@ class SubscriberDb {
   explicit SubscriberDb(std::function<std::uint64_t()> rand_source,
                         std::string plmn = "00101");
 
+  // Adds or overwrites one row (a delta sync). Like replace_all, it keeps
+  // the cached SQN when that is ahead of the pushed one.
   void upsert(SubscriberData data);
   void remove(const common::Imsi& imsi);
   std::optional<SubscriberData> get(const common::Imsi& imsi);

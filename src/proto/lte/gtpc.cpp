@@ -1,162 +1,31 @@
 #include "proto/lte/gtpc.h"
 
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::proto::lte {
 
+// Wire layouts. The tag is 32 + the message's index in GtpcMessage: the real
+// GTP-C message type numbers.
+MAGMA_WIRE_FIELDS(CreateSessionRequest, m.imsi, m.apn, m.sender_teid_c,
+                  m.sender_address, m.sequence);
+MAGMA_WIRE_FIELDS(CreateSessionResponse, m.cause, m.pgw_teid_c, m.pgw_teid_u,
+                  m.pgw_address, m.pdn_address, m.sequence);
+MAGMA_WIRE_FIELDS(ModifyBearerRequest, m.teid, m.enb_teid_u, m.enb_address,
+                  m.sequence);
+MAGMA_WIRE_FIELDS(ModifyBearerResponse, m.cause, m.sequence);
+MAGMA_WIRE_FIELDS(DeleteSessionRequest, m.teid, m.sequence);
+MAGMA_WIRE_FIELDS(DeleteSessionResponse, m.cause, m.sequence);
+
 namespace {
-
-using rpc::Reader;
-using rpc::Writer;
-
-enum class Tag : std::uint8_t {
-  kCreateSessionRequest = 32,   // real GTP-C message type numbers
-  kCreateSessionResponse = 33,
-  kModifyBearerRequest = 34,
-  kModifyBearerResponse = 35,
-  kDeleteSessionRequest = 36,
-  kDeleteSessionResponse = 37,
-};
-
-struct Encoder {
-  Writer& w;
-
-  void operator()(const CreateSessionRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kCreateSessionRequest));
-    w.str(m.imsi.value);
-    w.str(m.apn);
-    w.u32(m.sender_teid_c.value);
-    w.u32(m.sender_address.addr);
-    w.u32(m.sequence);
-  }
-  void operator()(const CreateSessionResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kCreateSessionResponse));
-    w.u8(m.cause);
-    w.u32(m.pgw_teid_c.value);
-    w.u32(m.pgw_teid_u.value);
-    w.u32(m.pgw_address.addr);
-    w.u32(m.pdn_address.addr);
-    w.u32(m.sequence);
-  }
-  void operator()(const ModifyBearerRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kModifyBearerRequest));
-    w.u32(m.teid.value);
-    w.u32(m.enb_teid_u.value);
-    w.u32(m.enb_address.addr);
-    w.u32(m.sequence);
-  }
-  void operator()(const ModifyBearerResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kModifyBearerResponse));
-    w.u8(m.cause);
-    w.u32(m.sequence);
-  }
-  void operator()(const DeleteSessionRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDeleteSessionRequest));
-    w.u32(m.teid.value);
-    w.u32(m.sequence);
-  }
-  void operator()(const DeleteSessionResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDeleteSessionResponse));
-    w.u8(m.cause);
-    w.u32(m.sequence);
-  }
-};
-
+using Codec = rpc::MessageCodec<GtpcMessage, 32>;
 }  // namespace
 
 common::Bytes encode_gtpc(const GtpcMessage& msg) {
-  Writer w;
-  std::visit(Encoder{w}, msg);
-  return std::move(w).take();
+  return Codec::encode(msg);
 }
 
 common::Result<GtpcMessage> decode_gtpc(common::BytesView data) {
-  Reader r(data);
-  const auto tag = static_cast<Tag>(r.u8());
-  auto fail = []() -> common::Result<GtpcMessage> {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "malformed GTP-C pdu"};
-  };
-  if (!r.ok()) return fail();
-
-  switch (tag) {
-    case Tag::kCreateSessionRequest: {
-      CreateSessionRequest m;
-      m.imsi.value = r.str();
-      m.apn = r.str();
-      m.sender_teid_c.value = r.u32();
-      m.sender_address.addr = r.u32();
-      m.sequence = r.u32();
-      if (!r.ok() || !m.imsi.valid()) return fail();
-      return GtpcMessage{m};
-    }
-    case Tag::kCreateSessionResponse: {
-      CreateSessionResponse m;
-      m.cause = r.u8();
-      m.pgw_teid_c.value = r.u32();
-      m.pgw_teid_u.value = r.u32();
-      m.pgw_address.addr = r.u32();
-      m.pdn_address.addr = r.u32();
-      m.sequence = r.u32();
-      if (!r.ok()) return fail();
-      return GtpcMessage{m};
-    }
-    case Tag::kModifyBearerRequest: {
-      ModifyBearerRequest m;
-      m.teid.value = r.u32();
-      m.enb_teid_u.value = r.u32();
-      m.enb_address.addr = r.u32();
-      m.sequence = r.u32();
-      if (!r.ok()) return fail();
-      return GtpcMessage{m};
-    }
-    case Tag::kModifyBearerResponse: {
-      ModifyBearerResponse m;
-      m.cause = r.u8();
-      m.sequence = r.u32();
-      if (!r.ok()) return fail();
-      return GtpcMessage{m};
-    }
-    case Tag::kDeleteSessionRequest: {
-      DeleteSessionRequest m;
-      m.teid.value = r.u32();
-      m.sequence = r.u32();
-      if (!r.ok()) return fail();
-      return GtpcMessage{m};
-    }
-    case Tag::kDeleteSessionResponse: {
-      DeleteSessionResponse m;
-      m.cause = r.u8();
-      m.sequence = r.u32();
-      if (!r.ok()) return fail();
-      return GtpcMessage{m};
-    }
-  }
-  return fail();
-}
-
-std::string gtpc_message_name(const GtpcMessage& msg) {
-  struct Namer {
-    std::string operator()(const CreateSessionRequest&) {
-      return "CreateSessionRequest";
-    }
-    std::string operator()(const CreateSessionResponse&) {
-      return "CreateSessionResponse";
-    }
-    std::string operator()(const ModifyBearerRequest&) {
-      return "ModifyBearerRequest";
-    }
-    std::string operator()(const ModifyBearerResponse&) {
-      return "ModifyBearerResponse";
-    }
-    std::string operator()(const DeleteSessionRequest&) {
-      return "DeleteSessionRequest";
-    }
-    std::string operator()(const DeleteSessionResponse&) {
-      return "DeleteSessionResponse";
-    }
-  };
-  return std::visit(Namer{}, msg);
+  return Codec::decode(data, "malformed GTP-C pdu");
 }
 
 std::uint32_t gtpc_sequence(const GtpcMessage& msg) {

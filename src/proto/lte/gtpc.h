@@ -77,7 +77,6 @@ using GtpcMessage =
 
 common::Bytes encode_gtpc(const GtpcMessage& msg);
 common::Result<GtpcMessage> decode_gtpc(common::BytesView data);
-std::string gtpc_message_name(const GtpcMessage& msg);
 
 // Sequence number accessor (retransmission matching).
 std::uint32_t gtpc_sequence(const GtpcMessage& msg);

@@ -1,270 +1,50 @@
 #include "proto/lte/nas.h"
 
+#include "rpc/fields.h"
+
 namespace magma::proto::lte {
 
+// Wire layouts. The tag is 1 + the message's index in NasMessage.
+MAGMA_WIRE_FIELDS(AttachRequest, m.imsi, m.capability.supports_eea2,
+                  m.capability.supports_eia2);
+MAGMA_WIRE_FIELDS(AuthenticationRequest, m.rand, m.autn);
+MAGMA_WIRE_FIELDS(AuthenticationResponse, m.res);
+MAGMA_WIRE_FIELDS(AuthenticationFailure, m.cause, m.auts);
+MAGMA_WIRE_FIELDS(SecurityModeCommand, m.ciphering_alg, m.integrity_alg,
+                  m.mac);
+MAGMA_WIRE_FIELDS(SecurityModeComplete, m.mac);
+MAGMA_WIRE_FIELDS(DefaultBearer, m.ebi, m.apn, m.pdn_address, m.qci,
+                  m.ambr_dl_bps, m.ambr_ul_bps);
+MAGMA_WIRE_FIELDS(AttachAccept, m.m_tmsi, m.bearer, m.mac);
+MAGMA_WIRE_FIELDS(AttachComplete, m.mac);
+MAGMA_WIRE_FIELDS(AttachReject, m.cause);
+MAGMA_WIRE_FIELDS(DetachRequest, m.switch_off);
+MAGMA_WIRE_FIELDS(DetachAccept);
+MAGMA_WIRE_FIELDS(ServiceRequest, m.m_tmsi, m.mac);
+MAGMA_WIRE_FIELDS(ServiceReject, m.cause);
+MAGMA_WIRE_FIELDS(ServiceAccept, m.mac);
+
 namespace {
-
-using rpc::Reader;
-using rpc::Writer;
-
-enum class Tag : std::uint8_t {
-  kAttachRequest = 1,
-  kAuthenticationRequest,
-  kAuthenticationResponse,
-  kAuthenticationFailure,
-  kSecurityModeCommand,
-  kSecurityModeComplete,
-  kAttachAccept,
-  kAttachComplete,
-  kAttachReject,
-  kDetachRequest,
-  kDetachAccept,
-  kServiceRequest,
-  kServiceReject,
-  kServiceAccept,
-};
-
-template <std::size_t N>
-void put_array(Writer& w, const std::array<std::uint8_t, N>& a) {
-  w.bytes(common::BytesView(a.data(), a.size()));
-}
-
-template <std::size_t N>
-bool get_array(Reader& r, std::array<std::uint8_t, N>& a) {
-  const common::Bytes b = r.bytes();
-  if (b.size() != N) return false;
-  std::copy(b.begin(), b.end(), a.begin());
-  return true;
-}
-
-void encode_bearer(Writer& w, const DefaultBearer& b) {
-  w.u8(b.ebi);
-  w.str(b.apn);
-  w.u32(b.pdn_address.addr);
-  w.u8(b.qci);
-  w.u64(b.ambr_dl_bps);
-  w.u64(b.ambr_ul_bps);
-}
-
-DefaultBearer decode_bearer(Reader& r) {
-  DefaultBearer b;
-  b.ebi = r.u8();
-  b.apn = r.str();
-  b.pdn_address.addr = r.u32();
-  b.qci = r.u8();
-  b.ambr_dl_bps = r.u64();
-  b.ambr_ul_bps = r.u64();
-  return b;
-}
-
-struct Encoder {
-  Writer& w;
-
-  void operator()(const AttachRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAttachRequest));
-    w.str(m.imsi.value);
-    w.boolean(m.capability.supports_eea2);
-    w.boolean(m.capability.supports_eia2);
-  }
-  void operator()(const AuthenticationRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAuthenticationRequest));
-    put_array(w, m.rand);
-    put_array(w, m.autn);
-  }
-  void operator()(const AuthenticationResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAuthenticationResponse));
-    put_array(w, m.res);
-  }
-  void operator()(const AuthenticationFailure& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAuthenticationFailure));
-    w.u8(static_cast<std::uint8_t>(m.cause));
-    put_array(w, m.auts);
-  }
-  void operator()(const SecurityModeCommand& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSecurityModeCommand));
-    w.u8(m.ciphering_alg);
-    w.u8(m.integrity_alg);
-    w.u32(m.mac);
-  }
-  void operator()(const SecurityModeComplete& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSecurityModeComplete));
-    w.u32(m.mac);
-  }
-  void operator()(const AttachAccept& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAttachAccept));
-    w.u32(m.m_tmsi);
-    encode_bearer(w, m.bearer);
-    w.u32(m.mac);
-  }
-  void operator()(const AttachComplete& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAttachComplete));
-    w.u32(m.mac);
-  }
-  void operator()(const AttachReject& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAttachReject));
-    w.u8(static_cast<std::uint8_t>(m.cause));
-  }
-  void operator()(const DetachRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDetachRequest));
-    w.boolean(m.switch_off);
-  }
-  void operator()(const DetachAccept&) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDetachAccept));
-  }
-  void operator()(const ServiceRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kServiceRequest));
-    w.u32(m.m_tmsi);
-    w.u32(m.mac);
-  }
-  void operator()(const ServiceReject& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kServiceReject));
-    w.u8(static_cast<std::uint8_t>(m.cause));
-  }
-  void operator()(const ServiceAccept& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kServiceAccept));
-    w.u32(m.mac);
-  }
-};
-
+using Codec = rpc::MessageCodec<NasMessage>;
 }  // namespace
 
-common::Bytes encode_nas(const NasMessage& msg) {
-  Writer w;
-  std::visit(Encoder{w}, msg);
-  return std::move(w).take();
-}
+common::Bytes encode_nas(const NasMessage& msg) { return Codec::encode(msg); }
 
 common::Result<NasMessage> decode_nas(common::BytesView data) {
-  Reader r(data);
-  const auto tag = static_cast<Tag>(r.u8());
-  if (!r.ok()) {
+  if (data.empty()) {
     return common::Error{common::ErrorCode::kInvalidArgument, "empty NAS pdu"};
   }
-  auto fail = []() -> common::Result<NasMessage> {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "malformed NAS pdu"};
-  };
-
-  switch (tag) {
-    case Tag::kAttachRequest: {
-      AttachRequest m;
-      m.imsi.value = r.str();
-      m.capability.supports_eea2 = r.boolean();
-      m.capability.supports_eia2 = r.boolean();
-      if (!r.ok() || !m.imsi.valid()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kAuthenticationRequest: {
-      AuthenticationRequest m;
-      if (!get_array(r, m.rand) || !get_array(r, m.autn) || !r.ok()) {
-        return fail();
-      }
-      return NasMessage{m};
-    }
-    case Tag::kAuthenticationResponse: {
-      AuthenticationResponse m;
-      if (!get_array(r, m.res) || !r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kAuthenticationFailure: {
-      AuthenticationFailure m;
-      m.cause = static_cast<EmmCause>(r.u8());
-      if (!get_array(r, m.auts) || !r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kSecurityModeCommand: {
-      SecurityModeCommand m;
-      m.ciphering_alg = r.u8();
-      m.integrity_alg = r.u8();
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kSecurityModeComplete: {
-      SecurityModeComplete m;
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kAttachAccept: {
-      AttachAccept m;
-      m.m_tmsi = r.u32();
-      m.bearer = decode_bearer(r);
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kAttachComplete: {
-      AttachComplete m;
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kAttachReject: {
-      AttachReject m;
-      m.cause = static_cast<EmmCause>(r.u8());
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kDetachRequest: {
-      DetachRequest m;
-      m.switch_off = r.boolean();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kDetachAccept:
-      return NasMessage{DetachAccept{}};
-    case Tag::kServiceRequest: {
-      ServiceRequest m;
-      m.m_tmsi = r.u32();
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kServiceReject: {
-      ServiceReject m;
-      m.cause = static_cast<EmmCause>(r.u8());
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-    case Tag::kServiceAccept: {
-      ServiceAccept m;
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return NasMessage{m};
-    }
-  }
-  return fail();
+  return Codec::decode(data, "malformed NAS pdu");
 }
 
-std::string nas_message_name(const NasMessage& msg) {
-  struct Namer {
-    std::string operator()(const AttachRequest&) { return "AttachRequest"; }
-    std::string operator()(const AuthenticationRequest&) {
-      return "AuthenticationRequest";
-    }
-    std::string operator()(const AuthenticationResponse&) {
-      return "AuthenticationResponse";
-    }
-    std::string operator()(const AuthenticationFailure&) {
-      return "AuthenticationFailure";
-    }
-    std::string operator()(const SecurityModeCommand&) {
-      return "SecurityModeCommand";
-    }
-    std::string operator()(const SecurityModeComplete&) {
-      return "SecurityModeComplete";
-    }
-    std::string operator()(const AttachAccept&) { return "AttachAccept"; }
-    std::string operator()(const AttachComplete&) { return "AttachComplete"; }
-    std::string operator()(const AttachReject&) { return "AttachReject"; }
-    std::string operator()(const DetachRequest&) { return "DetachRequest"; }
-    std::string operator()(const DetachAccept&) { return "DetachAccept"; }
-    std::string operator()(const ServiceRequest&) { return "ServiceRequest"; }
-    std::string operator()(const ServiceReject&) { return "ServiceReject"; }
-    std::string operator()(const ServiceAccept&) { return "ServiceAccept"; }
-  };
-  return std::visit(Namer{}, msg);
+std::uint32_t nas_mac(const crypto::Key256& k_nas_int, std::uint32_t count,
+                      NasMessage msg) {
+  std::visit(
+      [](auto& m) {
+        if constexpr (requires { m.mac; }) m.mac = 0;
+      },
+      msg);
+  return crypto::nas_mac(k_nas_int, count, encode_nas(msg));
 }
 
 }  // namespace magma::proto::lte

@@ -21,7 +21,7 @@
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "common/result.h"
-#include "rpc/wire.h"
+#include "crypto/kdf.h"
 
 namespace magma::proto::lte {
 
@@ -142,7 +142,10 @@ using NasMessage =
 common::Bytes encode_nas(const NasMessage& msg);
 common::Result<NasMessage> decode_nas(common::BytesView data);
 
-// Human-readable message name (tracing, Figure-1 bench).
-std::string nas_message_name(const NasMessage& msg);
+// Integrity MAC of `msg` under K_NASint at NAS COUNT `count`: computed over
+// its encoding with its `mac` field (if it has one) zeroed. The UE and the
+// AGW both call this, so the two ends agree by construction.
+std::uint32_t nas_mac(const crypto::Key256& k_nas_int, std::uint32_t count,
+                      NasMessage msg);
 
 }  // namespace magma::proto::lte

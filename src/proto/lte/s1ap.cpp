@@ -1,310 +1,47 @@
 #include "proto/lte/s1ap.h"
 
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::proto::lte {
 
+// Wire layouts. The tag is 1 + the message's index in S1apMessage.
+MAGMA_WIRE_FIELDS(S1SetupRequest, m.enb_id, m.enb_name, m.plmn, m.tac);
+MAGMA_WIRE_FIELDS(S1SetupResponse, m.mme_name, m.relative_capacity);
+MAGMA_WIRE_FIELDS(S1SetupFailure, m.cause);
+MAGMA_WIRE_FIELDS(InitialUeMessage, m.enb_ue_s1ap_id, m.tac, m.nas_pdu);
+MAGMA_WIRE_FIELDS(UplinkNasTransport, m.enb_ue_s1ap_id, m.mme_ue_s1ap_id,
+                  m.nas_pdu);
+MAGMA_WIRE_FIELDS(DownlinkNasTransport, m.enb_ue_s1ap_id, m.mme_ue_s1ap_id,
+                  m.nas_pdu);
+MAGMA_WIRE_FIELDS(InitialContextSetupRequest, m.enb_ue_s1ap_id,
+                  m.mme_ue_s1ap_id, m.agw_teid_ul, m.agw_address, m.kenb,
+                  m.nas_pdu);
+MAGMA_WIRE_FIELDS(InitialContextSetupResponse, m.enb_ue_s1ap_id,
+                  m.mme_ue_s1ap_id, m.enb_teid_dl, m.enb_address);
+MAGMA_WIRE_FIELDS(InitialContextSetupFailure, m.enb_ue_s1ap_id,
+                  m.mme_ue_s1ap_id, m.cause);
+MAGMA_WIRE_FIELDS(UeContextReleaseCommand, m.enb_ue_s1ap_id, m.mme_ue_s1ap_id,
+                  m.cause);
+MAGMA_WIRE_FIELDS(UeContextReleaseComplete, m.enb_ue_s1ap_id,
+                  m.mme_ue_s1ap_id);
+MAGMA_WIRE_FIELDS(UeContextReleaseRequest, m.enb_ue_s1ap_id, m.mme_ue_s1ap_id,
+                  m.cause);
+MAGMA_WIRE_FIELDS(PathSwitchRequest, m.enb_ue_s1ap_id, m.mme_ue_s1ap_id,
+                  m.enb_teid_dl, m.enb_address);
+MAGMA_WIRE_FIELDS(PathSwitchRequestAcknowledge, m.enb_ue_s1ap_id,
+                  m.mme_ue_s1ap_id);
+MAGMA_WIRE_FIELDS(PagingMessage, m.imsi);
+
 namespace {
-
-using rpc::Reader;
-using rpc::Writer;
-
-enum class Tag : std::uint8_t {
-  kS1SetupRequest = 1,
-  kS1SetupResponse,
-  kS1SetupFailure,
-  kInitialUeMessage,
-  kUplinkNasTransport,
-  kDownlinkNasTransport,
-  kInitialContextSetupRequest,
-  kInitialContextSetupResponse,
-  kInitialContextSetupFailure,
-  kUeContextReleaseCommand,
-  kUeContextReleaseComplete,
-  kUeContextReleaseRequest,
-  kPathSwitchRequest,
-  kPathSwitchRequestAcknowledge,
-  kPaging,
-};
-
-struct Encoder {
-  Writer& w;
-
-  void operator()(const S1SetupRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kS1SetupRequest));
-    w.u32(m.enb_id.value);
-    w.str(m.enb_name);
-    w.str(m.plmn);
-    w.u16(m.tac);
-  }
-  void operator()(const S1SetupResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kS1SetupResponse));
-    w.str(m.mme_name);
-    w.u8(m.relative_capacity);
-  }
-  void operator()(const S1SetupFailure& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kS1SetupFailure));
-    w.str(m.cause);
-  }
-  void operator()(const InitialUeMessage& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kInitialUeMessage));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u16(m.tac);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const UplinkNasTransport& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUplinkNasTransport));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const DownlinkNasTransport& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDownlinkNasTransport));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const InitialContextSetupRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kInitialContextSetupRequest));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.u32(m.agw_teid_ul.value);
-    w.u32(m.agw_address.addr);
-    w.bytes(common::BytesView(m.kenb.data(), m.kenb.size()));
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const InitialContextSetupResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kInitialContextSetupResponse));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.u32(m.enb_teid_dl.value);
-    w.u32(m.enb_address.addr);
-  }
-  void operator()(const InitialContextSetupFailure& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kInitialContextSetupFailure));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.str(m.cause);
-  }
-  void operator()(const UeContextReleaseCommand& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUeContextReleaseCommand));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.str(m.cause);
-  }
-  void operator()(const UeContextReleaseComplete& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUeContextReleaseComplete));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-  }
-  void operator()(const UeContextReleaseRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUeContextReleaseRequest));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.str(m.cause);
-  }
-  void operator()(const PathSwitchRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPathSwitchRequest));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-    w.u32(m.enb_teid_dl.value);
-    w.u32(m.enb_address.addr);
-  }
-  void operator()(const PathSwitchRequestAcknowledge& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPathSwitchRequestAcknowledge));
-    w.u32(m.enb_ue_s1ap_id);
-    w.u32(m.mme_ue_s1ap_id);
-  }
-  void operator()(const PagingMessage& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPaging));
-    w.str(m.imsi.value);
-  }
-};
-
+using Codec = rpc::MessageCodec<S1apMessage>;
 }  // namespace
 
 common::Bytes encode_s1ap(const S1apMessage& msg) {
-  Writer w;
-  std::visit(Encoder{w}, msg);
-  return std::move(w).take();
+  return Codec::encode(msg);
 }
 
 common::Result<S1apMessage> decode_s1ap(common::BytesView data) {
-  Reader r(data);
-  const auto tag = static_cast<Tag>(r.u8());
-  auto fail = []() -> common::Result<S1apMessage> {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "malformed S1AP pdu"};
-  };
-  if (!r.ok()) return fail();
-
-  switch (tag) {
-    case Tag::kS1SetupRequest: {
-      S1SetupRequest m;
-      m.enb_id.value = r.u32();
-      m.enb_name = r.str();
-      m.plmn = r.str();
-      m.tac = r.u16();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kS1SetupResponse: {
-      S1SetupResponse m;
-      m.mme_name = r.str();
-      m.relative_capacity = r.u8();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kS1SetupFailure: {
-      S1SetupFailure m;
-      m.cause = r.str();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kInitialUeMessage: {
-      InitialUeMessage m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.tac = r.u16();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kUplinkNasTransport: {
-      UplinkNasTransport m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kDownlinkNasTransport: {
-      DownlinkNasTransport m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kInitialContextSetupRequest: {
-      InitialContextSetupRequest m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.agw_teid_ul.value = r.u32();
-      m.agw_address.addr = r.u32();
-      const common::Bytes kenb = r.bytes();
-      if (kenb.size() != m.kenb.size()) return fail();
-      std::copy(kenb.begin(), kenb.end(), m.kenb.begin());
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kInitialContextSetupResponse: {
-      InitialContextSetupResponse m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.enb_teid_dl.value = r.u32();
-      m.enb_address.addr = r.u32();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kInitialContextSetupFailure: {
-      InitialContextSetupFailure m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.cause = r.str();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kUeContextReleaseCommand: {
-      UeContextReleaseCommand m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.cause = r.str();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kUeContextReleaseComplete: {
-      UeContextReleaseComplete m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kUeContextReleaseRequest: {
-      UeContextReleaseRequest m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.cause = r.str();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kPathSwitchRequest: {
-      PathSwitchRequest m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      m.enb_teid_dl.value = r.u32();
-      m.enb_address.addr = r.u32();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kPathSwitchRequestAcknowledge: {
-      PathSwitchRequestAcknowledge m;
-      m.enb_ue_s1ap_id = r.u32();
-      m.mme_ue_s1ap_id = r.u32();
-      if (!r.ok()) return fail();
-      return S1apMessage{m};
-    }
-    case Tag::kPaging: {
-      PagingMessage m;
-      m.imsi.value = r.str();
-      if (!r.ok() || !m.imsi.valid()) return fail();
-      return S1apMessage{m};
-    }
-  }
-  return fail();
-}
-
-std::string s1ap_message_name(const S1apMessage& msg) {
-  struct Namer {
-    std::string operator()(const S1SetupRequest&) { return "S1SetupRequest"; }
-    std::string operator()(const S1SetupResponse&) { return "S1SetupResponse"; }
-    std::string operator()(const S1SetupFailure&) { return "S1SetupFailure"; }
-    std::string operator()(const InitialUeMessage&) {
-      return "InitialUeMessage";
-    }
-    std::string operator()(const UplinkNasTransport&) {
-      return "UplinkNasTransport";
-    }
-    std::string operator()(const DownlinkNasTransport&) {
-      return "DownlinkNasTransport";
-    }
-    std::string operator()(const InitialContextSetupRequest&) {
-      return "InitialContextSetupRequest";
-    }
-    std::string operator()(const InitialContextSetupResponse&) {
-      return "InitialContextSetupResponse";
-    }
-    std::string operator()(const InitialContextSetupFailure&) {
-      return "InitialContextSetupFailure";
-    }
-    std::string operator()(const UeContextReleaseCommand&) {
-      return "UeContextReleaseCommand";
-    }
-    std::string operator()(const UeContextReleaseComplete&) {
-      return "UeContextReleaseComplete";
-    }
-    std::string operator()(const UeContextReleaseRequest&) {
-      return "UeContextReleaseRequest";
-    }
-    std::string operator()(const PathSwitchRequest&) {
-      return "PathSwitchRequest";
-    }
-    std::string operator()(const PathSwitchRequestAcknowledge&) {
-      return "PathSwitchRequestAcknowledge";
-    }
-    std::string operator()(const PagingMessage&) { return "Paging"; }
-  };
-  return std::visit(Namer{}, msg);
+  return Codec::decode(data, "malformed S1AP pdu");
 }
 
 }  // namespace magma::proto::lte

@@ -141,6 +141,5 @@ using S1apMessage =
 
 common::Bytes encode_s1ap(const S1apMessage& msg);
 common::Result<S1apMessage> decode_s1ap(common::BytesView data);
-std::string s1ap_message_name(const S1apMessage& msg);
 
 }  // namespace magma::proto::lte

@@ -1,259 +1,46 @@
 #include "proto/nr5g/nas5g.h"
 
-#include <algorithm>
-
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::proto::nr5g {
 
+// Wire layouts. The tag is 1 + the message's index in Nas5gMessage.
+MAGMA_WIRE_FIELDS(RegistrationRequest, m.supi);
+MAGMA_WIRE_FIELDS(AuthenticationRequest5g, m.rand, m.autn);
+MAGMA_WIRE_FIELDS(AuthenticationResponse5g, m.res_star);
+MAGMA_WIRE_FIELDS(SecurityModeCommand5g, m.ciphering_alg, m.integrity_alg,
+                  m.mac);
+MAGMA_WIRE_FIELDS(SecurityModeComplete5g, m.mac);
+MAGMA_WIRE_FIELDS(RegistrationAccept, m.fg_tmsi, m.mac);
+MAGMA_WIRE_FIELDS(RegistrationComplete, m.mac);
+MAGMA_WIRE_FIELDS(RegistrationReject, m.cause);
+MAGMA_WIRE_FIELDS(PduSessionEstablishmentRequest, m.pdu_session_id, m.dnn);
+MAGMA_WIRE_FIELDS(PduSessionEstablishmentAccept, m.pdu_session_id,
+                  m.ue_address, m.fiveqi, m.ambr_dl_bps, m.ambr_ul_bps);
+MAGMA_WIRE_FIELDS(PduSessionEstablishmentReject, m.pdu_session_id, m.cause);
+MAGMA_WIRE_FIELDS(DeregistrationRequest5g, m.switch_off);
+MAGMA_WIRE_FIELDS(DeregistrationAccept5g);
+
 namespace {
-
-using rpc::Reader;
-using rpc::Writer;
-
-enum class Tag : std::uint8_t {
-  kRegistrationRequest = 1,
-  kAuthenticationRequest,
-  kAuthenticationResponse,
-  kSecurityModeCommand,
-  kSecurityModeComplete,
-  kRegistrationAccept,
-  kRegistrationComplete,
-  kRegistrationReject,
-  kPduSessionEstablishmentRequest,
-  kPduSessionEstablishmentAccept,
-  kPduSessionEstablishmentReject,
-  kDeregistrationRequest,
-  kDeregistrationAccept,
-};
-
-template <std::size_t N>
-void put_array(Writer& w, const std::array<std::uint8_t, N>& a) {
-  w.bytes(common::BytesView(a.data(), a.size()));
-}
-
-template <std::size_t N>
-bool get_array(Reader& r, std::array<std::uint8_t, N>& a) {
-  const common::Bytes b = r.bytes();
-  if (b.size() != N) return false;
-  std::copy(b.begin(), b.end(), a.begin());
-  return true;
-}
-
-struct Encoder {
-  Writer& w;
-
-  void operator()(const RegistrationRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kRegistrationRequest));
-    w.str(m.supi.value);
-  }
-  void operator()(const AuthenticationRequest5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAuthenticationRequest));
-    put_array(w, m.rand);
-    put_array(w, m.autn);
-  }
-  void operator()(const AuthenticationResponse5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kAuthenticationResponse));
-    put_array(w, m.res_star);
-  }
-  void operator()(const SecurityModeCommand5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSecurityModeCommand));
-    w.u8(m.ciphering_alg);
-    w.u8(m.integrity_alg);
-    w.u32(m.mac);
-  }
-  void operator()(const SecurityModeComplete5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kSecurityModeComplete));
-    w.u32(m.mac);
-  }
-  void operator()(const RegistrationAccept& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kRegistrationAccept));
-    w.u32(m.fg_tmsi);
-    w.u32(m.mac);
-  }
-  void operator()(const RegistrationComplete& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kRegistrationComplete));
-    w.u32(m.mac);
-  }
-  void operator()(const RegistrationReject& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kRegistrationReject));
-    w.u8(static_cast<std::uint8_t>(m.cause));
-  }
-  void operator()(const PduSessionEstablishmentRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPduSessionEstablishmentRequest));
-    w.u8(m.pdu_session_id);
-    w.str(m.dnn);
-  }
-  void operator()(const PduSessionEstablishmentAccept& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPduSessionEstablishmentAccept));
-    w.u8(m.pdu_session_id);
-    w.u32(m.ue_address.addr);
-    w.u8(m.fiveqi);
-    w.u64(m.ambr_dl_bps);
-    w.u64(m.ambr_ul_bps);
-  }
-  void operator()(const PduSessionEstablishmentReject& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPduSessionEstablishmentReject));
-    w.u8(m.pdu_session_id);
-    w.u8(static_cast<std::uint8_t>(m.cause));
-  }
-  void operator()(const DeregistrationRequest5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDeregistrationRequest));
-    w.boolean(m.switch_off);
-  }
-  void operator()(const DeregistrationAccept5g&) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDeregistrationAccept));
-  }
-};
-
+using Codec = rpc::MessageCodec<Nas5gMessage>;
 }  // namespace
 
 common::Bytes encode_nas5g(const Nas5gMessage& msg) {
-  Writer w;
-  std::visit(Encoder{w}, msg);
-  return std::move(w).take();
+  return Codec::encode(msg);
 }
 
 common::Result<Nas5gMessage> decode_nas5g(common::BytesView data) {
-  Reader r(data);
-  const auto tag = static_cast<Tag>(r.u8());
-  auto fail = []() -> common::Result<Nas5gMessage> {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "malformed 5G NAS pdu"};
-  };
-  if (!r.ok()) return fail();
-
-  switch (tag) {
-    case Tag::kRegistrationRequest: {
-      RegistrationRequest m;
-      m.supi.value = r.str();
-      if (!r.ok() || !m.supi.valid()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kAuthenticationRequest: {
-      AuthenticationRequest5g m;
-      if (!get_array(r, m.rand) || !get_array(r, m.autn) || !r.ok()) {
-        return fail();
-      }
-      return Nas5gMessage{m};
-    }
-    case Tag::kAuthenticationResponse: {
-      AuthenticationResponse5g m;
-      if (!get_array(r, m.res_star) || !r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kSecurityModeCommand: {
-      SecurityModeCommand5g m;
-      m.ciphering_alg = r.u8();
-      m.integrity_alg = r.u8();
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kSecurityModeComplete: {
-      SecurityModeComplete5g m;
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kRegistrationAccept: {
-      RegistrationAccept m;
-      m.fg_tmsi = r.u32();
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kRegistrationComplete: {
-      RegistrationComplete m;
-      m.mac = r.u32();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kRegistrationReject: {
-      RegistrationReject m;
-      m.cause = static_cast<FgmmCause>(r.u8());
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kPduSessionEstablishmentRequest: {
-      PduSessionEstablishmentRequest m;
-      m.pdu_session_id = r.u8();
-      m.dnn = r.str();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kPduSessionEstablishmentAccept: {
-      PduSessionEstablishmentAccept m;
-      m.pdu_session_id = r.u8();
-      m.ue_address.addr = r.u32();
-      m.fiveqi = r.u8();
-      m.ambr_dl_bps = r.u64();
-      m.ambr_ul_bps = r.u64();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kPduSessionEstablishmentReject: {
-      PduSessionEstablishmentReject m;
-      m.pdu_session_id = r.u8();
-      m.cause = static_cast<FgmmCause>(r.u8());
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kDeregistrationRequest: {
-      DeregistrationRequest5g m;
-      m.switch_off = r.boolean();
-      if (!r.ok()) return fail();
-      return Nas5gMessage{m};
-    }
-    case Tag::kDeregistrationAccept:
-      return Nas5gMessage{DeregistrationAccept5g{}};
-  }
-  return fail();
+  return Codec::decode(data, "malformed 5G NAS pdu");
 }
 
-std::string nas5g_message_name(const Nas5gMessage& msg) {
-  struct Namer {
-    std::string operator()(const RegistrationRequest&) {
-      return "RegistrationRequest";
-    }
-    std::string operator()(const AuthenticationRequest5g&) {
-      return "AuthenticationRequest(5G)";
-    }
-    std::string operator()(const AuthenticationResponse5g&) {
-      return "AuthenticationResponse(5G)";
-    }
-    std::string operator()(const SecurityModeCommand5g&) {
-      return "SecurityModeCommand(5G)";
-    }
-    std::string operator()(const SecurityModeComplete5g&) {
-      return "SecurityModeComplete(5G)";
-    }
-    std::string operator()(const RegistrationAccept&) {
-      return "RegistrationAccept";
-    }
-    std::string operator()(const RegistrationComplete&) {
-      return "RegistrationComplete";
-    }
-    std::string operator()(const RegistrationReject&) {
-      return "RegistrationReject";
-    }
-    std::string operator()(const PduSessionEstablishmentRequest&) {
-      return "PduSessionEstablishmentRequest";
-    }
-    std::string operator()(const PduSessionEstablishmentAccept&) {
-      return "PduSessionEstablishmentAccept";
-    }
-    std::string operator()(const PduSessionEstablishmentReject&) {
-      return "PduSessionEstablishmentReject";
-    }
-    std::string operator()(const DeregistrationRequest5g&) {
-      return "DeregistrationRequest(5G)";
-    }
-    std::string operator()(const DeregistrationAccept5g&) {
-      return "DeregistrationAccept(5G)";
-    }
-  };
-  return std::visit(Namer{}, msg);
+std::uint32_t nas_mac(const crypto::Key256& k_nas_int, std::uint32_t count,
+                      Nas5gMessage msg) {
+  std::visit(
+      [](auto& m) {
+        if constexpr (requires { m.mac; }) m.mac = 0;
+      },
+      msg);
+  return crypto::nas_mac(k_nas_int, count, encode_nas5g(msg));
 }
 
 }  // namespace magma::proto::nr5g

@@ -15,6 +15,7 @@
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "common/result.h"
+#include "crypto/kdf.h"
 
 namespace magma::proto::nr5g {
 
@@ -111,6 +112,11 @@ using Nas5gMessage = std::variant<
 
 common::Bytes encode_nas5g(const Nas5gMessage& msg);
 common::Result<Nas5gMessage> decode_nas5g(common::BytesView data);
-std::string nas5g_message_name(const Nas5gMessage& msg);
+
+// Integrity MAC of `msg` under K_NASint at NAS COUNT `count`: computed over
+// its encoding with its `mac` field (if it has one) zeroed. The UE and the
+// AGW both call this, so the two ends agree by construction.
+std::uint32_t nas_mac(const crypto::Key256& k_nas_int, std::uint32_t count,
+                      Nas5gMessage msg);
 
 }  // namespace magma::proto::nr5g

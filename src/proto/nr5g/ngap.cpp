@@ -1,208 +1,38 @@
 #include "proto/nr5g/ngap.h"
 
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::proto::nr5g {
 
+// Wire layouts. The tag is 1 + the message's index in NgapMessage.
+MAGMA_WIRE_FIELDS(NgSetupRequest, m.gnb_id, m.gnb_name, m.plmn);
+MAGMA_WIRE_FIELDS(NgSetupResponse, m.amf_name);
+MAGMA_WIRE_FIELDS(InitialUeMessage5g, m.ran_ue_ngap_id, m.nas_pdu);
+MAGMA_WIRE_FIELDS(UplinkNasTransport5g, m.ran_ue_ngap_id, m.amf_ue_ngap_id,
+                  m.nas_pdu);
+MAGMA_WIRE_FIELDS(DownlinkNasTransport5g, m.ran_ue_ngap_id, m.amf_ue_ngap_id,
+                  m.nas_pdu);
+MAGMA_WIRE_FIELDS(PduSessionResourceSetupRequest, m.ran_ue_ngap_id,
+                  m.amf_ue_ngap_id, m.pdu_session_id, m.agw_teid_ul,
+                  m.agw_address, m.nas_pdu);
+MAGMA_WIRE_FIELDS(PduSessionResourceSetupResponse, m.ran_ue_ngap_id,
+                  m.amf_ue_ngap_id, m.pdu_session_id, m.gnb_teid_dl,
+                  m.gnb_address);
+MAGMA_WIRE_FIELDS(UeContextReleaseCommand5g, m.ran_ue_ngap_id,
+                  m.amf_ue_ngap_id, m.cause);
+MAGMA_WIRE_FIELDS(UeContextReleaseComplete5g, m.ran_ue_ngap_id,
+                  m.amf_ue_ngap_id);
+
 namespace {
-
-using rpc::Reader;
-using rpc::Writer;
-
-enum class Tag : std::uint8_t {
-  kNgSetupRequest = 1,
-  kNgSetupResponse,
-  kInitialUeMessage,
-  kUplinkNasTransport,
-  kDownlinkNasTransport,
-  kPduSessionResourceSetupRequest,
-  kPduSessionResourceSetupResponse,
-  kUeContextReleaseCommand,
-  kUeContextReleaseComplete,
-};
-
-struct Encoder {
-  Writer& w;
-
-  void operator()(const NgSetupRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kNgSetupRequest));
-    w.u32(m.gnb_id.value);
-    w.str(m.gnb_name);
-    w.str(m.plmn);
-  }
-  void operator()(const NgSetupResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kNgSetupResponse));
-    w.str(m.amf_name);
-  }
-  void operator()(const InitialUeMessage5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kInitialUeMessage));
-    w.u32(m.ran_ue_ngap_id);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const UplinkNasTransport5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUplinkNasTransport));
-    w.u32(m.ran_ue_ngap_id);
-    w.u32(m.amf_ue_ngap_id);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const DownlinkNasTransport5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kDownlinkNasTransport));
-    w.u32(m.ran_ue_ngap_id);
-    w.u32(m.amf_ue_ngap_id);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const PduSessionResourceSetupRequest& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPduSessionResourceSetupRequest));
-    w.u32(m.ran_ue_ngap_id);
-    w.u32(m.amf_ue_ngap_id);
-    w.u8(m.pdu_session_id);
-    w.u32(m.agw_teid_ul.value);
-    w.u32(m.agw_address.addr);
-    w.bytes(m.nas_pdu);
-  }
-  void operator()(const PduSessionResourceSetupResponse& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kPduSessionResourceSetupResponse));
-    w.u32(m.ran_ue_ngap_id);
-    w.u32(m.amf_ue_ngap_id);
-    w.u8(m.pdu_session_id);
-    w.u32(m.gnb_teid_dl.value);
-    w.u32(m.gnb_address.addr);
-  }
-  void operator()(const UeContextReleaseCommand5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUeContextReleaseCommand));
-    w.u32(m.ran_ue_ngap_id);
-    w.u32(m.amf_ue_ngap_id);
-    w.str(m.cause);
-  }
-  void operator()(const UeContextReleaseComplete5g& m) {
-    w.u8(static_cast<std::uint8_t>(Tag::kUeContextReleaseComplete));
-    w.u32(m.ran_ue_ngap_id);
-    w.u32(m.amf_ue_ngap_id);
-  }
-};
-
+using Codec = rpc::MessageCodec<NgapMessage>;
 }  // namespace
 
 common::Bytes encode_ngap(const NgapMessage& msg) {
-  Writer w;
-  std::visit(Encoder{w}, msg);
-  return std::move(w).take();
+  return Codec::encode(msg);
 }
 
 common::Result<NgapMessage> decode_ngap(common::BytesView data) {
-  Reader r(data);
-  const auto tag = static_cast<Tag>(r.u8());
-  auto fail = []() -> common::Result<NgapMessage> {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "malformed NGAP pdu"};
-  };
-  if (!r.ok()) return fail();
-
-  switch (tag) {
-    case Tag::kNgSetupRequest: {
-      NgSetupRequest m;
-      m.gnb_id.value = r.u32();
-      m.gnb_name = r.str();
-      m.plmn = r.str();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kNgSetupResponse: {
-      NgSetupResponse m;
-      m.amf_name = r.str();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kInitialUeMessage: {
-      InitialUeMessage5g m;
-      m.ran_ue_ngap_id = r.u32();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kUplinkNasTransport: {
-      UplinkNasTransport5g m;
-      m.ran_ue_ngap_id = r.u32();
-      m.amf_ue_ngap_id = r.u32();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kDownlinkNasTransport: {
-      DownlinkNasTransport5g m;
-      m.ran_ue_ngap_id = r.u32();
-      m.amf_ue_ngap_id = r.u32();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kPduSessionResourceSetupRequest: {
-      PduSessionResourceSetupRequest m;
-      m.ran_ue_ngap_id = r.u32();
-      m.amf_ue_ngap_id = r.u32();
-      m.pdu_session_id = r.u8();
-      m.agw_teid_ul.value = r.u32();
-      m.agw_address.addr = r.u32();
-      m.nas_pdu = r.bytes();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kPduSessionResourceSetupResponse: {
-      PduSessionResourceSetupResponse m;
-      m.ran_ue_ngap_id = r.u32();
-      m.amf_ue_ngap_id = r.u32();
-      m.pdu_session_id = r.u8();
-      m.gnb_teid_dl.value = r.u32();
-      m.gnb_address.addr = r.u32();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kUeContextReleaseCommand: {
-      UeContextReleaseCommand5g m;
-      m.ran_ue_ngap_id = r.u32();
-      m.amf_ue_ngap_id = r.u32();
-      m.cause = r.str();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-    case Tag::kUeContextReleaseComplete: {
-      UeContextReleaseComplete5g m;
-      m.ran_ue_ngap_id = r.u32();
-      m.amf_ue_ngap_id = r.u32();
-      if (!r.ok()) return fail();
-      return NgapMessage{m};
-    }
-  }
-  return fail();
-}
-
-std::string ngap_message_name(const NgapMessage& msg) {
-  struct Namer {
-    std::string operator()(const NgSetupRequest&) { return "NgSetupRequest"; }
-    std::string operator()(const NgSetupResponse&) { return "NgSetupResponse"; }
-    std::string operator()(const InitialUeMessage5g&) {
-      return "InitialUeMessage(5G)";
-    }
-    std::string operator()(const UplinkNasTransport5g&) {
-      return "UplinkNasTransport(5G)";
-    }
-    std::string operator()(const DownlinkNasTransport5g&) {
-      return "DownlinkNasTransport(5G)";
-    }
-    std::string operator()(const PduSessionResourceSetupRequest&) {
-      return "PduSessionResourceSetupRequest";
-    }
-    std::string operator()(const PduSessionResourceSetupResponse&) {
-      return "PduSessionResourceSetupResponse";
-    }
-    std::string operator()(const UeContextReleaseCommand5g&) {
-      return "UeContextReleaseCommand(5G)";
-    }
-    std::string operator()(const UeContextReleaseComplete5g&) {
-      return "UeContextReleaseComplete(5G)";
-    }
-  };
-  return std::visit(Namer{}, msg);
+  return Codec::decode(data, "malformed NGAP pdu");
 }
 
 }  // namespace magma::proto::nr5g

@@ -91,6 +91,5 @@ using NgapMessage =
 
 common::Bytes encode_ngap(const NgapMessage& msg);
 common::Result<NgapMessage> decode_ngap(common::BytesView data);
-std::string ngap_message_name(const NgapMessage& msg);
 
 }  // namespace magma::proto::nr5g

@@ -70,43 +70,11 @@ UsimOutcome Usim::authenticate(const std::array<std::uint8_t, 16>& rand,
 }
 
 // ---------------------------------------------------------------------------
-// NAS MAC helpers (must mirror the front-ends exactly)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-lte::NasMessage lte_zero_mac(lte::NasMessage msg) {
-  if (auto* smc = std::get_if<lte::SecurityModeCommand>(&msg)) smc->mac = 0;
-  if (auto* smk = std::get_if<lte::SecurityModeComplete>(&msg)) smk->mac = 0;
-  if (auto* acc = std::get_if<lte::AttachAccept>(&msg)) acc->mac = 0;
-  if (auto* cpl = std::get_if<lte::AttachComplete>(&msg)) cpl->mac = 0;
-  if (auto* srq = std::get_if<lte::ServiceRequest>(&msg)) srq->mac = 0;
-  if (auto* sra = std::get_if<lte::ServiceAccept>(&msg)) sra->mac = 0;
-  return msg;
-}
-
-nr::Nas5gMessage nr_zero_mac(nr::Nas5gMessage msg) {
-  if (auto* smc = std::get_if<nr::SecurityModeCommand5g>(&msg)) smc->mac = 0;
-  if (auto* smk = std::get_if<nr::SecurityModeComplete5g>(&msg)) smk->mac = 0;
-  if (auto* acc = std::get_if<nr::RegistrationAccept>(&msg)) acc->mac = 0;
-  if (auto* cpl = std::get_if<nr::RegistrationComplete>(&msg)) cpl->mac = 0;
-  return msg;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // LTE UE
 // ---------------------------------------------------------------------------
 
 UeLte::UeLte(sim::Kernel& kernel, Usim usim, sim::Duration attach_guard)
     : kernel_(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
-
-std::uint32_t UeLte::compute_mac(std::uint32_t count,
-                                 lte::NasMessage msg) const {
-  return crypto::nas_mac(k_nas_int_, count,
-                         lte::encode_nas(lte_zero_mac(std::move(msg))));
-}
 
 void UeLte::send_nas(const lte::NasMessage& msg) {
   if (enb_ == nullptr || enb_ue_id_ == 0) return;
@@ -213,7 +181,7 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
     fsm_.handle(lte::EmmEvent::kAuthSucceeded);
     k_nas_int_ = crypto::derive_k_nas_int(kasme_, crypto::NasAlgorithm::kEia2);
     const std::uint32_t expected =
-        compute_mac(dl_count_, lte::NasMessage{*smc});
+        lte::nas_mac(k_nas_int_, dl_count_, lte::NasMessage{*smc});
     if (expected != smc->mac) {
       fail("smc-mac-failure");
       return;
@@ -222,7 +190,8 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
     fsm_.handle(lte::EmmEvent::kSecurityEstablished);
 
     lte::SecurityModeComplete complete;
-    complete.mac = compute_mac(ul_count_, lte::NasMessage{complete});
+    complete.mac =
+        lte::nas_mac(k_nas_int_, ul_count_, lte::NasMessage{complete});
     ++ul_count_;
     send_nas(lte::NasMessage{complete});
     // Ciphering engages for everything after the SecurityModeComplete.
@@ -233,7 +202,7 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
 
   if (const auto* accept = std::get_if<lte::AttachAccept>(&msg)) {
     const std::uint32_t expected =
-        compute_mac(dl_count_, lte::NasMessage{*accept});
+        lte::nas_mac(k_nas_int_, dl_count_, lte::NasMessage{*accept});
     if (expected != accept->mac) {
       fail("accept-mac-failure");
       return;
@@ -244,7 +213,8 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
     fsm_.handle(lte::EmmEvent::kContextEstablished);
 
     lte::AttachComplete complete;
-    complete.mac = compute_mac(ul_count_, lte::NasMessage{complete});
+    complete.mac =
+        lte::nas_mac(k_nas_int_, ul_count_, lte::NasMessage{complete});
     ++ul_count_;
     send_nas(lte::NasMessage{complete});
     succeed();
@@ -264,7 +234,7 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
 
   if (const auto* accept = std::get_if<lte::ServiceAccept>(&msg)) {
     const std::uint32_t expected =
-        compute_mac(dl_count_, lte::NasMessage{*accept});
+        lte::nas_mac(k_nas_int_, dl_count_, lte::NasMessage{*accept});
     if (expected != accept->mac) return;  // forged; stay idle
     ++dl_count_;
     idle_ = false;
@@ -340,7 +310,7 @@ void UeLte::service_request() {
   if (enb_ue_id_ == 0) return;  // cell full; stay idle, retry on next page
   lte::ServiceRequest request;
   request.m_tmsi = m_tmsi_;
-  request.mac = compute_mac(ul_count_, lte::NasMessage{request});
+  request.mac = lte::nas_mac(k_nas_int_, ul_count_, lte::NasMessage{request});
   ++ul_count_;
   enb_->send_initial_nas(enb_ue_id_, lte::encode_nas(lte::NasMessage{request}));
 }
@@ -371,12 +341,6 @@ void UeLte::on_handover_complete(EnodeB& target,
 
 UeNr::UeNr(sim::Kernel& kernel, Usim usim, sim::Duration attach_guard)
     : kernel_(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
-
-std::uint32_t UeNr::compute_mac(std::uint32_t count,
-                                nr::Nas5gMessage msg) const {
-  return crypto::nas_mac(k_nas_int_, count,
-                         nr::encode_nas5g(nr_zero_mac(std::move(msg))));
-}
 
 void UeNr::send_nas(const nr::Nas5gMessage& msg) {
   if (gnb_ == nullptr || ran_ue_id_ == 0) return;
@@ -457,14 +421,15 @@ void UeNr::on_downlink_nas(common::Bytes nas_pdu) {
   if (const auto* smc = std::get_if<nr::SecurityModeCommand5g>(&msg)) {
     k_nas_int_ = crypto::derive_k_nas_int(kasme_, crypto::NasAlgorithm::kEia2);
     const std::uint32_t expected =
-        compute_mac(dl_count_, nr::Nas5gMessage{*smc});
+        nr::nas_mac(k_nas_int_, dl_count_, nr::Nas5gMessage{*smc});
     if (expected != smc->mac) {
       fail("smc-mac-failure");
       return;
     }
     ++dl_count_;
     nr::SecurityModeComplete5g complete;
-    complete.mac = compute_mac(ul_count_, nr::Nas5gMessage{complete});
+    complete.mac =
+        nr::nas_mac(k_nas_int_, ul_count_, nr::Nas5gMessage{complete});
     ++ul_count_;
     send_nas(nr::Nas5gMessage{complete});
     return;
@@ -472,7 +437,7 @@ void UeNr::on_downlink_nas(common::Bytes nas_pdu) {
 
   if (const auto* accept = std::get_if<nr::RegistrationAccept>(&msg)) {
     const std::uint32_t expected =
-        compute_mac(dl_count_, nr::Nas5gMessage{*accept});
+        nr::nas_mac(k_nas_int_, dl_count_, nr::Nas5gMessage{*accept});
     if (expected != accept->mac) {
       fail("accept-mac-failure");
       return;
@@ -481,7 +446,8 @@ void UeNr::on_downlink_nas(common::Bytes nas_pdu) {
     registered_ = true;
 
     nr::RegistrationComplete complete;
-    complete.mac = compute_mac(ul_count_, nr::Nas5gMessage{complete});
+    complete.mac =
+        nr::nas_mac(k_nas_int_, ul_count_, nr::Nas5gMessage{complete});
     ++ul_count_;
     send_nas(nr::Nas5gMessage{complete});
 

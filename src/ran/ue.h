@@ -142,8 +142,6 @@ class UeLte final : public LteUeLink {
   void fail(const std::string& reason);
   void succeed();
   void send_nas(const proto::lte::NasMessage& msg);
-  std::uint32_t compute_mac(std::uint32_t count,
-                            proto::lte::NasMessage msg) const;
 
   sim::Kernel& kernel_;
   Usim usim_;
@@ -203,8 +201,6 @@ class UeNr final : public NrUeLink {
   void fail(const std::string& reason);
   void succeed();
   void send_nas(const proto::nr5g::Nas5gMessage& msg);
-  std::uint32_t compute_mac(std::uint32_t count,
-                            proto::nr5g::Nas5gMessage msg) const;
 
   sim::Kernel& kernel_;
   Usim usim_;

@@ -71,6 +71,33 @@ TEST_F(MultiRatTest, FiveGDeregistration) {
   EXPECT_EQ(agw_->nr().stats().deregistrations, 1u);
 }
 
+TEST_F(MultiRatTest, FiveGReRegistersAfterOperatorEdit) {
+  // Regression: the delta sync of an edited subscriber overwrote the AGW's
+  // SQN with orc8r's stale copy. The USIM then refused the next challenge
+  // as a replay, and the NR front-end has no resync leg to recover.
+  agw::SubscriberData sub = net_->provision_subscriber();
+  net_->sync_all_config();
+  ran::UeNr& ue = net_->add_ue_nr(sub);
+  auto register_ue = [&] {
+    ran::AttachOutcome outcome;
+    ue.attach(*gnb_, [&](const ran::AttachOutcome& o) { outcome = o; });
+    net_->run_for(20 * sim::kSecond);
+    return outcome;
+  };
+  ASSERT_TRUE(register_ue().success);
+  ue.detach(false);
+  net_->run_for(5 * sim::kSecond);
+
+  sub.wifi_password = "edited";
+  net_->orchestrator().add_subscriber(sub);
+  const auto deltas = agw_->magmad().stats().config_delta_syncs;
+  net_->sync_all_config();
+  EXPECT_GT(agw_->magmad().stats().config_delta_syncs, deltas);
+
+  const ran::AttachOutcome again = register_ue();
+  EXPECT_TRUE(again.success) << again.failure_reason;
+}
+
 TEST_F(MultiRatTest, WifiChapAssociation) {
   const agw::SubscriberData sub =
       net_->provision_subscriber("unlimited", "secret123");

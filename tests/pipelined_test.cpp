@@ -225,15 +225,24 @@ TEST(Pipelined, DesiredStateReplacesChangedSpec) {
 }
 
 TEST(SessionFlows, SerializeRoundTrip) {
-  SessionFlows f = lte_session(9, kUe);
-  f.dl_rate_bps = 123;
-  f.ul_rate_bps = 456;
-  f.blocked = true;
-  f.home_routed = true;
-  f.home_teid_remote = common::Teid{0xAAA};
-  f.home_agg_address = common::Ipv4::from_octets(1, 2, 3, 4);
-  f.home_teid_local = common::Teid{0xBBB};
-  f.tunneled = false;
+  const SessionFlows f{9,
+                       kUe,
+                       false,
+                       common::Teid{0x111},
+                       common::Teid{0x222},
+                       common::Ipv4::from_octets(10, 100, 0, 2),
+                       123,
+                       456,
+                       true,
+                       true,
+                       true,
+                       common::Teid{0xAAA},
+                       common::Ipv4::from_octets(1, 2, 3, 4),
+                       common::Teid{0xBBB}};
+  // The wire layout is pinned: sessiond checkpoints must keep decoding.
+  EXPECT_EQ(common::to_hex(f.serialize()),
+            "0900000000000000020010ac0011010000220200000200640a7b000000000000"
+            "00c801000000000000010101aa0a000004030201bb0b0000");
   auto round = SessionFlows::deserialize(f.serialize());
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round.value(), f);

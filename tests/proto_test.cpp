@@ -1,6 +1,10 @@
 // Protocol codecs (NAS, S1AP, NGAP, 5G NAS, RADIUS, GTP-C) and the EMM FSM.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <variant>
+#include <vector>
+
 #include "proto/lte/emm_fsm.h"
 #include "proto/lte/gtpc.h"
 #include "proto/lte/nas.h"
@@ -12,11 +16,37 @@
 namespace magma::proto {
 namespace {
 
+// Every codec pins the bytes of each of its message types, every field set
+// to a non-default value. The tables must cover the whole variant, so a new
+// message type has to bring its pin; failures name the variant index.
+template <typename Message>
+struct Pin {
+  Message msg;
+  std::string hex;
+};
+
+template <typename Message, typename Encode, typename Decode>
+void expect_pinned(const std::vector<Pin<Message>>& pins, Encode encode,
+                   Decode decode) {
+  ASSERT_EQ(pins.size(), std::variant_size_v<Message>);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    SCOPED_TRACE("variant index " + std::to_string(i));
+    const Pin<Message>& pin = pins[i];
+    ASSERT_EQ(pin.msg.index(), i);
+    const common::Bytes wire = encode(pin.msg);
+    EXPECT_EQ(common::to_hex(wire), pin.hex);
+    auto decoded = decode(wire);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value(), pin.msg);
+  }
+}
+
 // --- LTE NAS --------------------------------------------------------------
 
 TEST(NasCodec, AllMessagesRoundTrip) {
   lte::AttachRequest attach;
   attach.imsi = common::Imsi::from_digits(1010000000001ULL);
+  attach.capability = {false, false};
 
   lte::AuthenticationRequest auth;
   auth.rand.fill(0xAA);
@@ -25,38 +55,37 @@ TEST(NasCodec, AllMessagesRoundTrip) {
   lte::AuthenticationResponse auth_resp;
   auth_resp.res.fill(0xCC);
 
-  lte::AuthenticationFailure auth_fail;
+  lte::AuthenticationFailure auth_fail{lte::EmmCause::kIllegalUe, {}};
   auth_fail.auts.fill(0xDD);
-
-  lte::SecurityModeCommand smc;
-  smc.mac = 0x12345678;
 
   lte::AttachAccept accept;
   accept.m_tmsi = 42;
-  accept.bearer.pdn_address = common::Ipv4::from_octets(172, 16, 0, 9);
-  accept.bearer.ambr_dl_bps = 5'000'000;
+  accept.bearer = {6, "ims", common::Ipv4::from_octets(172, 16, 0, 9), 5,
+                   5'000'000, 1'000'000};
   accept.mac = 7;
 
-  const std::vector<lte::NasMessage> messages = {
-      attach,
-      auth,
-      auth_resp,
-      auth_fail,
-      smc,
-      lte::SecurityModeComplete{99},
-      accept,
-      lte::AttachComplete{3},
-      lte::AttachReject{lte::EmmCause::kCongestion},
-      lte::DetachRequest{true},
-      lte::DetachAccept{},
-      lte::ServiceRequest{42, 8},
-      lte::ServiceReject{lte::EmmCause::kIllegalUe},
-  };
-  for (const auto& msg : messages) {
-    auto decoded = lte::decode_nas(lte::encode_nas(msg));
-    ASSERT_TRUE(decoded.ok()) << lte::nas_message_name(msg);
-    EXPECT_EQ(decoded.value(), msg) << lte::nas_message_name(msg);
-  }
+  expect_pinned<lte::NasMessage>(
+      {
+          {attach, "0113000000494d53493030313031303030303030303030310000"},
+          {auth,
+           "0210000000aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa10000000bbbbbbbbbbbbbb"
+           "bbbbbbbbbbbbbbbbbb"},
+          {auth_resp, "0308000000cccccccccccccccc"},
+          {auth_fail, "04030e000000dddddddddddddddddddddddddddd"},
+          {lte::SecurityModeCommand{1, 3, 0x12345678}, "05010378563412"},
+          {lte::SecurityModeComplete{99}, "0663000000"},
+          {accept,
+           "072a0000000603000000696d73090010ac05404b4c000000000040420f000000"
+           "000007000000"},
+          {lte::AttachComplete{3}, "0803000000"},
+          {lte::AttachReject{lte::EmmCause::kCongestion}, "0916"},
+          {lte::DetachRequest{true}, "0a01"},
+          {lte::DetachAccept{}, "0b"},
+          {lte::ServiceRequest{42, 8}, "0c2a00000008000000"},
+          {lte::ServiceReject{lte::EmmCause::kIllegalUe}, "0d03"},
+          {lte::ServiceAccept{0xCAFE}, "0efeca0000"},
+      },
+      lte::encode_nas, lte::decode_nas);
 }
 
 TEST(NasCodec, RejectsEmptyAndGarbage) {
@@ -91,25 +120,39 @@ TEST(S1apCodec, AllMessagesRoundTrip) {
   ics.kenb.fill(0x5A);
   ics.nas_pdu = common::to_bytes("piggyback");
 
-  const std::vector<lte::S1apMessage> messages = {
-      lte::S1SetupRequest{common::RanNodeId{7}, "enb7", "00101", 3},
-      lte::S1SetupResponse{"mme", 255},
-      lte::S1SetupFailure{"overload"},
-      lte::InitialUeMessage{10, 3, common::to_bytes("nas")},
-      lte::UplinkNasTransport{10, 20, common::to_bytes("ul")},
-      lte::DownlinkNasTransport{10, 20, common::to_bytes("dl")},
-      ics,
-      lte::InitialContextSetupResponse{10, 20, common::Teid{0x888},
-                                       common::Ipv4::from_octets(10, 100, 0, 1)},
-      lte::InitialContextSetupFailure{10, 20, "no-resources"},
-      lte::UeContextReleaseCommand{10, 20, "detach"},
-      lte::UeContextReleaseComplete{10, 20},
-  };
-  for (const auto& msg : messages) {
-    auto decoded = lte::decode_s1ap(lte::encode_s1ap(msg));
-    ASSERT_TRUE(decoded.ok()) << lte::s1ap_message_name(msg);
-    EXPECT_EQ(decoded.value(), msg) << lte::s1ap_message_name(msg);
-  }
+  const common::Ipv4 enb = common::Ipv4::from_octets(10, 100, 0, 1);
+  expect_pinned<lte::S1apMessage>(
+      {
+          {lte::S1SetupRequest{common::RanNodeId{7}, "enb7", "00102", 3},
+           "010700000004000000656e62370500000030303130320300"},
+          {lte::S1SetupResponse{"mme", 128}, "02030000006d6d6580"},
+          {lte::S1SetupFailure{"overload"}, "03080000006f7665726c6f6164"},
+          {lte::InitialUeMessage{10, 3, common::to_bytes("nas")},
+           "040a0000000300030000006e6173"},
+          {lte::UplinkNasTransport{10, 20, common::to_bytes("ul")},
+           "050a0000001400000002000000756c"},
+          {lte::DownlinkNasTransport{10, 20, common::to_bytes("dl")},
+           "060a0000001400000002000000646c"},
+          {ics,
+           "070100000002000000770700000100010a200000005a5a5a5a5a5a5a5a5a5a5a"
+           "5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a0900000070696767796261"
+           "636b"},
+          {lte::InitialContextSetupResponse{10, 20, common::Teid{0x888}, enb},
+           "080a00000014000000880800000100640a"},
+          {lte::InitialContextSetupFailure{10, 20, "no-resources"},
+           "090a000000140000000c0000006e6f2d7265736f7572636573"},
+          {lte::UeContextReleaseCommand{10, 20, "detach"},
+           "0a0a0000001400000006000000646574616368"},
+          {lte::UeContextReleaseComplete{10, 20}, "0b0a00000014000000"},
+          {lte::UeContextReleaseRequest{11, 21, "radio-loss"},
+           "0c0b000000150000000a000000726164696f2d6c6f7373"},
+          {lte::PathSwitchRequest{12, 22, common::Teid{0x999}, enb},
+           "0d0c00000016000000990900000100640a"},
+          {lte::PathSwitchRequestAcknowledge{12, 22}, "0e0c00000016000000"},
+          {lte::PagingMessage{common::Imsi::from_digits(1010000000004ULL)},
+           "0f13000000494d5349303031303130303030303030303034"},
+      },
+      lte::encode_s1ap, lte::decode_s1ap);
 }
 
 // --- 5G -----------------------------------------------------------------------
@@ -118,10 +161,6 @@ TEST(Nas5gCodec, AllMessagesRoundTrip) {
   nr5g::RegistrationRequest reg;
   reg.supi = common::Imsi::from_digits(1010000000002ULL);
 
-  nr5g::PduSessionEstablishmentAccept accept;
-  accept.ue_address = common::Ipv4::from_octets(172, 16, 1, 10);
-  accept.ambr_dl_bps = 10'000'000;
-
   nr5g::AuthenticationRequest5g auth;
   auth.rand.fill(0x11);
   auth.autn.fill(0x22);
@@ -129,53 +168,62 @@ TEST(Nas5gCodec, AllMessagesRoundTrip) {
   nr5g::AuthenticationResponse5g auth_resp;
   auth_resp.res_star.fill(0x33);
 
-  const std::vector<nr5g::Nas5gMessage> messages = {
-      reg,
-      auth,
-      auth_resp,
-      nr5g::SecurityModeCommand5g{2, 2, 77},
-      nr5g::SecurityModeComplete5g{88},
-      nr5g::RegistrationAccept{0x5001, 5},
-      nr5g::RegistrationComplete{6},
-      nr5g::RegistrationReject{nr5g::FgmmCause::kCongestion},
-      nr5g::PduSessionEstablishmentRequest{1, "internet"},
-      accept,
-      nr5g::PduSessionEstablishmentReject{1, nr5g::FgmmCause::kNetworkFailure},
-      nr5g::DeregistrationRequest5g{false},
-      nr5g::DeregistrationAccept5g{},
-  };
-  for (const auto& msg : messages) {
-    auto decoded = nr5g::decode_nas5g(nr5g::encode_nas5g(msg));
-    ASSERT_TRUE(decoded.ok()) << nr5g::nas5g_message_name(msg);
-    EXPECT_EQ(decoded.value(), msg) << nr5g::nas5g_message_name(msg);
-  }
+  const nr5g::PduSessionEstablishmentAccept accept{
+      2, common::Ipv4::from_octets(172, 16, 1, 10), 7, 10'000'000, 2'000'000};
+
+  expect_pinned<nr5g::Nas5gMessage>(
+      {
+          {reg, "0113000000494d5349303031303130303030303030303032"},
+          {auth,
+           "0210000000111111111111111111111111111111111000000022222222222222"
+           "222222222222222222"},
+          {auth_resp, "031000000033333333333333333333333333333333"},
+          {nr5g::SecurityModeCommand5g{1, 3, 77}, "0401034d000000"},
+          {nr5g::SecurityModeComplete5g{88}, "0558000000"},
+          {nr5g::RegistrationAccept{0x5001, 5}, "060150000005000000"},
+          {nr5g::RegistrationComplete{6}, "0706000000"},
+          {nr5g::RegistrationReject{nr5g::FgmmCause::kCongestion}, "0816"},
+          {nr5g::PduSessionEstablishmentRequest{2, "ims"},
+           "090203000000696d73"},
+          {accept, "0a020a0110ac07809698000000000080841e0000000000"},
+          {nr5g::PduSessionEstablishmentReject{2, nr5g::FgmmCause::kIllegalUe},
+           "0b0203"},
+          {nr5g::DeregistrationRequest5g{true}, "0c01"},
+          {nr5g::DeregistrationAccept5g{}, "0d"},
+      },
+      nr5g::encode_nas5g, nr5g::decode_nas5g);
 }
 
 TEST(NgapCodec, AllMessagesRoundTrip) {
   nr5g::PduSessionResourceSetupRequest setup;
   setup.ran_ue_ngap_id = 4;
   setup.amf_ue_ngap_id = 5;
+  setup.pdu_session_id = 2;
   setup.agw_teid_ul = common::Teid{0xABC};
   setup.agw_address = common::Ipv4::from_octets(10, 2, 0, 1);
   setup.nas_pdu = common::to_bytes("accept");
 
-  const std::vector<nr5g::NgapMessage> messages = {
-      nr5g::NgSetupRequest{common::RanNodeId{9}, "gnb9", "00101"},
-      nr5g::NgSetupResponse{"amf"},
-      nr5g::InitialUeMessage5g{4, common::to_bytes("reg")},
-      nr5g::UplinkNasTransport5g{4, 5, common::to_bytes("ul")},
-      nr5g::DownlinkNasTransport5g{4, 5, common::to_bytes("dl")},
-      setup,
-      nr5g::PduSessionResourceSetupResponse{4, 5, 1, common::Teid{0xDEF},
-                                            common::Ipv4::from_octets(10, 101, 0, 1)},
-      nr5g::UeContextReleaseCommand5g{4, 5, "dereg"},
-      nr5g::UeContextReleaseComplete5g{4, 5},
-  };
-  for (const auto& msg : messages) {
-    auto decoded = nr5g::decode_ngap(nr5g::encode_ngap(msg));
-    ASSERT_TRUE(decoded.ok()) << nr5g::ngap_message_name(msg);
-    EXPECT_EQ(decoded.value(), msg) << nr5g::ngap_message_name(msg);
-  }
+  expect_pinned<nr5g::NgapMessage>(
+      {
+          {nr5g::NgSetupRequest{common::RanNodeId{9}, "gnb9", "00102"},
+           "010900000004000000676e6239050000003030313032"},
+          {nr5g::NgSetupResponse{"amf"}, "0203000000616d66"},
+          {nr5g::InitialUeMessage5g{4, common::to_bytes("reg")},
+           "030400000003000000726567"},
+          {nr5g::UplinkNasTransport5g{4, 5, common::to_bytes("ul")},
+           "04040000000500000002000000756c"},
+          {nr5g::DownlinkNasTransport5g{4, 5, common::to_bytes("dl")},
+           "05040000000500000002000000646c"},
+          {setup, "06040000000500000002bc0a00000100020a06000000616363657074"},
+          {nr5g::PduSessionResourceSetupResponse{
+               4, 5, 2, common::Teid{0xDEF},
+               common::Ipv4::from_octets(10, 101, 0, 1)},
+           "07040000000500000002ef0d00000100650a"},
+          {nr5g::UeContextReleaseCommand5g{4, 5, "dereg"},
+           "080400000005000000050000006465726567"},
+          {nr5g::UeContextReleaseComplete5g{4, 5}, "090400000005000000"},
+      },
+      nr5g::encode_ngap, nr5g::decode_ngap);
 }
 
 // --- RADIUS -----------------------------------------------------------------------
@@ -237,31 +285,34 @@ TEST(RadiusCodec, SkipsUnknownAttributes) {
 // --- GTP-C -------------------------------------------------------------------------
 
 TEST(GtpcCodec, AllMessagesRoundTrip) {
-  lte::CreateSessionRequest create;
-  create.imsi = common::Imsi::from_digits(1010000000003ULL);
-  create.sender_teid_c = common::Teid{0x42};
-  create.sender_address = common::Ipv4::from_octets(10, 200, 0, 1);
-  create.sequence = 9;
+  const lte::CreateSessionRequest create{
+      common::Imsi::from_digits(1010000000003ULL), "ims", common::Teid{0x42},
+      common::Ipv4::from_octets(10, 200, 0, 1), 9};
+  const lte::CreateSessionResponse response{
+      64,
+      common::Teid{0x44},
+      common::Teid{0x43},
+      common::Ipv4::from_octets(10, 201, 0, 1),
+      common::Ipv4::from_octets(100, 64, 0, 1),
+      9};
 
-  lte::CreateSessionResponse response;
-  response.pgw_teid_u = common::Teid{0x43};
-  response.pdn_address = common::Ipv4::from_octets(100, 64, 0, 1);
-  response.sequence = 9;
-
-  const std::vector<lte::GtpcMessage> messages = {
-      create,
-      response,
-      lte::ModifyBearerRequest{common::Teid{1}, common::Teid{2},
-                               common::Ipv4::from_octets(10, 100, 0, 1), 10},
-      lte::ModifyBearerResponse{16, 10},
-      lte::DeleteSessionRequest{common::Teid{1}, 11},
-      lte::DeleteSessionResponse{16, 11},
+  const std::vector<Pin<lte::GtpcMessage>> pins = {
+      {create,
+       "2013000000494d534930303130313030303030303030303303000000696d7342"
+       "0000000100c80a09000000"},
+      {response, "214044000000430000000100c90a0100406409000000"},
+      {lte::ModifyBearerRequest{common::Teid{1}, common::Teid{2},
+                                common::Ipv4::from_octets(10, 100, 0, 1), 10},
+       "2201000000020000000100640a0a000000"},
+      {lte::ModifyBearerResponse{64, 10}, "23400a000000"},
+      {lte::DeleteSessionRequest{common::Teid{1}, 11}, "24010000000b000000"},
+      {lte::DeleteSessionResponse{64, 11}, "25400b000000"},
   };
-  for (const auto& msg : messages) {
-    auto decoded = lte::decode_gtpc(lte::encode_gtpc(msg));
-    ASSERT_TRUE(decoded.ok()) << lte::gtpc_message_name(msg);
-    EXPECT_EQ(decoded.value(), msg) << lte::gtpc_message_name(msg);
-    EXPECT_EQ(lte::gtpc_sequence(decoded.value()), lte::gtpc_sequence(msg));
+  expect_pinned(pins, lte::encode_gtpc, lte::decode_gtpc);
+  for (const Pin<lte::GtpcMessage>& pin : pins) {
+    auto decoded = lte::decode_gtpc(lte::encode_gtpc(pin.msg));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(lte::gtpc_sequence(decoded.value()), lte::gtpc_sequence(pin.msg));
   }
 }
 

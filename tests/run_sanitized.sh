@@ -13,6 +13,9 @@
 # exercises the global operator new/delete hooks under ASan's allocator
 # interposition, catching any mismatch in the override set.
 #
+# The protocol suite puts the shared field-list codec (rpc/fields.h)
+# through every 3GPP message type, decoding each into its variant in place.
+#
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,7 +25,7 @@ SUITES=(
   rpc_test magmad_orc8r_test fleet_scale_test obs_test tail_sampler_test
   tracing_integration_test statusd_test slo_test cpu_profile_test
   host_profiler_test bench_compare_test sketch_test histogram_test
-  pool_test inplace_function_test alloc_discipline_test
+  pool_test inplace_function_test alloc_discipline_test proto_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -61,6 +64,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm' \
   "$@"
 echo "sanitized transport suite: OK"

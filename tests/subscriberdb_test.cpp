@@ -161,6 +161,25 @@ TEST_F(SubscriberDbTest, ReplaceAllPreservesSqn) {
   EXPECT_TRUE(db_.get(c.imsi).has_value());
 }
 
+TEST_F(SubscriberDbTest, UpsertPreservesSqn) {
+  sim::Rng source(4);
+  SubscriberData a = make_subscriber(1, source);
+  db_.upsert(a);
+  db_.generate_auth_vector(a.imsi).value();
+  db_.generate_auth_vector(a.imsi).value();
+
+  // Delta push of an operator edit: orc8r's copy still carries SQN 0.
+  a.policy_name = "gold";
+  db_.upsert(a);
+  EXPECT_EQ(db_.get(a.imsi)->policy_name, "gold");
+  EXPECT_EQ(db_.get(a.imsi)->sqn, 2u);  // not rewound by the push
+
+  // A pushed SQN ahead of the cache wins, as it does in replace_all.
+  a.sqn = 9;
+  db_.upsert(a);
+  EXPECT_EQ(db_.get(a.imsi)->sqn, 9u);
+}
+
 TEST_F(SubscriberDbTest, SnapshotRestoreRoundTrip) {
   sim::Rng source(5);
   for (std::uint64_t i = 0; i < 10; ++i) db_.upsert(make_subscriber(i, source));
@@ -174,12 +193,20 @@ TEST_F(SubscriberDbTest, SnapshotRestoreRoundTrip) {
 }
 
 TEST(SubscriberData, SerializeDeserializeRoundTrip) {
-  sim::Rng rng(6);
-  SubscriberData sub = make_subscriber(42, rng);
+  SubscriberData sub;
+  sub.imsi = common::Imsi::from_digits(1010000000042ULL);
+  sub.k.fill(0x11);
+  sub.opc.fill(0x22);
   sub.policy_name = "gold";
   sub.wifi_password = "hunter2";
   sub.sqn = 77;
   sub.active = false;
+  // The wire layout is pinned: records in orc8r's store and in AGW
+  // checkpoints must keep decoding.
+  EXPECT_EQ(common::to_hex(sub.serialize()),
+            "13000000494d5349303031303130303030303030303432100000001111111111"
+            "111111111111111111111110000000222222222222222222222222222222224d"
+            "0000000000000004000000676f6c640700000068756e7465723200");
   auto round = SubscriberData::deserialize(sub.serialize());
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round.value(), sub);

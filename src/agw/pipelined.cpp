@@ -234,4 +234,8 @@ datapath::FlowCounters Pipelined::session_usage(std::uint64_t cookie) const {
   return pipeline_.table(dp::kTableEgress).counters_for_cookie(cookie);
 }
 
+void Pipelined::read_usage(datapath::CookieCounters& out) const {
+  out.fill(pipeline_.table(dp::kTableEgress));
+}
+
 }  // namespace magma::agw

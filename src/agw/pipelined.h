@@ -89,6 +89,9 @@ class Pipelined {
   // Per-session user-plane usage: bytes/packets delivered past policy
   // enforcement (exactly once per packet, unlike a sum over all tables).
   datapath::FlowCounters session_usage(std::uint64_t cookie) const;
+  // Every session's usage in one pass: out.get(cookie) equals
+  // session_usage(cookie) until the rules next change.
+  void read_usage(datapath::CookieCounters& out) const;
 
   const PipelinedStats& stats() const { return stats_; }
 

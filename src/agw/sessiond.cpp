@@ -208,9 +208,13 @@ std::vector<common::Imsi> Sessiond::active_imsis() const {
 }
 
 void Sessiond::refresh_usage(SessionRecord& session) {
+  refresh_usage(session, pipelined_.session_usage(session.id.value).bytes);
+}
+
+void Sessiond::refresh_usage(SessionRecord& session,
+                             std::uint64_t live_bytes) {
   const std::uint64_t before = session.used_bytes;
-  session.used_bytes = session.counter_base_bytes +
-                       pipelined_.session_usage(session.id.value).bytes;
+  session.used_bytes = session.counter_base_bytes + live_bytes;
   // Usage deltas feed the bytes heavy-hitter sketch: every reading is a
   // delta of the cumulative counter, so the accumulated total equals
   // actual bytes however often usage is refreshed. Offers happen on the
@@ -229,8 +233,11 @@ void Sessiond::flush_sketch_bytes(SessionRecord& session) {
 
 void Sessiond::poll_usage() {
   const sim::TimePoint now = kernel_.now();
+  // One egress-table pass for every session. It stays valid through the
+  // loop: enforce() only reprograms the session it is enforcing.
+  pipelined_.read_usage(poll_counters_);
   for (auto& [imsi, session] : by_imsi_) {
-    refresh_usage(session);
+    refresh_usage(session, poll_counters_.get(session.id.value).bytes);
     enforce(session);
     if (sketches_ != nullptr && now >= session.next_sketch_mark) {
       session.next_sketch_mark = now + kSketchMarkInterval;

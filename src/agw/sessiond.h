@@ -156,6 +156,9 @@ class Sessiond {
 
  private:
   common::Result<common::SessionId> do_create_session(const CreateRequest& req);
+  // Fold the session's live counter reading (bytes on its current rules)
+  // into its cumulative usage.
+  void refresh_usage(SessionRecord& session, std::uint64_t live_bytes);
   void refresh_usage(SessionRecord& session);
   void enforce(SessionRecord& session);
   void flush_sketch_bytes(SessionRecord& session);
@@ -172,6 +175,8 @@ class Sessiond {
   std::string node_;
   obs::Service303* status_ = nullptr;
   obs::sketch::SubscriberSketches* sketches_ = nullptr;
+  // The usage poll's one-pass counter read, kept to reuse its storage.
+  datapath::CookieCounters poll_counters_;
 };
 
 }  // namespace magma::agw

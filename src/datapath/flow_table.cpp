@@ -60,4 +60,32 @@ FlowCounters FlowTable::counters_for_cookie(std::uint64_t cookie) const {
   return total;
 }
 
+void CookieCounters::fill(const FlowTable& table) {
+  sums_.clear();
+  for (const FlowEntry& entry : table.entries()) {
+    sums_.emplace_back(entry.cookie, entry.counters);
+  }
+  std::sort(sums_.begin(), sums_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Fold each run of one cookie into a single sum.
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < sums_.size(); ++i) {
+    if (n > 0 && sums_[n - 1].first == sums_[i].first) {
+      sums_[n - 1].second.packets += sums_[i].second.packets;
+      sums_[n - 1].second.bytes += sums_[i].second.bytes;
+    } else {
+      sums_[n++] = sums_[i];
+    }
+  }
+  sums_.resize(n);
+}
+
+FlowCounters CookieCounters::get(std::uint64_t cookie) const {
+  auto it = std::lower_bound(
+      sums_.begin(), sums_.end(), cookie,
+      [](const auto& sum, std::uint64_t c) { return sum.first < c; });
+  return it != sums_.end() && it->first == cookie ? it->second
+                                                  : FlowCounters{};
+}
+
 }  // namespace magma::datapath

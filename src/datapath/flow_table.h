@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -130,6 +131,22 @@ class FlowTable {
  private:
   std::vector<FlowEntry> entries_;  // sorted by descending priority
   std::uint64_t generation_ = 0;
+};
+
+// Per-cookie counter sums of one table, gathered in a single pass: a caller
+// that needs every session's usage reads the table once instead of calling
+// counters_for_cookie (a whole-table scan) per session. The storage is
+// reused across fills, so a steady-state fill allocates nothing.
+class CookieCounters {
+ public:
+  // Replace the contents with `table`'s sums: get(c) then equals
+  // table.counters_for_cookie(c) until the table next changes.
+  void fill(const FlowTable& table);
+  // Zero for a cookie the table did not hold.
+  FlowCounters get(std::uint64_t cookie) const;
+
+ private:
+  std::vector<std::pair<std::uint64_t, FlowCounters>> sums_;  // by cookie
 };
 
 }  // namespace magma::datapath

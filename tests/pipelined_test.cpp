@@ -3,7 +3,11 @@
 // session shapes, home routing.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
 #include "agw/pipelined.h"
+#include "sim/random.h"
 
 namespace magma::agw {
 namespace {
@@ -172,6 +176,86 @@ TEST(Pipelined, UsageCountsInnerBytesOncePerPacket) {
   // Counted at the enforcement table: after decap, so inner wire size.
   EXPECT_EQ(usage.bytes, dp::make_udp(kUe, kServer, 1000, 443, 500).wire_size());
 }
+
+// --- One-pass usage read ------------------------------------------------------
+
+// read_usage (one egress-table pass, the usage poll's read) against
+// session_usage (a whole-table scan per cookie, the reference) through
+// random rule churn: install, remove and reinstall, tier changes, block,
+// idle, and traffic past the meters so they drop.
+class UsageReadSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(UsageReadSweep, OnePassMatchesPerCookieScan) {
+  sim::Rng rng(GetParam());
+  Pipelined pd;
+  std::map<std::uint64_t, SessionFlows> live;  // cookie -> installed spec
+  dp::CookieCounters usage;
+  const std::uint64_t kRates[] = {0, 8'000, 64'000, 1'000'000};
+  auto rate = [&] { return kRates[rng.uniform_int(4)]; };
+  std::uint64_t next_cookie = 1;
+  sim::TimePoint now = 0;
+  for (int step = 0; step < 300 && !HasFailure(); ++step) {
+    now += 10 * sim::kMillisecond;
+    if (live.empty() || rng.uniform_int(5) == 0) {
+      const std::uint64_t cookie = next_cookie++;
+      SessionFlows f = lte_session(
+          cookie, common::Ipv4{kUe.addr + static_cast<std::uint32_t>(cookie)});
+      f.tunneled = rng.bernoulli(0.8);
+      f.dl_rate_bps = rate();
+      f.ul_rate_bps = rate();
+      ASSERT_TRUE(pd.install_session(f, now).ok());
+      live[cookie] = f;
+    }
+    auto it = std::next(live.begin(),
+                        static_cast<long>(rng.uniform_int(live.size())));
+    SessionFlows& f = it->second;
+    // Traffic both ways, up to 64 KB per batch: enough to drain a meter.
+    const auto count = static_cast<std::uint32_t>(1 + rng.uniform_int(64));
+    pd.pipeline().process_batch(
+        dp::PacketBatch{dp::make_udp(kServer, f.ue_ip, 443, 1000, 972), count},
+        dp::Direction::kDownlink, now);
+    dp::Packet up = dp::make_udp(f.ue_ip, kServer, 1000, 443, 500);
+    if (f.tunneled) up = uplink_packet(f);
+    pd.pipeline().process_batch(dp::PacketBatch{up, count},
+                                dp::Direction::kUplink, now);
+    SessionFlows changed = f;
+    switch (rng.uniform_int(5)) {
+      case 0:
+        ASSERT_TRUE(pd.remove_session(f.cookie).ok());
+        live.erase(it);
+        break;
+      case 1:
+        changed.dl_rate_bps = rate();
+        changed.ul_rate_bps = rate();
+        break;
+      case 2:
+        changed.blocked = !changed.blocked;
+        break;
+      case 3:
+        changed.idle = !changed.idle;
+        break;
+      default:
+        break;  // traffic only
+    }
+    if (live.contains(changed.cookie) && !(changed == f)) {
+      ASSERT_TRUE(pd.install_session(changed, now).ok());
+      f = changed;
+    }
+    pd.read_usage(usage);
+    for (std::uint64_t c = 0; c <= next_cookie; ++c) {
+      for (const std::uint64_t cookie : {c, c | Pipelined::kBlockCookieFlag}) {
+        const dp::FlowCounters expected = pd.session_usage(cookie);
+        EXPECT_EQ(usage.get(cookie).bytes, expected.bytes)
+            << "cookie " << cookie << " step " << step;
+        EXPECT_EQ(usage.get(cookie).packets, expected.packets)
+            << "cookie " << cookie << " step " << step;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UsageReadSweep,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 // --- Desired-state reconciliation (§3.4's X, Y, Z example) -------------------
 

@@ -248,32 +248,38 @@ void AccessGateway::ingress(datapath::PacketBatch batch,
 
 common::Bytes AccessGateway::checkpoint() const {
   MAGMA_HOST_SCOPE("agw", "checkpoint");
+  // Sized up front: an SQN entry is 31 bytes with a 15-digit IMSI and a
+  // session record about 210 (more with a multi-tier policy).
   rpc::Writer w;
+  w.reserve(32 + 32 * subscriberdb_.sqn_count() +
+            256 * sessiond_->active_sessions());
   // The UE address block is part of the gateway's identity: a backup
   // instance must keep handing out (and honouring) the same addresses.
   w.u32(profile_.ip_block.base.addr);
   w.u8(profile_.ip_block.prefix_len);
-  w.bytes(subscriberdb_.snapshot());
-  w.bytes(policydb_.snapshot());
-  w.bytes(sessiond_->checkpoint());
+  subscriberdb_.write_sqn_table(w);
+  sessiond_->checkpoint(w);
   return std::move(w).take();
 }
 
 common::Status AccessGateway::restore(common::BytesView image) {
+  // Decode every section before committing any, so a corrupt image leaves
+  // this instance as it was. The sessions are the image's tail, and
+  // Sessiond::restore decodes all of them before it replaces any.
   rpc::Reader r(image);
   IpBlock block;
   block.base.addr = r.u32();
   block.prefix_len = r.u8();
-  const common::Bytes subs = r.bytes();
-  const common::Bytes policies = r.bytes();
-  const common::Bytes sessions = r.bytes();
-  if (!r.ok() || !r.at_end() || block.prefix_len > 32) {
+  auto sqns = SubscriberDb::read_sqn_table(r);
+  if (!sqns.ok()) return sqns.error();
+  if (block.prefix_len == 0 || block.prefix_len > 32) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt AGW checkpoint"};
   }
-  if (auto status = subscriberdb_.restore(subs); !status.ok()) return status;
-  if (auto status = policydb_.restore(policies); !status.ok()) return status;
-  if (auto status = sessiond_->restore(sessions); !status.ok()) return status;
+  const common::Status sessions =
+      sessiond_->restore(image.subspan(image.size() - r.remaining()));
+  if (!sessions.ok()) return sessions;
+  subscriberdb_.merge_sqn_table(sqns.value());
   // Take over the failed instance's address space and its assignments.
   profile_.ip_block = block;
   mobilityd_ = Mobilityd(block);

@@ -111,8 +111,12 @@ class AccessGateway {
   void set_egress(EgressHandler handler) { egress_ = std::move(handler); }
 
   // --- fault tolerance ------------------------------------------------------
-  // Serialized runtime+cached-config image (§3.3). restore() brings this
-  // (fresh) instance up from another instance's checkpoint.
+  // Serialized runtime state (§3.3, §3.4): the UE address block, the SQN
+  // table and the sessions. Config is not in it; orc8r pushes it again.
+  // restore() brings this instance up from another instance's checkpoint,
+  // or changes nothing when the image is corrupt. Until this instance's
+  // first config sync an attach is rejected as an unknown subscriber, and
+  // the UE's retry after the sync succeeds with the restored SQN.
   common::Bytes checkpoint() const;
   common::Status restore(common::BytesView image);
 

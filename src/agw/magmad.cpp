@@ -407,9 +407,11 @@ void Magmad::event_tick() {
 
 void Magmad::ship_checkpoint() {
   if (shed_telemetry()) return;
+  const common::Bytes image = checkpoint_source_();
   rpc::Writer w;
+  w.reserve(8 + gateway_id_.size() + image.size());
   w.str(gateway_id_);
-  w.bytes(checkpoint_source_());
+  w.bytes(image);
   report(orc8r::kStateService, orc8r::kReportCheckpoint, std::move(w).take(),
          [this](bool ok) {
            ++(ok ? stats_.checkpoints_shipped : stats_.checkpoint_failures);

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/policy.h"
-#include "rpc/wire.h"
 
 namespace magma::agw {
 
@@ -43,30 +42,6 @@ class PolicyDb {
     policies_.clear();
     upsert(core::unlimited_policy());
     for (const core::Policy& p : policies) upsert(p);
-  }
-
-  common::Bytes snapshot() const {
-    rpc::Writer w;
-    w.u64(policies_.size());
-    for (const auto& [_, policy] : policies_) w.bytes(policy.serialize());
-    return std::move(w).take();
-  }
-
-  common::Status restore(common::BytesView image) {
-    rpc::Reader r(image);
-    const std::uint64_t count = r.u64();
-    std::map<std::string, core::Policy> next;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      auto policy = core::Policy::deserialize(r.bytes());
-      if (!policy.ok()) return policy.error();
-      next[policy.value().name] = std::move(policy).take();
-    }
-    if (!r.ok()) {
-      return common::Error{common::ErrorCode::kInvalidArgument,
-                           "corrupt policydb image"};
-    }
-    policies_ = std::move(next);
-    return common::Status::Ok();
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.h"
+#include "obs/host_profiler.h"
 #include "ocs/ocs.h"
 #include "rpc/wire.h"
 
@@ -232,6 +233,7 @@ void Sessiond::flush_sketch_bytes(SessionRecord& session) {
 }
 
 void Sessiond::poll_usage() {
+  MAGMA_HOST_SCOPE("sessiond", "poll_usage");
   const sim::TimePoint now = kernel_.now();
   // One egress-table pass for every session. It stays valid through the
   // loop: enforce() only reprograms the session it is enforcing.
@@ -352,14 +354,12 @@ void Sessiond::request_quota(SessionRecord& session) {
       });
 }
 
-common::Bytes Sessiond::checkpoint() const {
-  rpc::Writer w;
+void Sessiond::checkpoint(rpc::Writer& w) const {
   w.u64(next_session_id_);
   w.u64(by_imsi_.size());
   for (const common::Imsi& imsi : active_imsis()) {
     w.bytes(by_imsi_.at(imsi).serialize());
   }
-  return std::move(w).take();
 }
 
 common::Status Sessiond::restore(common::BytesView image) {
@@ -372,7 +372,7 @@ common::Status Sessiond::restore(common::BytesView image) {
     if (!session.ok()) return session.error();
     restored[session.value().imsi] = std::move(session).take();
   }
-  if (!r.ok()) {
+  if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt sessiond checkpoint"};
   }

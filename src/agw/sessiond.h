@@ -149,9 +149,10 @@ class Sessiond {
 
   const SessiondStats& stats() const { return stats_; }
 
-  // Checkpoint/restore of all session runtime state (§3.3). Restore also
-  // reprograms the data plane to match.
-  common::Bytes checkpoint() const;
+  // Checkpoint/restore of all session runtime state (§3.3). checkpoint()
+  // appends it to `w`. restore() decodes all of `image` before it replaces
+  // any session, then reprograms the data plane to match.
+  void checkpoint(rpc::Writer& w) const;
   common::Status restore(common::BytesView image);
 
  private:

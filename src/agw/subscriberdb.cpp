@@ -9,14 +9,6 @@ namespace magma::agw {
 
 namespace {
 constexpr std::array<std::uint8_t, 2> kAmf = {0x80, 0x00};
-
-// The row to cache for a pushed config row. SQN is runtime state owned by
-// this AGW: a config push, full or delta, must not rewind it, or the next
-// vector would be rejected by the USIM.
-SubscriberData keep_sqn(SubscriberData pushed, const SubscriberData* cached) {
-  if (cached != nullptr) pushed.sqn = std::max(pushed.sqn, cached->sqn);
-  return pushed;
-}
 }  // namespace
 
 std::array<std::uint8_t, 6> sqn_to_bytes(std::uint64_t sqn) {
@@ -53,13 +45,24 @@ SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source,
   sn_.plmn = std::move(plmn);
 }
 
+// SQN is runtime state owned by this AGW: a config push, full or delta,
+// must not rewind it, or the next vector would be rejected by the USIM.
+std::uint64_t SubscriberDb::raise_sqn(const common::Imsi& imsi,
+                                      std::uint64_t sqn) {
+  if (sqn == 0 && !sqns_.contains(imsi)) return 0;
+  std::uint64_t& held = sqns_[imsi];
+  return held = std::max(held, sqn);
+}
+
 void SubscriberDb::upsert(SubscriberData data) {
+  data.sqn = raise_sqn(data.imsi, data.sqn);
   SubscriberData& cached = subscribers_[data.imsi];
-  cached = keep_sqn(std::move(data), &cached);
+  cached = std::move(data);
 }
 
 void SubscriberDb::remove(const common::Imsi& imsi) {
   subscribers_.erase(imsi);
+  sqns_.erase(imsi);
 }
 
 std::optional<SubscriberData> SubscriberDb::get(const common::Imsi& imsi) {
@@ -83,12 +86,46 @@ std::vector<common::Imsi> SubscriberDb::all_imsis() const {
 void SubscriberDb::replace_all(const std::vector<SubscriberData>& data) {
   std::unordered_map<common::Imsi, SubscriberData> next;
   next.reserve(data.size());
-  for (const SubscriberData& s : data) {
-    auto it = subscribers_.find(s.imsi);
-    next[s.imsi] =
-        keep_sqn(s, it == subscribers_.end() ? nullptr : &it->second);
-  }
+  for (const SubscriberData& s : data) next[s.imsi] = s;
+  // A subscriber the push drops takes its SQN along.
+  std::erase_if(sqns_, [&](const auto& e) { return !next.contains(e.first); });
+  for (auto& [imsi, row] : next) row.sqn = raise_sqn(imsi, row.sqn);
   subscribers_ = std::move(next);
+}
+
+void SubscriberDb::write_sqn_table(rpc::Writer& w) const {
+  w.u64(sqns_.size());
+  for (const auto& [imsi, sqn] : sqns_) {
+    w.str(imsi.value);
+    w.u64(sqn);
+  }
+}
+
+common::Result<SubscriberDb::SqnTable> SubscriberDb::read_sqn_table(
+    rpc::Reader& r) {
+  const std::uint64_t count = r.u64();
+  SqnTable table;
+  bool ok = r.ok();
+  for (std::uint64_t i = 0; ok && i < count; ++i) {
+    common::Imsi imsi{r.str()};
+    const std::uint64_t sqn = r.u64();
+    ok = r.ok() && imsi.valid();
+    table.emplace_back(std::move(imsi), sqn);
+  }
+  if (!ok) {
+    return common::Error{common::ErrorCode::kInvalidArgument,
+                         "corrupt SQN table"};
+  }
+  return table;
+}
+
+void SubscriberDb::merge_sqn_table(const SqnTable& table) {
+  for (const auto& [imsi, sqn] : table) {
+    const std::uint64_t merged = raise_sqn(imsi, sqn);
+    if (auto it = subscribers_.find(imsi); it != subscribers_.end()) {
+      it->second.sqn = merged;
+    }
+  }
 }
 
 common::Result<AuthVector> SubscriberDb::generate_auth_vector(
@@ -114,6 +151,7 @@ common::Result<AuthVector> SubscriberDb::generate_auth_vector(
   }
 
   sub.sqn += 1;  // advance before use; SQN must never repeat
+  sqns_[it->first] = sub.sqn;
   const auto sqn = sqn_to_bytes(sub.sqn);
 
   const crypto::Milenage milenage =
@@ -173,6 +211,7 @@ common::Status SubscriberDb::resync(const common::Imsi& imsi,
   }
 
   sub.sqn = std::max(sub.sqn, sqn_ms) + 1;
+  sqns_[it->first] = sub.sqn;
   ++stats_.resyncs;
   return common::Status::Ok();
 }
@@ -190,19 +229,21 @@ common::Bytes SubscriberDb::snapshot() const {
 common::Status SubscriberDb::restore(common::BytesView image) {
   rpc::Reader r(image);
   const std::uint64_t count = r.u64();
-  std::unordered_map<common::Imsi, SubscriberData> next;
+  std::vector<SubscriberData> rows;
   for (std::uint64_t i = 0; i < count; ++i) {
     const common::Bytes record = r.bytes();
     if (!r.ok()) break;
     auto parsed = SubscriberData::deserialize(record);
     if (!parsed.ok()) return common::Status(parsed.error());
-    next[parsed.value().imsi] = std::move(parsed).take();
+    rows.push_back(std::move(parsed).take());
   }
   if (!r.ok()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt subscriberdb image"};
   }
-  subscribers_ = std::move(next);
+  // The image's SQNs replace this cache's, as its rows do.
+  sqns_.clear();
+  replace_all(rows);
   return common::Status::Ok();
 }
 

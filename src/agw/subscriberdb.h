@@ -11,6 +11,8 @@
 // lives in the orchestrator (configuration state) and is pushed down via
 // desired-state sync. The cache is what lets an AGW keep authenticating
 // UEs while disconnected from the orchestrator (§3.2 headless operation).
+// Its runtime state is each subscriber's SQN, which this AGW advances; only
+// that goes into a checkpoint (§3.4).
 //
 // Auth vector generation (EPS-AKA via Milenage, including SQN management
 // and resynchronisation) happens here, as in Magma's subscriberdb.
@@ -19,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -30,6 +33,7 @@
 #include "crypto/kdf.h"
 #include "obs/status.h"
 #include "crypto/milenage.h"
+#include "rpc/wire.h"
 
 namespace magma::agw {
 
@@ -71,7 +75,7 @@ class SubscriberDb {
                         std::string plmn = "00101");
 
   // Adds or overwrites one row (a delta sync). Like replace_all, it keeps
-  // the cached SQN when that is ahead of the pushed one.
+  // the SQN held here when that is ahead of the pushed one.
   void upsert(SubscriberData data);
   void remove(const common::Imsi& imsi);
   std::optional<SubscriberData> get(const common::Imsi& imsi);
@@ -81,6 +85,15 @@ class SubscriberDb {
   // Desired-state replacement: the new subscriber set *is* `data` (§3.4).
   // Local-only runtime state (SQN) for surviving entries is preserved.
   void replace_all(const std::vector<SubscriberData>& data);
+
+  // A checkpoint's SQN table: every SQN above 0, in IMSI order. Merging
+  // takes the larger SQN, before or after the first config sync; a
+  // subscriber stays unknown until the sync brings its row.
+  using SqnTable = std::vector<std::pair<common::Imsi, std::uint64_t>>;
+  void write_sqn_table(rpc::Writer& w) const;
+  static common::Result<SqnTable> read_sqn_table(rpc::Reader& r);
+  void merge_sqn_table(const SqnTable& table);
+  std::size_t sqn_count() const { return sqns_.size(); }
 
   // Generate an EPS-AKA vector and advance the subscriber's SQN.
   common::Result<AuthVector> generate_auth_vector(const common::Imsi& imsi);
@@ -97,15 +110,21 @@ class SubscriberDb {
   // requests and errors.
   void set_status(obs::Service303* status) { status_ = status; }
 
-  // Serialize the full cache (for orchestrator→AGW sync payloads and AGW
-  // checkpoints).
+  // Serialize the full cache, SQNs included (an HSS image handed to
+  // another store, as in the neutral-host example).
   common::Bytes snapshot() const;
   common::Status restore(common::BytesView image);
 
  private:
+  // Raises `imsi`'s SQN to at least `sqn` and returns it.
+  std::uint64_t raise_sqn(const common::Imsi& imsi, std::uint64_t sqn);
+
   std::function<std::uint64_t()> rand_source_;
   crypto::ServingNetwork sn_;
   std::unordered_map<common::Imsi, SubscriberData> subscribers_;
+  // Every SQN above 0, in IMSI order: a checkpoint writes it unsorted. A
+  // row's `sqn` mirrors its entry; a restored entry may have no row yet.
+  std::map<common::Imsi, std::uint64_t> sqns_;
   SubscriberDbStats stats_;
   obs::Service303* status_ = nullptr;
 };

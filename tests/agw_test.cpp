@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "agw/agw.h"
+#include "rpc/wire.h"
 
 namespace magma::agw {
 namespace {
@@ -136,10 +137,12 @@ TEST_F(AgwTest, ForwardedBytesDeltaResetsBetweenSnapshots) {
 }
 
 TEST_F(AgwTest, CheckpointRoundTripsThroughFreshInstance) {
-  // Populate some cached config + a session.
+  // A cached config row whose SQN has advanced, plus a session.
   SubscriberData sub;
   sub.imsi = common::Imsi::from_digits(1010000000042ULL);
   agw_.subscriberdb().upsert(sub);
+  ASSERT_TRUE(agw_.subscriberdb().generate_auth_vector(sub.imsi).ok());
+  ASSERT_TRUE(agw_.subscriberdb().generate_auth_vector(sub.imsi).ok());
   install_session(common::Ipv4{agw_.profile().ip_block.base.addr + 5});
 
   Sessiond::CreateRequest req;
@@ -155,11 +158,51 @@ TEST_F(AgwTest, CheckpointRoundTripsThroughFreshInstance) {
   AccessGateway backup(kernel_, common::GatewayId{"gw-backup"},
                        virtual_xeon(2), sim::Rng(10));
   ASSERT_TRUE(backup.restore(image).ok());
-  EXPECT_TRUE(backup.subscriberdb().get(sub.imsi).has_value());
   EXPECT_EQ(backup.sessiond().active_sessions(), 1u);
   EXPECT_EQ(backup.mobilityd().lookup(sub.imsi).value(), req.ue_ip);
   // The backup adopted the failed instance's address block wholesale.
   EXPECT_EQ(backup.profile().ip_block.base, agw_.profile().ip_block.base);
+  // Config is not in the image: the subscriber is unknown until a sync
+  // pushes its row, which then carries the restored SQN, not orc8r's 0.
+  EXPECT_FALSE(backup.subscriberdb().get(sub.imsi).has_value());
+  backup.subscriberdb().upsert(sub);
+  EXPECT_EQ(backup.subscriberdb().get(sub.imsi)->sqn, 2u);
+  EXPECT_EQ(backup.checkpoint(), image);
+}
+
+TEST_F(AgwTest, CorruptSessionSectionLeavesGatewayUnchanged) {
+  // A populated gateway: an advanced SQN and a live session.
+  SubscriberData sub;
+  sub.imsi = common::Imsi::from_digits(1010000000042ULL);
+  agw_.subscriberdb().upsert(sub);
+  ASSERT_TRUE(agw_.subscriberdb().generate_auth_vector(sub.imsi).ok());
+  Sessiond::CreateRequest req;
+  req.imsi = sub.imsi;
+  req.ue_ip = common::Ipv4{agw_.profile().ip_block.base.addr + 7};
+  req.policy = core::unlimited_policy();
+  ASSERT_TRUE(agw_.sessiond().create_session(req).ok());
+  const common::Bytes before = agw_.checkpoint();
+
+  // An image whose address block and SQN table are valid (and would move
+  // this gateway's block and raise its SQN) but whose session section is
+  // not.
+  SubscriberDb donor([] { return 0ULL; });
+  donor.upsert(sub);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(donor.generate_auth_vector(sub.imsi).ok());
+  }
+  rpc::Writer w;
+  w.u32(common::Ipv4::from_octets(172, 20, 0, 0).addr);
+  w.u8(22);
+  donor.write_sqn_table(w);
+  w.u64(9);  // next session id
+  w.u64(1);  // one session record...
+  w.bytes(common::to_bytes("not a session record"));
+  const common::Status status = agw_.restore(std::move(w).take());
+
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(agw_.checkpoint(), before);
+  EXPECT_EQ(agw_.subscriberdb().get(sub.imsi)->sqn, 1u);
 }
 
 TEST_F(AgwTest, RestoreGarbageFailsCleanly) {

@@ -1,7 +1,8 @@
 // Robustness fuzzing and the wire-codec contract: a malformed or malicious
 // PDU from the RAN side, or a corrupted report on the backhaul, must never
 // crash a gateway or the orchestrator (fail-soft is a stated property of the
-// wire layer; this enforces it for every codec and store image).
+// wire layer; this enforces it for every codec and store image, the AGW
+// checkpoint included).
 //
 // One harness checks every wire codec against one contract:
 //  * generated samples round-trip — the decode succeeds and re-encodes to
@@ -21,6 +22,7 @@
 #include <variant>
 #include <vector>
 
+#include "agw/agw.h"
 #include "agw/lte_frontend.h"
 #include "agw/pipelined.h"
 #include "agw/subscriberdb.h"
@@ -710,6 +712,61 @@ TEST(FuzzDeltaStream, HostileLengthsRejectedWithoutAllocating) {
                        .ok());
     }
   }
+}
+
+// --- AGW checkpoint images ----------------------------------------------------
+
+// A backup AGW restores whatever orc8r hands it. Every strict prefix of a
+// real image is rejected; bit-flipped images and random bytes either fail
+// or restore cleanly (the gateway checkpoints again afterwards); none of
+// them crash.
+TEST(FuzzCheckpoint, AgwImageRestoresCleanlyOrNotAtAll) {
+  sim::Kernel kernel;
+  agw::AccessGateway source(kernel, common::GatewayId{"gw-src"},
+                            agw::virtual_xeon(2), sim::Rng(1));
+  sim::Rng rng(2);
+  for (std::uint64_t n = 0; n < 4; ++n) {
+    agw::SubscriberData sub = subscriber_data(rng);
+    sub.imsi = common::Imsi::from_digits(1010000000000ULL + n);
+    sub.sqn = 0;
+    sub.active = true;
+    source.subscriberdb().upsert(sub);
+    for (std::uint64_t v = 0; v <= n; ++v) {
+      ASSERT_TRUE(source.subscriberdb().generate_auth_vector(sub.imsi).ok());
+    }
+    agw::Sessiond::CreateRequest req;
+    req.imsi = sub.imsi;
+    req.ue_ip = common::Ipv4{source.profile().ip_block.base.addr +
+                             static_cast<std::uint32_t>(n + 1)};
+    req.tunneled = n % 2 == 0;
+    req.policy = policy(rng);
+    ASSERT_TRUE(source.sessiond().create_session(req).ok());
+  }
+  const common::Bytes image = source.checkpoint();
+
+  agw::AccessGateway target(kernel, common::GatewayId{"gw-dst"},
+                            agw::virtual_xeon(2), sim::Rng(3));
+  for (std::size_t keep = 0; keep < image.size(); ++keep) {
+    EXPECT_FALSE(target.restore(common::BytesView(image.data(), keep)).ok())
+        << "prefix " << keep << " of " << image.size() << " restored";
+  }
+  int restored = 0;
+  for (int i = 0; i < 2000; ++i) {
+    common::Bytes mutated = image;
+    const int flips = 1 + static_cast<int>(rng.uniform_int(4));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.uniform_int(mutated.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+    }
+    if (target.restore(mutated).ok()) {
+      ++restored;
+      EXPECT_FALSE(target.checkpoint().empty());
+    }
+    (void)target.restore(random_bytes(rng, 256));
+  }
+  EXPECT_GT(restored, 0);  // flips inside counters and usage still decode
+  ASSERT_TRUE(target.restore(image).ok());
+  EXPECT_EQ(target.sessiond().active_sessions(), 4u);
 }
 
 // A hostile RAN peer sprays garbage at a live front-end; the AGW must keep

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/network.h"
 
@@ -85,13 +86,12 @@ TEST_F(FaultTest, BackupAgwResumesFromShippedCheckpoint) {
   agw::AccessGateway& backup = net_->add_agw(agw::virtual_xeon(4));
   ASSERT_TRUE(backup.restore(*image).ok());
 
-  // The session exists on the backup with its usage intact, the subscriber
-  // cache is warm, and the data plane forwards for the UE immediately.
+  // The session exists on the backup with its usage intact, and the data
+  // plane forwards for the UE immediately.
   const agw::SessionRecord* session =
       backup.sessiond().find(ue.usim().imsi());
   ASSERT_NE(session, nullptr);
   EXPECT_GE(session->used_bytes, used);
-  EXPECT_TRUE(backup.subscriberdb().get(ue.usim().imsi()).has_value());
   EXPECT_EQ(backup.mobilityd().lookup(ue.usim().imsi()).value(), *ue.ip());
 
   datapath::PacketBatch batch;
@@ -101,6 +101,100 @@ TEST_F(FaultTest, BackupAgwResumesFromShippedCheckpoint) {
   const auto result = backup.pipelined().pipeline().process_batch(
       batch, datapath::Direction::kDownlink, net_->kernel().now());
   EXPECT_EQ(result.verdict, datapath::Verdict::kForwarded);
+
+  // The subscriber's config row is not in the image; the backup's first
+  // config sync brings it back, with the SQN the image carried.
+  const common::Imsi& imsi = ue.usim().imsi();
+  EXPECT_FALSE(backup.subscriberdb().get(imsi).has_value());
+  net_->run_for(5 * sim::kSecond);
+  ASSERT_TRUE(backup.subscriberdb().get(imsi).has_value());
+  EXPECT_EQ(backup.subscriberdb().get(imsi)->sqn,
+            agw0_->subscriberdb().get(imsi)->sqn);
+}
+
+// §3.4: a checkpoint is runtime state. Subscriber secrets are config that
+// orc8r holds durably, so neither the image nor orc8r's stored copy of it
+// may carry them.
+TEST_F(FaultTest, CheckpointCarriesNoSubscriberSecrets) {
+  std::vector<agw::SubscriberData> subs;
+  for (const char* password : {"wifi-secret-one", "wifi-secret-two"}) {
+    subs.push_back(net_->provision_subscriber("default", password));
+  }
+  net_->sync_all_config();
+  bool ok = false;
+  net_->add_ue_lte(subs[0]).attach(
+      *enb0_, [&](const ran::AttachOutcome& o) { ok = o.success; });
+  net_->run_for(20 * sim::kSecond);
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(agw0_->sessiond().active_sessions(), 1u);
+  net_->run_for(2 * sim::kMinute);  // magmad ships a checkpoint
+  const auto stored = net_->orchestrator().stored_checkpoint("gw0");
+  ASSERT_TRUE(stored.has_value());
+
+  const auto contains = [](const common::Bytes& image,
+                           common::BytesView secret) {
+    return std::search(image.begin(), image.end(), secret.begin(),
+                       secret.end()) != image.end();
+  };
+  for (const common::Bytes& image : {agw0_->checkpoint(), *stored}) {
+    for (const agw::SubscriberData& sub : subs) {
+      EXPECT_FALSE(contains(image, sub.k)) << sub.imsi.value;
+      EXPECT_FALSE(contains(image, sub.opc)) << sub.imsi.value;
+      EXPECT_FALSE(contains(image, common::to_bytes(sub.wifi_password)))
+          << sub.imsi.value;
+    }
+  }
+}
+
+// Failover of an LTE UE and an NR UE onto a backup restored from the
+// checkpoint: the backup rejects their re-attach until its first config
+// sync (no subscriber rows yet), then accepts it on the SQN the image
+// carried. A rewound SQN would cost LTE a resync and fail NR outright (NR
+// has no resync leg), so resyncs stays 0.
+TEST_F(FaultTest, LteAndNrUesReattachToBackupAfterItsFirstSync) {
+  ran::Gnb& gnb0 = net_->add_gnb(*agw0_);
+  const agw::SubscriberData lte_sub = net_->provision_subscriber();
+  const agw::SubscriberData nr_sub = net_->provision_subscriber();
+  net_->sync_all_config();
+  ran::UeLte& lte = net_->add_ue_lte(lte_sub);
+  ran::UeNr& nr = net_->add_ue_nr(nr_sub);
+  auto attach = [&](auto& ue, auto& ran_node) {
+    ran::AttachOutcome outcome;
+    outcome.failure_reason = "no outcome";
+    ue.attach(ran_node, [&](const ran::AttachOutcome& o) { outcome = o; });
+    net_->run_for(20 * sim::kSecond);
+    return outcome;
+  };
+  ASSERT_TRUE(attach(lte, *enb0_).success);
+  ASSERT_TRUE(attach(nr, gnb0).success);
+  const common::Bytes image = agw0_->checkpoint();
+
+  // The backup comes up with its backhaul down, so its first sync waits.
+  agw::AccessGateway& backup = net_->add_agw(agw::virtual_xeon(4));
+  net_->set_backhaul_up(backup, false);
+  ASSERT_TRUE(backup.restore(image).ok());
+  ran::EnodeB& enb = net_->add_enodeb(backup);
+  ran::Gnb& gnb = net_->add_gnb(backup);
+  net_->run_for(2 * sim::kSecond);  // S1 and NG setup
+
+  EXPECT_FALSE(attach(lte, enb).success);
+  EXPECT_FALSE(attach(nr, gnb).success);
+  const agw::AccessdStats& accessd = backup.accessd().stats();
+  EXPECT_EQ(accessd.attach_rejected[0], 1u);  // unknown subscriber (LTE)
+  EXPECT_EQ(accessd.attach_rejected[1], 1u);  // and NR
+  EXPECT_EQ(backup.magmad().stats().config_syncs_applied, 0u);
+
+  net_->set_backhaul_up(backup, true);
+  for (int i = 0; i < 60 && backup.magmad().stats().config_syncs_applied == 0;
+       ++i) {
+    net_->run_for(2 * sim::kSecond);
+  }
+  ASSERT_GT(backup.magmad().stats().config_syncs_applied, 0u);
+  const ran::AttachOutcome lte_late = attach(lte, enb);
+  const ran::AttachOutcome nr_late = attach(nr, gnb);
+  EXPECT_TRUE(lte_late.success) << lte_late.failure_reason;
+  EXPECT_TRUE(nr_late.success) << nr_late.failure_reason;
+  EXPECT_EQ(backup.subscriberdb().stats().resyncs, 0u);
 }
 
 TEST_F(FaultTest, RestoredStateIsByteIdenticalOnRecheckpoint) {

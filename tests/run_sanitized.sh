@@ -16,6 +16,11 @@
 # The protocol suite puts the shared field-list codec (rpc/fields.h)
 # through every 3GPP message type, decoding each into its variant in place.
 #
+# The gateway and failover suites restore AGW checkpoints onto live and
+# backup instances: a restore decodes every section before it replaces
+# sessions, data-plane rules and the address pool that timers and flows
+# still point at.
+#
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,6 +31,7 @@ SUITES=(
   tracing_integration_test statusd_test slo_test cpu_profile_test
   host_profiler_test bench_compare_test sketch_test histogram_test
   pool_test inplace_function_test alloc_discipline_test proto_test
+  agw_test integration_fault_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -64,6 +70,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest' \
   "$@"
 echo "sanitized transport suite: OK"

@@ -148,7 +148,9 @@ TEST_F(SessiondTest, CheckpointRestoreRebuildsDataPlane) {
   offer_downlink(1, 50'000);
   sessiond_.poll_usage();
   const std::uint64_t used = sessiond_.find(imsi(1))->used_bytes;
-  const common::Bytes image = sessiond_.checkpoint();
+  rpc::Writer w;
+  sessiond_.checkpoint(w);
+  const common::Bytes image = std::move(w).take();
 
   // A fresh instance (backup AGW) restores from the image.
   Pipelined pipelined2;

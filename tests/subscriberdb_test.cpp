@@ -192,6 +192,57 @@ TEST_F(SubscriberDbTest, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(other.snapshot(), image);  // canonical ordering => identical
 }
 
+TEST_F(SubscriberDbTest, SqnTableMergesByMaxBeforeOrAfterSync) {
+  sim::Rng source(6);
+  const SubscriberData a = make_subscriber(1, source);
+  const SubscriberData b = make_subscriber(2, source);
+  const SubscriberData c = make_subscriber(3, source);
+  // The failed instance: b at SQN 5, a at 3, c never challenged.
+  db_.replace_all({b, a, c});
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(db_.generate_auth_vector(b.imsi).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(db_.generate_auth_vector(a.imsi).ok());
+  rpc::Writer w;
+  db_.write_sqn_table(w);
+  const common::Bytes image = std::move(w).take();
+  rpc::Reader r(image);
+  const auto table = SubscriberDb::read_sqn_table(r);
+  ASSERT_TRUE(table.ok());
+  EXPECT_TRUE(r.at_end());
+  // IMSI order, SQN above 0 only, and no key material.
+  EXPECT_EQ(table.value(), (SubscriberDb::SqnTable{{a.imsi, 3}, {b.imsi, 5}}));
+
+  // Restored before the first sync: unknown until the sync brings the rows,
+  // and the sync's SQN 0 does not lower the restored SQNs.
+  SubscriberDb early([] { return 0ULL; });
+  early.merge_sqn_table(table.value());
+  EXPECT_FALSE(early.get(a.imsi).has_value());
+  EXPECT_FALSE(early.generate_auth_vector(a.imsi).ok());
+  early.replace_all({a, b, c});
+  EXPECT_EQ(early.get(a.imsi)->sqn, 3u);
+  EXPECT_EQ(early.get(b.imsi)->sqn, 5u);
+  EXPECT_EQ(early.get(c.imsi)->sqn, 0u);
+
+  // Restored after the first sync, onto a row already past the table: the
+  // larger SQN wins either way.
+  SubscriberDb late([] { return 0ULL; });
+  late.replace_all({a, b, c});
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(late.generate_auth_vector(b.imsi).ok());
+  late.merge_sqn_table(table.value());
+  EXPECT_EQ(late.get(a.imsi)->sqn, 3u);
+  EXPECT_EQ(late.get(b.imsi)->sqn, 7u);
+}
+
+TEST(SubscriberDb, SqnTableRejectsCorruptImages) {
+  for (const char* hex :
+       {"", "01000000000000", "0100000000000000",
+        // one entry whose IMSI is not an IMSI
+        "0100000000000000030000006162630100000000000000"}) {
+    const common::Bytes image = common::from_hex(hex);
+    rpc::Reader r(image);
+    EXPECT_FALSE(SubscriberDb::read_sqn_table(r).ok()) << hex;
+  }
+}
+
 TEST(SubscriberData, SerializeDeserializeRoundTrip) {
   SubscriberData sub;
   sub.imsi = common::Imsi::from_digits(1010000000042ULL);
@@ -201,8 +252,8 @@ TEST(SubscriberData, SerializeDeserializeRoundTrip) {
   sub.wifi_password = "hunter2";
   sub.sqn = 77;
   sub.active = false;
-  // The wire layout is pinned: records in orc8r's store and in AGW
-  // checkpoints must keep decoding.
+  // The wire layout is pinned: records in orc8r's store and in config
+  // sync payloads must keep decoding.
   EXPECT_EQ(common::to_hex(sub.serialize()),
             "13000000494d5349303031303130303030303030303432100000001111111111"
             "111111111111111111111110000000222222222222222222222222222222224d"

@@ -112,11 +112,9 @@ class AccessGateway {
 
   // --- fault tolerance ------------------------------------------------------
   // Serialized runtime state (§3.3, §3.4): the UE address block, the SQN
-  // table and the sessions. Config is not in it; orc8r pushes it again.
-  // restore() brings this instance up from another instance's checkpoint,
-  // or changes nothing when the image is corrupt. Until this instance's
-  // first config sync an attach is rejected as an unknown subscriber, and
-  // the UE's retry after the sync succeeds with the restored SQN.
+  // table and the sessions; config comes back by sync. restore() brings
+  // this instance up from another's checkpoint, or changes nothing when the
+  // image is corrupt.
   common::Bytes checkpoint() const;
   common::Status restore(common::BytesView image);
 

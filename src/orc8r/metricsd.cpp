@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <tuple>
 
 #include "obs/slo/slo.h"
 #include "rpc/wire.h"
@@ -309,11 +311,12 @@ std::string format_latency_attribution(
 void Metricsd::set_retention(std::size_t max_samples_per_series) {
   max_per_series_ = max_samples_per_series;
   if (max_per_series_ == 0) return;
-  for (auto& [_, series] : by_name_) {
-    if (series.size() > max_per_series_) {
-      const std::size_t excess = series.size() - max_per_series_;
-      series.erase(series.begin(),
-                   series.begin() + static_cast<std::ptrdiff_t>(excess));
+  for (Series& series : series_) {
+    if (series.rows.size() > max_per_series_) {
+      const std::size_t excess = series.rows.size() - max_per_series_;
+      series.rows.erase(
+          series.rows.begin(),
+          series.rows.begin() + static_cast<std::ptrdiff_t>(excess));
       note_drop(DropKind::kMetric, excess);
     }
   }
@@ -336,49 +339,79 @@ const char* Metricsd::drop_kind_name(DropKind kind) {
 }
 
 void Metricsd::self_observe(sim::TimePoint now) {
+  const common::Symbol name = common::intern("metricsd_samples_dropped");
   for (std::size_t i = 0; i < kDropKindCount; ++i) {
-    MetricSample sample;
     // The kind plays the gateway dimension so each kind is its own series
     // for the kDelta growth rule.
-    sample.gateway_id = drop_kind_name(static_cast<DropKind>(i));
-    sample.name = "metricsd_samples_dropped";
-    sample.value = static_cast<double>(dropped_[i]);
-    sample.time = now;
-    ingest(sample);
+    ingest_row(name, Row{now, static_cast<double>(dropped_[i]),
+                         common::intern(drop_kind_name(
+                             static_cast<DropKind>(i)))});
   }
 }
 
 void Metricsd::add_alert_rule(AlertRule rule) {
   remove_alert_rule(rule.name);
+  rule_names_.push_back(common::intern(rule.name));
   rules_.push_back(std::move(rule));
+  for (Series& series : series_) bind_rules(series);
 }
 
 void Metricsd::remove_alert_rule(const std::string& name) {
-  std::erase_if(rules_, [&](const AlertRule& r) { return r.name == name; });
-  std::erase_if(firing_, [&](const auto& kv) { return kv.first.first == name; });
-  std::erase_if(burn_, [&](const auto& kv) { return kv.first.first == name; });
+  // Rule names are unique, and every rule's name was interned when it was
+  // added: an unknown name has no rule and no alert state.
+  const std::optional<common::Symbol> symbol = common::find_symbol(name);
+  if (!symbol.has_value()) return;
+  const auto it = std::find(rule_names_.begin(), rule_names_.end(), *symbol);
+  if (it == rule_names_.end()) return;
+  rules_.erase(rules_.begin() + (it - rule_names_.begin()));
+  rule_names_.erase(it);
+  const auto of_rule = [&](const auto& kv) {
+    return (kv.first >> 32) == *symbol;
+  };
+  std::erase_if(firing_, of_rule);
+  std::erase_if(burn_, of_rule);
+  for (Series& series : series_) bind_rules(series);
+}
+
+void Metricsd::bind_rules(Series& series) const {
+  series.rules.clear();
+  const std::string& metric = common::symbol_name(series.name);
+  for (std::uint32_t r = 0; r < rules_.size(); ++r) {
+    if (rules_[r].metric == metric) series.rules.push_back(r);
+  }
 }
 
 std::vector<ActiveAlert> Metricsd::active_alerts() const {
   std::vector<ActiveAlert> out;
   out.reserve(firing_.size());
-  for (const auto& [_, alert] : firing_) out.push_back(alert);
+  for (const auto& [key, firing] : firing_) {
+    out.push_back(ActiveAlert{
+        common::symbol_name(static_cast<common::Symbol>(key >> 32)),
+        common::symbol_name(static_cast<common::Symbol>(key)), firing.value,
+        firing.since});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const ActiveAlert& a, const ActiveAlert& b) {
+              return std::tie(a.rule, a.gateway_id) <
+                     std::tie(b.rule, b.gateway_id);
+            });
   return out;
 }
 
-void Metricsd::evaluate_alerts(const MetricSample& sample) {
-  const auto series_key = std::make_pair(sample.name, sample.gateway_id);
-  const auto prev_it = last_value_.find(series_key);
-  for (const AlertRule& rule : rules_) {
-    if (rule.metric != sample.name) continue;
-    const auto key = std::make_pair(rule.name, sample.gateway_id);
+void Metricsd::evaluate_alerts(const Series& series, const Row& row) {
+  // The previous value from this gateway; the row becomes it below.
+  const auto [prev_it, first] =
+      last_value_.try_emplace(state_key(series.name, row.gateway), row.value);
+  for (const std::uint32_t r : series.rules) {
+    const AlertRule& rule = rules_[r];
+    const std::uint64_t key = state_key(rule_names_[r], row.gateway);
     bool breached = false;
-    double alert_value = sample.value;
+    double alert_value = row.value;
     if (rule.kind == AlertKind::kDelta) {
       // Growth vs the previous sample from this gateway; the first sample
       // of a series establishes the baseline and never fires.
-      if (prev_it != last_value_.end()) {
-        const double delta = sample.value - prev_it->second;
+      if (!first) {
+        const double delta = row.value - prev_it->second;
         breached = rule.fire_above ? delta > rule.threshold
                                    : delta < rule.threshold;
       }
@@ -387,9 +420,9 @@ void Metricsd::evaluate_alerts(const MetricSample& sample) {
       // newest tail. Both burns must exceed the threshold to fire — and
       // either recovering clears (see AlertKind docs).
       BurnState& state = burn_[key];
-      state.samples.emplace_back(sample.time, sample.value);
-      state.sum += sample.value;
-      const sim::TimePoint slow_cut = sample.time - rule.slow_window;
+      state.samples.emplace_back(row.time, row.value);
+      state.sum += row.value;
+      const sim::TimePoint slow_cut = row.time - rule.slow_window;
       while (!state.samples.empty() &&
              state.samples.front().first <= slow_cut) {
         state.sum -= state.samples.front().second;
@@ -397,7 +430,7 @@ void Metricsd::evaluate_alerts(const MetricSample& sample) {
       }
       const double slow_mean =
           state.sum / static_cast<double>(state.samples.size());
-      const sim::TimePoint fast_cut = sample.time - rule.fast_window;
+      const sim::TimePoint fast_cut = row.time - rule.fast_window;
       double fast_sum = 0;
       std::size_t fast_n = 0;
       for (auto rit = state.samples.rbegin();
@@ -413,15 +446,13 @@ void Metricsd::evaluate_alerts(const MetricSample& sample) {
       breached = fast_burn > rule.threshold && slow_burn > rule.threshold;
       alert_value = fast_burn;
     } else {
-      breached = rule.fire_above ? sample.value > rule.threshold
-                                 : sample.value < rule.threshold;
+      breached = rule.fire_above ? row.value > rule.threshold
+                                 : row.value < rule.threshold;
     }
     auto it = firing_.find(key);
     if (breached) {
       if (it == firing_.end()) {
-        firing_[key] =
-            ActiveAlert{rule.name, sample.gateway_id, alert_value,
-                        sample.time};
+        firing_.emplace(key, Firing{alert_value, row.time});
         ++alerts_fired_;
       } else {
         it->second.value = alert_value;  // still firing; refresh value
@@ -430,34 +461,45 @@ void Metricsd::evaluate_alerts(const MetricSample& sample) {
       firing_.erase(it);  // recovered
     }
   }
-  last_value_[series_key] = sample.value;
+  prev_it->second = row.value;
 }
 
 void Metricsd::ingest(const MetricSample& sample) {
-  evaluate_alerts(sample);
-  auto& series = by_name_[sample.name];
-  // Reports arrive roughly time-ordered; keep the invariant strictly.
-  if (!series.empty() && series.back().time > sample.time) {
-    auto pos = std::upper_bound(
-        series.begin(), series.end(), sample,
-        [](const MetricSample& a, const MetricSample& b) {
-          return a.time < b.time;
-        });
-    series.insert(pos, sample);
+  ingest_row(common::intern(sample.name),
+             Row{sample.time, sample.value, common::intern(sample.gateway_id)});
+}
+
+void Metricsd::ingest_row(common::Symbol name, Row row) {
+  if (name >= series_slot_.size()) series_slot_.resize(name + 1, 0);
+  if (series_slot_[name] == 0) {
+    Series& fresh = series_.emplace_back();
+    fresh.name = name;
+    bind_rules(fresh);
+    series_slot_[name] = static_cast<std::uint32_t>(series_.size());
+  }
+  Series& series = series_[series_slot_[name] - 1];
+  evaluate_alerts(series, row);
+  std::vector<Row>& rows = series.rows;
+  // Reports arrive roughly time-ordered; keep the invariant strictly, with
+  // a late sample placed after the rows of equal time.
+  if (!rows.empty() && rows.back().time > row.time) {
+    const auto pos = std::upper_bound(
+        rows.begin(), rows.end(), row.time,
+        [](sim::TimePoint t, const Row& r) { return t < r.time; });
+    rows.insert(pos, row);
   } else {
-    series.push_back(sample);
+    rows.push_back(row);
   }
   ++total_;
-  if (max_per_series_ != 0 && series.size() > max_per_series_) {
+  if (max_per_series_ != 0 && rows.size() > max_per_series_) {
     // Amortized retention: trimming one sample per ingest is an O(cap)
     // front-erase every time once a series fills — quadratic over a long
     // run (the 7-day availability bench lives at the cap for days). Trim a
     // half-cap chunk instead: the series length oscillates in
     // [cap/2, cap] and eviction amortizes to O(1) per sample.
     const std::size_t chunk = std::max<std::size_t>(1, max_per_series_ / 2);
-    const std::size_t evict = std::min(chunk, series.size());
-    series.erase(series.begin(),
-                 series.begin() + static_cast<std::ptrdiff_t>(evict));
+    const std::size_t evict = std::min(chunk, rows.size());
+    rows.erase(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(evict));
     note_drop(DropKind::kMetric, evict);
   }
 }
@@ -466,16 +508,35 @@ void Metricsd::ingest(const std::vector<MetricSample>& samples) {
   for (const MetricSample& s : samples) ingest(s);
 }
 
+const Metricsd::Series* Metricsd::find_series(std::string_view name) const {
+  const std::optional<common::Symbol> symbol = common::find_symbol(name);
+  if (!symbol.has_value() || *symbol >= series_slot_.size() ||
+      series_slot_[*symbol] == 0) {
+    return nullptr;
+  }
+  return &series_[series_slot_[*symbol] - 1];
+}
+
 std::vector<MetricSample> Metricsd::series(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? std::vector<MetricSample>{} : it->second;
+  std::vector<MetricSample> out;
+  const Series* series = find_series(name);
+  if (series == nullptr) return out;
+  out.reserve(series->rows.size());
+  for (const Row& row : series->rows) {
+    out.push_back(MetricSample{common::symbol_name(row.gateway), name,
+                               row.value, row.time});
+  }
+  return out;
 }
 
 double Metricsd::sum_latest(const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return 0;
-  std::map<std::string, double> latest;
-  for (const MetricSample& s : it->second) latest[s.gateway_id] = s.value;
+  const Series* series = find_series(name);
+  if (series == nullptr) return 0;
+  // Summed in gateway-name order, as the answer always was.
+  std::map<std::string_view, double> latest;
+  for (const Row& row : series->rows) {
+    latest[common::symbol_name(row.gateway)] = row.value;
+  }
   double sum = 0;
   for (const auto& [_, v] : latest) sum += v;
   return sum;
@@ -483,40 +544,34 @@ double Metricsd::sum_latest(const std::string& name) const {
 
 std::optional<double> Metricsd::latest(const std::string& gateway_id,
                                        const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (rit->gateway_id == gateway_id) return rit->value;
-  }
-  return std::nullopt;
+  return latest_at_or_before(gateway_id, name,
+                             std::numeric_limits<sim::TimePoint>::max());
 }
 
 std::optional<double> Metricsd::latest_at_or_before(
     const std::string& gateway_id, const std::string& name,
     sim::TimePoint at) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  const std::vector<MetricSample>& series = it->second;
-  MetricSample probe;
-  probe.time = at;
-  auto pos = std::upper_bound(series.begin(), series.end(), probe,
-                              [](const MetricSample& a, const MetricSample& b) {
-                                return a.time < b.time;
-                              });
-  while (pos != series.begin()) {
+  const Series* series = find_series(name);
+  const std::optional<common::Symbol> gateway =
+      common::find_symbol(gateway_id);
+  if (series == nullptr || !gateway.has_value()) return std::nullopt;
+  auto pos = std::upper_bound(
+      series->rows.begin(), series->rows.end(), at,
+      [](sim::TimePoint t, const Row& r) { return t < r.time; });
+  while (pos != series->rows.begin()) {
     --pos;
-    if (pos->gateway_id == gateway_id) return pos->value;
+    if (pos->gateway == *gateway) return pos->value;
   }
   return std::nullopt;
 }
 
 double Metricsd::sum_in_window(const std::string& name, sim::TimePoint from,
                                sim::TimePoint to) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return 0;
+  const Series* series = find_series(name);
+  if (series == nullptr) return 0;
   double sum = 0;
-  for (const MetricSample& s : it->second) {
-    if (s.time >= from && s.time < to) sum += s.value;
+  for (const Row& row : series->rows) {
+    if (row.time >= from && row.time < to) sum += row.value;
   }
   return sum;
 }
@@ -524,13 +579,13 @@ double Metricsd::sum_in_window(const std::string& name, sim::TimePoint from,
 std::optional<double> Metricsd::mean_in_window(const std::string& name,
                                                sim::TimePoint from,
                                                sim::TimePoint to) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
+  const Series* series = find_series(name);
+  if (series == nullptr) return std::nullopt;
   double sum = 0;
   std::size_t n = 0;
-  for (const MetricSample& s : it->second) {
-    if (s.time >= from && s.time < to) {
-      sum += s.value;
+  for (const Row& row : series->rows) {
+    if (row.time >= from && row.time < to) {
+      sum += row.value;
       ++n;
     }
   }
@@ -561,8 +616,11 @@ void install_default_transport_rules(Metricsd& metricsd,
 
 std::vector<std::string> Metricsd::metric_names() const {
   std::vector<std::string> names;
-  names.reserve(by_name_.size());
-  for (const auto& [name, _] : by_name_) names.push_back(name);
+  names.reserve(series_.size());
+  for (const Series& series : series_) {
+    names.push_back(common::symbol_name(series.name));
+  }
+  std::sort(names.begin(), names.end());
   return names;
 }
 

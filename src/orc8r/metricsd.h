@@ -14,10 +14,13 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "common/symbol.h"
 #include "obs/histogram.h"
 #include "obs/sketch/subscriber_sketches.h"
 #include "obs/slo/availability.h"
@@ -239,10 +242,35 @@ class Metricsd {
   std::vector<std::string> metric_names() const;
 
  private:
-  void evaluate_alerts(const MetricSample& sample);
+  // One stored sample. The series is keyed by metric name and the gateway
+  // id is an interned symbol, so a row is 24 bytes where a MetricSample is
+  // 80 plus the heap behind its two strings.
+  struct Row {
+    sim::TimePoint time = 0;
+    double value = 0;
+    common::Symbol gateway = 0;
+  };
+  static_assert(sizeof(Row) == 24, "metricsd rows must stay 24 bytes");
 
-  // name -> time-ordered samples.
-  std::map<std::string, std::vector<MetricSample>> by_name_;
+  // Every sample of one metric name, time-ordered with equal times in
+  // arrival order, and the indices into rules_ of the rules watching it, in
+  // rule insertion order.
+  struct Series {
+    common::Symbol name = 0;
+    std::vector<Row> rows;
+    std::vector<std::uint32_t> rules;
+  };
+
+  void ingest_row(common::Symbol name, Row row);
+  void evaluate_alerts(const Series& series, const Row& row);
+  const Series* find_series(std::string_view name) const;
+  // Points `series` at the rules watching its name. Runs when the series is
+  // first seen and, for every series, after a rule is added or removed.
+  void bind_rules(Series& series) const;
+
+  std::vector<Series> series_;
+  // Symbol -> 1 + index into series_; 0 for a symbol with no series.
+  std::vector<std::uint32_t> series_slot_;
   std::size_t total_ = 0;
   std::size_t max_per_series_ = 100000;
   std::array<std::uint64_t, kDropKindCount> dropped_{};
@@ -260,11 +288,23 @@ class Metricsd {
   std::uint64_t trace_summaries_ingested_ = 0;
 
   std::vector<AlertRule> rules_;
-  // (rule name, gateway) -> alert
-  std::map<std::pair<std::string, std::string>, ActiveAlert> firing_;
-  // (metric, gateway) -> previous value, for kDelta rules.
-  std::map<std::pair<std::string, std::string>, double> last_value_;
-  // (rule name, gateway) -> sliding slow-window SLI samples, for kBurnRate
+  std::vector<common::Symbol> rule_names_;  // rules_[i].name, interned
+
+  // Alert state is keyed by two symbols packed into one integer: (rule
+  // name, gateway) for the firing alerts and burn windows, (metric name,
+  // gateway) for the previous values.
+  static std::uint64_t state_key(common::Symbol a, common::Symbol gateway) {
+    return (static_cast<std::uint64_t>(a) << 32) | gateway;
+  }
+  struct Firing {
+    double value = 0;
+    sim::TimePoint since = 0;
+  };
+  std::unordered_map<std::uint64_t, Firing> firing_;
+  // Previous value of every (metric, gateway), kept whether or not a rule
+  // watches it, so a kDelta rule added later still has its baseline.
+  std::unordered_map<std::uint64_t, double> last_value_;
+  // Sliding slow-window SLI samples per (rule, gateway), for kBurnRate
   // rules. The deque covers the slow window with a running sum (O(1) slow
   // mean per sample); the fast mean is a reverse scan over its newest tail,
   // which at sane SLI cadences is a handful of entries.
@@ -272,7 +312,7 @@ class Metricsd {
     std::deque<std::pair<sim::TimePoint, double>> samples;
     double sum = 0;
   };
-  std::map<std::pair<std::string, std::string>, BurnState> burn_;
+  std::unordered_map<std::uint64_t, BurnState> burn_;
   std::uint64_t alerts_fired_ = 0;
 };
 

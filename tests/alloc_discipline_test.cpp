@@ -8,14 +8,17 @@
 //    final metrics and event counts. Any divergence means pool state leaked
 //    into simulation behavior.
 //  * Allocation-freedom: the steady-state paths the BENCH_host.json wall
-//    prices (event schedule→dispatch, interned-label lookup) allocate
-//    nothing, proven with the host profiler's allocation accounting rather
-//    than inferred from timing.
+//    prices (event schedule→dispatch, interned-label lookup) and a symbol
+//    table hit allocate nothing, proven with the host profiler's
+//    allocation accounting rather than inferred from timing.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/pool.h"
+#include "common/symbol.h"
 #include "core/network.h"
 #include "obs/host_profiler.h"
 #include "sim/cpu.h"
@@ -182,6 +185,42 @@ TEST(AllocDiscipline, InternedLabelLookupIsAllocationFree) {
   EXPECT_EQ(acc, 1000u * id);
   EXPECT_EQ(prof.stats_for("test", "intern_hot").alloc_count, 0u);
   EXPECT_EQ(prof.stats_for("test", "intern_hot").calls, 1u);
+}
+
+// The process-wide symbol table behind metricsd's rows: interning is
+// idempotent, ids are dense in first-intern order and never move, names
+// round-trip, a lookup of an unknown name interns nothing, and a hit
+// allocates nothing.
+TEST(SymbolTable, DenseStableIdsAndAllocationFreeHits) {
+  const std::size_t before = common::symbol_count();
+  const std::vector<std::string> names = {"symbol_test_alpha",
+                                          "symbol_test_beta",
+                                          "symbol_test_a_name_past_sso"};
+  std::vector<common::Symbol> ids;
+  for (const std::string& name : names) ids.push_back(common::intern(name));
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(ids[i], before + i);  // dense, in first-intern order
+    EXPECT_EQ(common::symbol_name(ids[i]), names[i]);
+  }
+  const std::string& alpha = common::symbol_name(ids[0]);
+  for (int i = 0; i < 64; ++i) {
+    common::intern("symbol_test_filler_" + std::to_string(i));
+  }
+  EXPECT_EQ(&common::symbol_name(ids[0]), &alpha);  // the reference held
+  EXPECT_EQ(common::intern(std::string("symbol_test_beta")), ids[1]);
+
+  const std::size_t size = common::symbol_count();
+  EXPECT_FALSE(common::find_symbol("symbol_test_never_interned").has_value());
+  EXPECT_EQ(common::find_symbol(names[2]), ids[2]);
+  EXPECT_EQ(common::symbol_count(), size);
+
+  const std::string_view hit = names[2];
+  std::uint64_t acc = 0;
+  const std::uint64_t allocs = obs::HostProfiler::process_alloc_count();
+  for (int i = 0; i < 1000; ++i) acc += common::intern(hit);
+  EXPECT_EQ(obs::HostProfiler::process_alloc_count(), allocs);
+  EXPECT_EQ(acc, 1000u * ids[2]);
+  EXPECT_EQ(common::symbol_count(), size);
 }
 
 }  // namespace

@@ -2,12 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <deque>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/symbol.h"
+#include "obs/slo/slo.h"
 #include "orc8r/metricsd.h"
 #include "rpc/wire.h"
+#include "sim/random.h"
 
 namespace magma::orc8r {
 namespace {
@@ -242,6 +249,322 @@ TEST(MetricsdRetention, PerSeriesCapDropsOldest) {
   EXPECT_EQ(m.series("cpu").size(), 1u);
   EXPECT_EQ(m.samples_dropped(), 9u);
 }
+
+// --- Store and rule binding vs the sample-list reference --------------------
+//
+// The reference is the plain algorithm metricsd's row store replaced: whole
+// MetricSamples in one time-ordered vector per name, every rule evaluated
+// against every sample, alert state keyed by string pairs. The sweep drives
+// both with the same random steps and compares every query after each one.
+
+class SampleListReference {
+ public:
+  void ingest(const MetricSample& s) {
+    evaluate(s);
+    std::vector<MetricSample>& series = by_name_[s.name];
+    if (!series.empty() && series.back().time > s.time) {
+      series.insert(std::upper_bound(series.begin(), series.end(), s.time,
+                                     [](sim::TimePoint t,
+                                        const MetricSample& x) {
+                                       return t < x.time;
+                                     }),
+                    s);
+    } else {
+      series.push_back(s);
+    }
+    ++total_;
+    if (cap_ != 0 && series.size() > cap_) {
+      const std::size_t evict =
+          std::min(std::max<std::size_t>(1, cap_ / 2), series.size());
+      series.erase(series.begin(),
+                   series.begin() + static_cast<std::ptrdiff_t>(evict));
+      dropped_[0] += evict;
+    }
+  }
+
+  void set_retention(std::size_t cap) {
+    cap_ = cap;
+    if (cap_ == 0) return;
+    for (auto& [_, series] : by_name_) {
+      if (series.size() > cap_) {
+        const std::size_t excess = series.size() - cap_;
+        series.erase(series.begin(),
+                     series.begin() + static_cast<std::ptrdiff_t>(excess));
+        dropped_[0] += excess;
+      }
+    }
+  }
+
+  void self_observe(sim::TimePoint now) {
+    for (std::size_t i = 0; i < Metricsd::kDropKindCount; ++i) {
+      ingest(MetricSample{
+          Metricsd::drop_kind_name(static_cast<Metricsd::DropKind>(i)),
+          "metricsd_samples_dropped", static_cast<double>(dropped_[i]), now});
+    }
+  }
+
+  void add_rule(const AlertRule& rule) {
+    remove_rule(rule.name);
+    rules_.push_back(rule);
+  }
+
+  void remove_rule(const std::string& name) {
+    std::erase_if(rules_, [&](const AlertRule& r) { return r.name == name; });
+    std::erase_if(firing_,
+                  [&](const auto& kv) { return kv.first.first == name; });
+    std::erase_if(burn_, [&](const auto& kv) { return kv.first.first == name; });
+  }
+
+  std::vector<std::string> metric_names() const {
+    std::vector<std::string> names;
+    for (const auto& [name, _] : by_name_) names.push_back(name);
+    return names;
+  }
+  std::vector<MetricSample> series(const std::string& name) const {
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? std::vector<MetricSample>{} : it->second;
+  }
+  std::optional<double> latest_at_or_before(const std::string& gw,
+                                            const std::string& name,
+                                            sim::TimePoint at) const {
+    const std::vector<MetricSample> all = series(name);
+    for (auto it = all.rbegin(); it != all.rend(); ++it) {
+      if (it->time <= at && it->gateway_id == gw) return it->value;
+    }
+    return std::nullopt;
+  }
+  double sum_latest(const std::string& name) const {
+    std::map<std::string, double> latest;
+    for (const MetricSample& s : series(name)) latest[s.gateway_id] = s.value;
+    double sum = 0;
+    for (const auto& [_, v] : latest) sum += v;
+    return sum;
+  }
+  double sum_in_window(const std::string& name, sim::TimePoint from,
+                       sim::TimePoint to) const {
+    double sum = 0;
+    for (const MetricSample& s : series(name)) {
+      if (s.time >= from && s.time < to) sum += s.value;
+    }
+    return sum;
+  }
+  std::optional<double> mean_in_window(const std::string& name,
+                                       sim::TimePoint from,
+                                       sim::TimePoint to) const {
+    double sum = 0;
+    std::size_t n = 0;
+    for (const MetricSample& s : series(name)) {
+      if (s.time >= from && s.time < to) {
+        sum += s.value;
+        ++n;
+      }
+    }
+    if (n == 0) return std::nullopt;
+    return sum / static_cast<double>(n);
+  }
+  std::vector<ActiveAlert> active_alerts() const {
+    std::vector<ActiveAlert> out;
+    for (const auto& [_, alert] : firing_) out.push_back(alert);
+    return out;
+  }
+  std::uint64_t alerts_fired() const { return fired_; }
+  std::uint64_t dropped_metric() const { return dropped_[0]; }
+  std::size_t total() const { return total_; }
+
+ private:
+  using Key = std::pair<std::string, std::string>;
+
+  void evaluate(const MetricSample& s) {
+    const auto prev = last_value_.find({s.name, s.gateway_id});
+    for (const AlertRule& rule : rules_) {
+      if (rule.metric != s.name) continue;
+      const Key key{rule.name, s.gateway_id};
+      bool breached = false;
+      double value = s.value;
+      if (rule.kind == AlertKind::kDelta) {
+        if (prev != last_value_.end()) {
+          const double delta = s.value - prev->second;
+          breached = rule.fire_above ? delta > rule.threshold
+                                     : delta < rule.threshold;
+        }
+      } else if (rule.kind == AlertKind::kBurnRate) {
+        Burn& b = burn_[key];
+        b.samples.emplace_back(s.time, s.value);
+        b.sum += s.value;
+        while (!b.samples.empty() &&
+               b.samples.front().first <= s.time - rule.slow_window) {
+          b.sum -= b.samples.front().second;
+          b.samples.pop_front();
+        }
+        double fast_sum = 0;
+        std::size_t fast_n = 0;
+        for (auto it = b.samples.rbegin();
+             it != b.samples.rend() && it->first > s.time - rule.fast_window;
+             ++it) {
+          fast_sum += it->second;
+          ++fast_n;
+        }
+        const double fast = obs::slo::burn_rate(
+            fast_sum / static_cast<double>(fast_n), rule.objective);
+        const double slow = obs::slo::burn_rate(
+            b.sum / static_cast<double>(b.samples.size()), rule.objective);
+        breached = fast > rule.threshold && slow > rule.threshold;
+        value = fast;
+      } else {
+        breached = rule.fire_above ? s.value > rule.threshold
+                                   : s.value < rule.threshold;
+      }
+      auto it = firing_.find(key);
+      if (breached) {
+        if (it == firing_.end()) {
+          firing_[key] = ActiveAlert{rule.name, s.gateway_id, value, s.time};
+          ++fired_;
+        } else {
+          it->second.value = value;
+        }
+      } else if (it != firing_.end()) {
+        firing_.erase(it);
+      }
+    }
+    last_value_[{s.name, s.gateway_id}] = s.value;
+  }
+
+  struct Burn {
+    std::deque<std::pair<sim::TimePoint, double>> samples;
+    double sum = 0;
+  };
+  std::map<std::string, std::vector<MetricSample>> by_name_;
+  std::size_t total_ = 0;
+  std::size_t cap_ = 100000;
+  std::array<std::uint64_t, Metricsd::kDropKindCount> dropped_{};
+  std::vector<AlertRule> rules_;
+  std::map<Key, ActiveAlert> firing_;
+  std::map<Key, double> last_value_;
+  std::map<Key, Burn> burn_;
+  std::uint64_t fired_ = 0;
+};
+
+class MetricsdSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MetricsdSweep, MatchesSampleListReference) {
+  sim::Rng rng(GetParam());
+  Metricsd m;
+  SampleListReference ref;
+  // m5 is first ingested halfway through, so rules wait on it for a while;
+  // m6 is only ever watched.
+  const std::vector<std::string> names = {"m0", "m1", "m2", "m3", "m4", "m5",
+                                          "m6", "metricsd_samples_dropped"};
+  const std::vector<std::string> gateways = {"gw0", "gw1", "gw2", "gw3",
+                                       "gw4", "gw5", "gw6", "gw7"};
+  auto pick = [&](const auto& v) { return v[rng.uniform_int(v.size())]; };
+  constexpr int kSteps = 400;
+  sim::TimePoint now = 100;
+  for (int step = 0; step < kSteps && !HasFailure(); ++step) {
+    now += static_cast<sim::TimePoint>(rng.uniform_int(3));  // 0: equal time
+    const std::uint64_t op = rng.uniform_int(100);
+    if (op < 62) {
+      MetricSample s;
+      s.gateway_id = pick(gateways);
+      s.name = names[rng.uniform_int(step < kSteps / 2 ? 5 : 6)];
+      // Small integers make thresholds and deltas tie; fractions make the
+      // summation order show.
+      s.value = rng.bernoulli(0.5) ? static_cast<double>(rng.uniform_int(4))
+                                   : rng.uniform(0, 3);
+      s.time = rng.bernoulli(0.2)
+                   ? now - static_cast<sim::TimePoint>(rng.uniform_int(6))
+                   : now;
+      m.ingest(s);
+      ref.ingest(s);
+    } else if (op < 80) {
+      AlertRule rule;
+      rule.name = "r" + std::to_string(rng.uniform_int(6));
+      rule.metric = pick(names);
+      rule.kind = static_cast<AlertKind>(rng.uniform_int(3));
+      rule.fire_above = rng.bernoulli(0.5);
+      rule.threshold = rule.kind == AlertKind::kBurnRate
+                           ? rng.uniform(0, 3)
+                           : static_cast<double>(rng.uniform_int(4)) - 1;
+      rule.objective = 0.5;
+      rule.fast_window = 1 + static_cast<sim::Duration>(rng.uniform_int(4));
+      rule.slow_window =
+          rule.fast_window + static_cast<sim::Duration>(rng.uniform_int(10));
+      m.add_alert_rule(rule);
+      ref.add_rule(rule);
+    } else if (op < 88) {
+      const std::string name = "r" + std::to_string(rng.uniform_int(7));
+      m.remove_alert_rule(name);
+      ref.remove_rule(name);
+    } else if (op < 94) {
+      const std::size_t cap =
+          rng.bernoulli(0.5) ? 0 : 1 + rng.uniform_int(3);
+      m.set_retention(cap);
+      ref.set_retention(cap);
+    } else {
+      m.self_observe(now);
+      ref.self_observe(now);
+    }
+
+    const std::size_t symbols = common::symbol_count();
+    ASSERT_EQ(m.metric_names(), ref.metric_names()) << "step " << step;
+    for (const std::string& name : names) {
+      const std::vector<MetricSample> got = m.series(name);
+      const std::vector<MetricSample> want = ref.series(name);
+      ASSERT_EQ(got.size(), want.size()) << name << " step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].gateway_id, want[i].gateway_id)
+            << name << "[" << i << "] step " << step;
+        ASSERT_EQ(got[i].name, want[i].name);
+        ASSERT_EQ(got[i].value, want[i].value)
+            << name << "[" << i << "] step " << step;
+        ASSERT_EQ(got[i].time, want[i].time)
+            << name << "[" << i << "] step " << step;
+      }
+      for (const std::string& gw :
+           {gateways[0], gateways[3], gateways[7], std::string("metric"),
+            std::string("gw-unknown")}) {
+        EXPECT_EQ(m.latest(gw, name),
+                  ref.latest_at_or_before(gw, name, now + 10))
+            << gw << " " << name << " step " << step;
+        const sim::TimePoint at =
+            now - static_cast<sim::TimePoint>(rng.uniform_int(8));
+        EXPECT_EQ(m.latest_at_or_before(gw, name, at),
+                  ref.latest_at_or_before(gw, name, at))
+            << gw << " " << name << " at " << at << " step " << step;
+      }
+      const sim::TimePoint from =
+          now - static_cast<sim::TimePoint>(rng.uniform_int(20));
+      const sim::TimePoint to =
+          from + static_cast<sim::TimePoint>(rng.uniform_int(20));
+      EXPECT_EQ(m.sum_in_window(name, from, to),
+                ref.sum_in_window(name, from, to))
+          << name << " step " << step;
+      EXPECT_EQ(m.mean_in_window(name, from, to),
+                ref.mean_in_window(name, from, to))
+          << name << " step " << step;
+      EXPECT_EQ(m.sum_latest(name), ref.sum_latest(name))
+          << name << " step " << step;
+    }
+    const std::vector<ActiveAlert> got = m.active_alerts();
+    const std::vector<ActiveAlert> want = ref.active_alerts();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].rule, want[i].rule) << "step " << step;
+      EXPECT_EQ(got[i].gateway_id, want[i].gateway_id) << "step " << step;
+      EXPECT_EQ(got[i].value, want[i].value) << "step " << step;
+      EXPECT_EQ(got[i].since, want[i].since) << "step " << step;
+    }
+    EXPECT_EQ(m.alerts_fired(), ref.alerts_fired()) << "step " << step;
+    EXPECT_EQ(m.samples_dropped(Metricsd::DropKind::kMetric),
+              ref.dropped_metric())
+        << "step " << step;
+    EXPECT_EQ(m.total_samples(), ref.total()) << "step " << step;
+    // Queries never intern: the unknown gateway left no symbol behind.
+    EXPECT_EQ(common::symbol_count(), symbols) << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MetricsdSweep,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 TEST(MetricsdHistograms, IngestMergeAndQuantiles) {
   Metricsd m;

@@ -21,6 +21,11 @@
 # sessions, data-plane rules and the address pool that timers and flows
 # still point at.
 #
+# The metricsd suite inserts rows into the middle of a series, evicts
+# chunks from its front and rebinds rule indices as rules come and go; its
+# sweep against the sample-list reference runs every query after each
+# step. SymbolTable covers the interned names those rows point at.
+#
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,7 +36,7 @@ SUITES=(
   tracing_integration_test statusd_test slo_test cpu_profile_test
   host_profiler_test bench_compare_test sketch_test histogram_test
   pool_test inplace_function_test alloc_discipline_test proto_test
-  agw_test integration_fault_test
+  agw_test integration_fault_test metricsd_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -70,6 +75,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|MetricsdSketch|MetricsdDrops|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest' \
   "$@"
 echo "sanitized transport suite: OK"

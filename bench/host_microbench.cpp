@@ -1,4 +1,4 @@
-// Host-cost microbench: price the simulator's core primitives in *wall*
+// Host-cost microbench: price the simulator's core primitives in host
 // nanoseconds and allocations per operation, and emit BENCH_host.json — the
 // release-over-release artifact `bench/bench_compare` diffs to catch host
 // performance regressions (ROADMAP: "raw simulator speed").
@@ -14,11 +14,25 @@
 //   6. checkin_drain           — a 1000-gateway checkin wave through the
 //                                sharded ingest
 //
+// Time is thread CPU time (CLOCK_THREAD_CPUTIME_ID), so time the VM spends
+// running other tenants does not count; streamer_delta_apply_ns is the
+// exception, read from the profiler's wall-clock label. Primitives 1-3 run
+// their timed loop 5 times (2 with --quick), each on a fresh world, and
+// report the fastest run, printing the min-max spread on the `host:` line:
+// single wall-clock runs of these drifted by up to 61% on unchanged code.
+// Their allocation keys come from the first run, the same cold run a
+// single-run bench measured. lte_attach, checkin_drain and
+// streamer_delta_apply run once each: every run builds a network or a
+// 1,000-gateway fleet.
+//
 // `--quick` shrinks iteration counts for the ctest smoke target; the JSON
 // schema (key set) is identical in both modes, and the binary re-parses its
 // own output through obs::flatten_json_numbers before reporting success.
 // A primitive that does not finish its work prints a WARNING and the run
 // exits non-zero: its price would be of something else.
+#include <time.h>
+
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -46,9 +60,11 @@ struct Metric {
 
 std::vector<Metric> g_metrics;
 
-void emit(const std::string& key, double value) {
+void emit(const std::string& key, double value, const char* note = nullptr) {
   g_metrics.push_back(Metric{key, value});
-  std::printf("host: %-34s %14.1f\n", key.c_str(), value);
+  std::printf("host: %-34s %14.1f", key.c_str(), value);
+  if (note != nullptr) std::printf("  (%s)", note);
+  std::printf("\n");
 }
 
 int g_warnings = 0;
@@ -63,28 +79,66 @@ __attribute__((format(printf, 1, 2))) void warn(const char* format, ...) {
   std::printf("\n");
 }
 
-// Allocation + wall-clock window around one primitive's loop.
+std::uint64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+// One run's cost per operation.
+struct Price {
+  double ns = 0;
+  double allocs = 0;
+  double alloc_bytes = 0;
+};
+
+// Allocation + thread-CPU window around one primitive's loop.
 struct Window {
-  std::uint64_t t0 = obs::HostProfiler::now_ns();
+  std::uint64_t t0 = thread_cpu_ns();
   std::uint64_t a0 = obs::HostProfiler::process_alloc_count();
   std::uint64_t b0 = obs::HostProfiler::process_alloc_bytes();
 
-  void price(const char* name, std::uint64_t ops) const {
+  Price per_op(std::uint64_t ops) const {
     const double n = ops > 0 ? static_cast<double>(ops) : 1.0;
-    emit(std::string(name) + "_ns",
-         static_cast<double>(obs::HostProfiler::now_ns() - t0) / n);
-    emit(std::string(name) + "_allocs",
-         static_cast<double>(obs::HostProfiler::process_alloc_count() - a0) /
-             n);
-    emit(std::string(name) + "_alloc_bytes",
-         static_cast<double>(obs::HostProfiler::process_alloc_bytes() - b0) /
-             n);
+    return Price{
+        static_cast<double>(thread_cpu_ns() - t0) / n,
+        static_cast<double>(obs::HostProfiler::process_alloc_count() - a0) /
+            n,
+        static_cast<double>(obs::HostProfiler::process_alloc_bytes() - b0) /
+            n};
   }
 };
 
+void emit_price(const char* name, const Price& price,
+                const char* note = nullptr) {
+  emit(std::string(name) + "_ns", price.ns, note);
+  emit(std::string(name) + "_allocs", price.allocs);
+  emit(std::string(name) + "_alloc_bytes", price.alloc_bytes);
+}
+
+// Runs `run` (one fresh world and one timed loop per call) `reps` times and
+// emits the fastest time with the spread, and the first run's allocations.
+template <typename Run>
+void emit_min_of(const char* name, int reps, Run run) {
+  Price first = run();
+  double lo = first.ns;
+  double hi = first.ns;
+  for (int r = 1; r < reps; ++r) {
+    const double ns = run().ns;
+    lo = std::min(lo, ns);
+    hi = std::max(hi, ns);
+  }
+  char note[64];
+  std::snprintf(note, sizeof(note), "min of %d, spread %.1f-%.1f", reps, lo,
+                hi);
+  first.ns = lo;
+  emit_price(name, first, note);
+}
+
 // --- 1: kernel event schedule + dispatch ------------------------------------
 
-void bench_event_schedule_dispatch(bool quick) {
+Price bench_event_schedule_dispatch(bool quick) {
   const int n = quick ? 20000 : 200000;
   sim::Kernel kernel;
   std::uint64_t sink = 0;
@@ -94,11 +148,12 @@ void bench_event_schedule_dispatch(bool quick) {
                     [&sink]() { ++sink; });
   }
   kernel.run_until(2 * sim::kSecond);
-  w.price("event_schedule_dispatch", static_cast<std::uint64_t>(n));
+  const Price price = w.per_op(static_cast<std::uint64_t>(n));
   if (sink != static_cast<std::uint64_t>(n)) {
     warn("only %llu/%d events dispatched",
          static_cast<unsigned long long>(sink), n);
   }
+  return price;
 }
 
 // --- 2: cached datapath packet route ----------------------------------------
@@ -117,7 +172,7 @@ agw::SessionFlows make_session(std::uint64_t cookie) {
   return f;
 }
 
-void bench_packet_route(bool quick) {
+Price bench_packet_route(bool quick) {
   const int n = quick ? 20000 : 200000;
   agw::Pipelined pd;
   for (std::uint64_t c = 1; c <= 100; ++c) {
@@ -135,16 +190,17 @@ void bench_packet_route(bool quick) {
         pd.pipeline().process(pkt, datapath::Direction::kDownlink, now);
     forwarded += r.verdict == datapath::Verdict::kForwarded ? 1 : 0;
   }
-  w.price("packet_route", static_cast<std::uint64_t>(n));
+  const Price price = w.per_op(static_cast<std::uint64_t>(n));
   if (forwarded != static_cast<std::uint64_t>(n)) {
     warn("%llu/%d packets forwarded",
          static_cast<unsigned long long>(forwarded), n);
   }
+  return price;
 }
 
 // --- 3: reliable-channel round trip -----------------------------------------
 
-void bench_reliable_roundtrip(bool quick) {
+Price bench_reliable_roundtrip(bool quick) {
   const int rounds = quick ? 200 : 2000;
   sim::Kernel kernel;
   sim::Rng rng(7);
@@ -159,10 +215,11 @@ void bench_reliable_roundtrip(bool quick) {
   const Window w;
   pair.a->send(common::Bytes(64, 0x5a));
   kernel.run_until(static_cast<sim::Duration>(rounds) * sim::kSecond);
-  w.price("reliable_roundtrip", static_cast<std::uint64_t>(completed));
+  const Price price = w.per_op(static_cast<std::uint64_t>(completed));
   if (completed != rounds) {
     warn("%d/%d round trips completed", completed, rounds);
   }
+  return price;
 }
 
 // --- 4: full LTE attach -------------------------------------------------------
@@ -191,7 +248,7 @@ void bench_lte_attach(bool quick) {
         });
   }
   net.run_for(static_cast<sim::Duration>(n) * kSpacing + 5 * sim::kSecond);
-  w.price("lte_attach", static_cast<std::uint64_t>(attached));
+  emit_price("lte_attach", w.per_op(static_cast<std::uint64_t>(attached)));
   if (attached < n) {
     warn("%d/%d UEs attached", attached, n);
   }
@@ -235,7 +292,7 @@ void bench_fleet(bool quick) {
   {
     const Window w;
     kernel.run_until(35 * sim::kSecond);
-    w.price("checkin_drain", orc8r.stats().checkins);
+    emit_price("checkin_drain", w.per_op(orc8r.stats().checkins));
   }
   if (orc8r.stats().checkins < static_cast<std::uint64_t>(kFleet)) {
     warn("%llu/%d checkins served",
@@ -281,9 +338,13 @@ int main(int argc, char** argv) {
       "ROADMAP: raw simulator speed (BENCH_host.json trajectory)");
   std::printf("mode: %s\n\n", quick ? "quick (ctest smoke)" : "full");
 
-  bench_event_schedule_dispatch(quick);
-  bench_packet_route(quick);
-  bench_reliable_roundtrip(quick);
+  const int reps = quick ? 2 : 5;
+  emit_min_of("event_schedule_dispatch", reps,
+              [quick] { return bench_event_schedule_dispatch(quick); });
+  emit_min_of("packet_route", reps,
+              [quick] { return bench_packet_route(quick); });
+  emit_min_of("reliable_roundtrip", reps,
+              [quick] { return bench_reliable_roundtrip(quick); });
   bench_lte_attach(quick);
   bench_fleet(quick);
 

@@ -532,7 +532,8 @@ std::vector<MetricSample> Metricsd::series(const std::string& name) const {
 double Metricsd::sum_latest(const std::string& name) const {
   const Series* series = find_series(name);
   if (series == nullptr) return 0;
-  // Summed in gateway-name order, as the answer always was.
+  // Summed in gateway-name order, so the floating-point sum does not
+  // depend on the order gateways were interned or reported.
   std::map<std::string_view, double> latest;
   for (const Row& row : series->rows) {
     latest[common::symbol_name(row.gateway)] = row.value;

@@ -1,10 +1,17 @@
-// Protocol codecs (NAS, S1AP, NGAP, 5G NAS, RADIUS, GTP-C) and the EMM FSM.
+// Protocol codecs (NAS, S1AP, NGAP, 5G NAS, RADIUS, GTP-C), the EMM FSM and
+// the southbound control-plane messages.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
+#include "obs/events.h"
+#include "obs/status.h"
+#include "obs/tail_sampler.h"
+#include "orc8r/metricsd.h"
+#include "orc8r/streamer.h"
 #include "proto/lte/emm_fsm.h"
 #include "proto/lte/gtpc.h"
 #include "proto/lte/nas.h"
@@ -314,6 +321,91 @@ TEST(GtpcCodec, AllMessagesRoundTrip) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(lte::gtpc_sequence(decoded.value()), lte::gtpc_sequence(pin.msg));
   }
+}
+
+// --- Southbound control plane -----------------------------------------------------
+
+// The AGW <-> orc8r and sessiond <-> OCS messages, pinned the same way: one
+// instance each with every field non-default, so a decoder that drops or
+// reorders a field fails the re-encode.
+template <typename T, typename Encode, typename Decode>
+void expect_pinned_record(const T& value, std::string_view hex, Encode encode,
+                          Decode decode) {
+  const common::Bytes wire = encode(value);
+  EXPECT_EQ(common::to_hex(wire), hex);
+  auto decoded = decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+  EXPECT_EQ(encode(decoded.value()), wire);
+}
+
+TEST(WireRecords, MetricReport) {
+  const std::vector<orc8r::MetricSample> report{
+      {"gw0", "active_sessions", 2.5, 7}};
+  expect_pinned_record(
+      report,
+      "0100000000000000030000006777300f0000006163746976655f73657373696f"
+      "6e7300000000000004400700000000000000",
+      orc8r::encode_metric_report, orc8r::decode_metric_report);
+}
+
+TEST(WireRecords, EventReport) {
+  const std::vector<obs::Event> report{{5, "gw0", "attach_reject", "accessd",
+                                        "no quota", obs::EventSeverity::kWarn,
+                                        {0x11, 0x22}}};
+  expect_pinned_record(
+      report,
+      "01000000000000000500000000000000030000006777300d0000006174746163"
+      "685f72656a6563740700000061636365737364080000006e6f2071756f746101"
+      "11000000000000002200000000000000",
+      obs::encode_event_report, obs::decode_event_report);
+}
+
+TEST(WireRecords, GatewayStatus) {
+  const std::vector<obs::ServiceStatus> status{
+      {"sessiond", "draining", 9, 1, 2, 3, "timeout", 4}};
+  expect_pinned_record(
+      status,
+      "01000000000000000800000073657373696f6e6408000000647261696e696e67"
+      "0900000000000000010000000000000002000000000000000300000000000000"
+      "0700000074696d656f75740400000000000000",
+      obs::encode_gateway_status, obs::decode_gateway_status);
+}
+
+TEST(WireRecords, TraceSummaries) {
+  const std::vector<obs::TraceSummary> report{
+      {"attach", "mme", "gw0", 0x33, 10, 20, {1, 2, 3, 4, 5, 6}}};
+  expect_pinned_record(
+      report,
+      "010000000000000006000000617474616368030000006d6d6503000000677730"
+      "33000000000000000a0000000000000014000000000000000601000000000000"
+      "0002000000000000000300000000000000040000000000000005000000000000"
+      "000600000000000000",
+      obs::encode_trace_summaries, obs::decode_trace_summaries);
+}
+
+TEST(WireRecords, GetUpdatesRequest) {
+  expect_pinned_record(
+      orc8r::GetUpdatesRequest{"gw0", 12, 2},
+      "030000006777300c000000000000000200000000000000",
+      [](const orc8r::GetUpdatesRequest& r) { return r.serialize(); },
+      orc8r::GetUpdatesRequest::deserialize);
+}
+
+TEST(WireRecords, DeltaUpdate) {
+  orc8r::DesiredUpdate update;
+  update.version = 12;
+  update.epoch = 2;
+  update.mode = orc8r::SyncMode::kDelta;
+  update.entries = {
+      {orc8r::DeltaEntry::Kind::kPolicy, false, "gold", {0xab, 0xcd}},
+      {orc8r::DeltaEntry::Kind::kSubscriber, true, "001010000000001", {}}};
+  expect_pinned_record(
+      update,
+      "0c00000000000000020000000000000002020000000000000001000400000067"
+      "6f6c6402000000abcd00010f0000003030313031303030303030303030310000"
+      "0000",
+      [](const orc8r::DesiredUpdate& u) { return u.serialize(); },
+      orc8r::DesiredUpdate::deserialize);
 }
 
 // --- EMM FSM ----------------------------------------------------------------------

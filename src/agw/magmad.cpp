@@ -4,7 +4,7 @@
 
 #include "common/log.h"
 #include "obs/host_profiler.h"
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::agw {
 
@@ -198,26 +198,25 @@ void Magmad::sync_config_now(std::function<void(bool)> done) {
 }
 
 void Magmad::checkin() {
-  rpc::Writer w;
-  w.str(gateway_id_);
-  w.str("agw");
   // The heartbeat carries the gateway's Service303 snapshot — orc8r statusd
   // keys gateway health off these arriving on time.
-  w.bytes(obs::encode_gateway_status(
-      status_source_ ? status_source_() : std::vector<obs::ServiceStatus>{}));
+  const orc8r::CheckinRequest request{
+      gateway_id_, "agw",
+      obs::encode_gateway_status(status_source_
+                                     ? status_source_()
+                                     : std::vector<obs::ServiceStatus>{})};
   obs::svc_request(status_);
   orc8r_->call(orc8r::kBootstrapperService, orc8r::kCheckin,
-               std::move(w).take(), config_.rpc_deadline,
+               rpc::encode_record(request), config_.rpc_deadline,
                [this](rpc::Result<rpc::Bytes> result) {
                  if (result.ok()) {
                    ++stats_.checkins_ok;
                    set_reachable(true);
-                   // The ack carries the fleet tail-sampling budget: this
-                   // gateway's assigned keep-per-op K (0: unmanaged).
-                   rpc::Reader r(result.value());
-                   (void)r.boolean();
-                   const std::uint64_t keep = r.u64();
-                   if (r.ok() && keep != 0 && keep != assigned_tail_keep_) {
+                   auto ack = rpc::decode_record<orc8r::CheckinResponse>(
+                       result.value(), "corrupt checkin ack");
+                   const std::uint64_t keep =
+                       ack.ok() ? ack.value().keep_per_op : 0;
+                   if (keep != 0 && keep != assigned_tail_keep_) {
                      assigned_tail_keep_ = keep;
                      ++stats_.tail_budget_updates;
                      if (tail_budget_sink_) {
@@ -407,11 +406,10 @@ void Magmad::event_tick() {
 
 void Magmad::ship_checkpoint() {
   if (shed_telemetry()) return;
-  const common::Bytes image = checkpoint_source_();
+  const orc8r::CheckpointReport checkpoint{gateway_id_, checkpoint_source_()};
   rpc::Writer w;
-  w.reserve(8 + gateway_id_.size() + image.size());
-  w.str(gateway_id_);
-  w.bytes(image);
+  w.reserve(8 + checkpoint.gateway_id.size() + checkpoint.image.size());
+  rpc::put(w, checkpoint);
   report(orc8r::kStateService, orc8r::kReportCheckpoint, std::move(w).take(),
          [this](bool ok) {
            ++(ok ? stats_.checkpoints_shipped : stats_.checkpoint_failures);

@@ -5,7 +5,7 @@
 #include "common/log.h"
 #include "obs/host_profiler.h"
 #include "ocs/ocs.h"
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::agw {
 
@@ -148,13 +148,13 @@ common::Status Sessiond::end_session(const common::Imsi& imsi) {
   if (session.policy.charging == core::ChargingMode::kOcsQuota &&
       ocs_ != nullptr) {
     // Reconcile: report actual usage against everything granted.
-    rpc::Writer w;
-    w.str(session.imsi.value);
-    w.u64(session.quota_granted - session.quota_reported);
-    w.u64(session.used_bytes -
-          std::min(session.used_bytes, session.quota_reported));
-    ocs_->call(ocs::Ocs::kService, ocs::Ocs::kReconcile, std::move(w).take(),
-               5 * sim::kSecond, [](rpc::Result<rpc::Bytes>) {
+    const ocs::ReconcileRequest reconcile{
+        session.imsi, session.quota_granted - session.quota_reported,
+        session.used_bytes -
+            std::min(session.used_bytes, session.quota_reported)};
+    ocs_->call(ocs::Ocs::kService, ocs::Ocs::kReconcile,
+               rpc::encode_record(reconcile), 5 * sim::kSecond,
+               [](rpc::Result<rpc::Bytes>) {
                  // Best effort; a lost reconcile costs the operator at most
                  // the outstanding grant.
                });
@@ -322,12 +322,10 @@ void Sessiond::request_quota(SessionRecord& session) {
   session.quota_request_inflight = true;
   ++stats_.quota_requests;
 
-  rpc::Writer w;
-  w.str(session.imsi.value);
-  w.u64(session.policy.quota_bytes);
   const common::Imsi imsi = session.imsi;
   ocs_->call(
-      ocs::Ocs::kService, ocs::Ocs::kRequestQuota, std::move(w).take(),
+      ocs::Ocs::kService, ocs::Ocs::kRequestQuota,
+      rpc::encode_record(ocs::QuotaRequest{imsi, session.policy.quota_bytes}),
       5 * sim::kSecond, [this, imsi](rpc::Result<rpc::Bytes> result) {
         auto it = by_imsi_.find(imsi);
         if (it == by_imsi_.end()) return;  // session ended meanwhile
@@ -338,8 +336,12 @@ void Sessiond::request_quota(SessionRecord& session) {
           // availability-over-consistency trade-off of §3.2/§3.4.
           return;
         }
-        rpc::Reader r(result.value());
-        const std::uint64_t granted = r.u64();
+        // A malformed grant reads as a denial.
+        const std::uint64_t granted =
+            rpc::decode_record<ocs::QuotaGrant>(result.value(),
+                                                "corrupt quota grant")
+                .value_or(ocs::QuotaGrant{})
+                .granted_bytes;
         if (granted == 0) {
           session.quota_denied = true;
           ++stats_.quota_denials;

@@ -2,53 +2,28 @@
 
 #include <algorithm>
 
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::obs {
 
+MAGMA_WIRE_FIELDS(TraceContext, m.trace_id, m.span_id);
+MAGMA_WIRE_FIELDS(Event, m.time, m.gateway_id, m.type, m.source, m.message,
+                  m.severity, m.trace);
+
 common::Bytes encode_event_report(const std::vector<Event>& events) {
-  rpc::Writer w;
-  w.u64(events.size());
-  for (const Event& e : events) {
-    w.i64(e.time);
-    w.str(e.gateway_id);
-    w.str(e.type);
-    w.str(e.source);
-    w.str(e.message);
-    w.u8(static_cast<std::uint8_t>(e.severity));
-    w.u64(e.trace.trace_id);
-    w.u64(e.trace.span_id);
-  }
-  return std::move(w).take();
+  return rpc::encode_record(events);
 }
 
 common::Result<std::vector<Event>> decode_event_report(
     common::BytesView data) {
-  rpc::Reader r(data);
-  const std::uint64_t count = r.u64();
-  std::vector<Event> events;
-  // Attacker-controlled count: each event needs ≥ 41 bytes on the wire.
-  events.reserve(std::min<std::uint64_t>(count, r.remaining() / 41 + 1));
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    Event e;
-    e.time = r.i64();
-    e.gateway_id = r.str();
-    e.type = r.str();
-    e.source = r.str();
-    e.message = r.str();
-    const std::uint8_t severity = r.u8();
-    if (severity > static_cast<std::uint8_t>(EventSeverity::kError)) {
+  auto events =
+      rpc::decode_record<std::vector<Event>>(data, "corrupt event report");
+  if (!events.ok()) return events;
+  for (const Event& e : events.value()) {
+    if (e.severity > EventSeverity::kError) {
       return common::Error{common::ErrorCode::kInvalidArgument,
                            "bad event severity"};
     }
-    e.severity = static_cast<EventSeverity>(severity);
-    e.trace.trace_id = r.u64();
-    e.trace.span_id = r.u64();
-    events.push_back(std::move(e));
-  }
-  if (!r.ok() || !r.at_end()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt event report"};
   }
   return events;
 }

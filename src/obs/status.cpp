@@ -1,8 +1,6 @@
 #include "obs/status.h"
 
-#include <algorithm>
-
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::obs {
 
@@ -33,49 +31,18 @@ const Service303* StatusRegistry::find(const std::string& service) const {
   return it == services_.end() ? nullptr : it->second.get();
 }
 
+MAGMA_WIRE_FIELDS(ServiceStatus, m.service, m.phase, m.uptime, m.requests,
+                  m.errors, m.deadlines, m.last_error, m.last_error_time);
+
 common::Bytes encode_gateway_status(
     const std::vector<ServiceStatus>& services) {
-  rpc::Writer w;
-  w.u64(services.size());
-  for (const ServiceStatus& s : services) {
-    w.str(s.service);
-    w.str(s.phase);
-    w.i64(s.uptime);
-    w.u64(s.requests);
-    w.u64(s.errors);
-    w.u64(s.deadlines);
-    w.str(s.last_error);
-    w.i64(s.last_error_time);
-  }
-  return std::move(w).take();
+  return rpc::encode_record(services);
 }
 
 common::Result<std::vector<ServiceStatus>> decode_gateway_status(
     common::BytesView data) {
-  rpc::Reader r(data);
-  const std::uint64_t count = r.u64();
-  std::vector<ServiceStatus> services;
-  // Attacker-controlled count: each entry needs ≥ 52 wire bytes (three
-  // length-prefixed strings + five fixed 8-byte fields), so cap the reserve
-  // by what the payload could actually hold.
-  services.reserve(std::min<std::uint64_t>(count, r.remaining() / 52 + 1));
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    ServiceStatus s;
-    s.service = r.str();
-    s.phase = r.str();
-    s.uptime = r.i64();
-    s.requests = r.u64();
-    s.errors = r.u64();
-    s.deadlines = r.u64();
-    s.last_error = r.str();
-    s.last_error_time = r.i64();
-    services.push_back(std::move(s));
-  }
-  if (!r.ok() || !r.at_end()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt gateway status"};
-  }
-  return services;
+  return rpc::decode_record<std::vector<ServiceStatus>>(
+      data, "corrupt gateway status");
 }
 
 }  // namespace magma::obs

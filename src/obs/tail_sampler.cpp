@@ -4,61 +4,24 @@
 
 #include "obs/critical_path.h"
 #include "obs/host_profiler.h"
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::obs {
 
+// The breakdown travels with its state count, which decode checks against
+// kWaitStateCount.
+MAGMA_WIRE_FIELDS(TraceSummary, m.root_op, m.root_service, m.gateway_id,
+                  m.trace_id, m.start, m.duration, m.breakdown);
+
 common::Bytes encode_trace_summaries(
     const std::vector<TraceSummary>& summaries) {
-  rpc::Writer w;
-  w.u64(summaries.size());
-  for (const TraceSummary& s : summaries) {
-    w.str(s.root_op);
-    w.str(s.root_service);
-    w.str(s.gateway_id);
-    w.u64(s.trace_id);
-    w.i64(s.start);
-    w.i64(s.duration);
-    // State count on the wire so a reader with a different WaitVector width
-    // still decodes (unknown states are dropped, missing ones stay zero).
-    w.u8(static_cast<std::uint8_t>(kWaitStateCount));
-    for (const sim::Duration d : s.breakdown) w.i64(d);
-  }
-  return std::move(w).take();
+  return rpc::encode_record(summaries);
 }
 
 common::Result<std::vector<TraceSummary>> decode_trace_summaries(
     common::BytesView data) {
-  rpc::Reader r(data);
-  const std::uint64_t count = r.u64();
-  std::vector<TraceSummary> out;
-  // Each summary needs ≥ 37 wire bytes (three length-prefixed strings plus
-  // the fixed fields); the count is wire data — never reserve it blindly.
-  out.reserve(std::min<std::uint64_t>(count, r.remaining() / 37 + 1));
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    TraceSummary s;
-    s.root_op = r.str();
-    s.root_service = r.str();
-    s.gateway_id = r.str();
-    s.trace_id = r.u64();
-    s.start = r.i64();
-    s.duration = r.i64();
-    const std::uint8_t states = r.u8();
-    if (static_cast<std::uint64_t>(states) * 8 > r.remaining()) {
-      return common::Error{common::ErrorCode::kInvalidArgument,
-                           "oversized trace summary"};
-    }
-    for (std::uint8_t st = 0; st < states && r.ok(); ++st) {
-      const sim::Duration d = r.i64();
-      if (st < kWaitStateCount) s.breakdown[st] = d;
-    }
-    out.push_back(std::move(s));
-  }
-  if (!r.ok() || !r.at_end()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt trace summary report"};
-  }
-  return out;
+  return rpc::decode_record<std::vector<TraceSummary>>(
+      data, "corrupt trace summary report");
 }
 
 TailSampler::TailSampler(sim::Kernel& kernel, Tracer& tracer,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "rpc/wire.h"
-
 namespace magma::ocs {
 
 void Ocs::create_account(const common::Imsi& imsi,
@@ -48,31 +46,26 @@ void Ocs::bind(rpc::RpcNode& node) {
   node.register_method(
       kService, kRequestQuota,
       [this](const rpc::Bytes& request, rpc::Respond respond) {
-        rpc::Reader r(request);
-        common::Imsi imsi{r.str()};
-        const std::uint64_t requested = r.u64();
-        if (!r.ok()) {
-          respond(rpc::Error{rpc::ErrorCode::kInvalidArgument, "bad request"});
+        auto req = rpc::decode_record<QuotaRequest>(request, "bad request");
+        if (!req.ok()) {
+          respond(rpc::Error{req.error()});
           return;
         }
-        const QuotaGrant grant = request_quota(imsi, requested);
-        rpc::Writer w;
-        w.u64(grant.granted_bytes);
-        respond(std::move(w).take());
+        respond(rpc::encode_record(
+            request_quota(req.value().imsi, req.value().requested_bytes)));
       });
 
   node.register_method(
       kService, kReconcile,
       [this](const rpc::Bytes& request, rpc::Respond respond) {
-        rpc::Reader r(request);
-        common::Imsi imsi{r.str()};
-        const std::uint64_t granted = r.u64();
-        const std::uint64_t used = r.u64();
-        if (!r.ok()) {
-          respond(rpc::Error{rpc::ErrorCode::kInvalidArgument, "bad request"});
+        auto req = rpc::decode_record<ReconcileRequest>(request, "bad request");
+        if (!req.ok()) {
+          respond(rpc::Error{req.error()});
           return;
         }
-        const common::Status status = reconcile(imsi, granted, used);
+        const common::Status status =
+            reconcile(req.value().imsi, req.value().granted_bytes,
+                      req.value().used_bytes);
         if (!status.ok()) {
           respond(rpc::Error{status.error()});
           return;

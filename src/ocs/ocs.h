@@ -20,13 +20,31 @@
 
 #include "common/ids.h"
 #include "common/result.h"
+#include "rpc/fields.h"
 #include "rpc/rpc.h"
 
 namespace magma::ocs {
 
+// The RPC payloads, one field list each: RequestQuota answers a
+// QuotaRequest with a QuotaGrant, Reconcile a ReconcileRequest with an empty
+// reply.
+struct QuotaRequest {
+  common::Imsi imsi;
+  std::uint64_t requested_bytes = 0;
+};
+MAGMA_WIRE_FIELDS(QuotaRequest, m.imsi, m.requested_bytes);
+
 struct QuotaGrant {
   std::uint64_t granted_bytes = 0;  // 0 = denied (balance empty)
 };
+MAGMA_WIRE_FIELDS(QuotaGrant, m.granted_bytes);
+
+struct ReconcileRequest {
+  common::Imsi imsi;
+  std::uint64_t granted_bytes = 0;
+  std::uint64_t used_bytes = 0;
+};
+MAGMA_WIRE_FIELDS(ReconcileRequest, m.imsi, m.granted_bytes, m.used_bytes);
 
 struct OcsAccount {
   std::uint64_t balance_bytes = 0;      // unreserved balance
@@ -49,8 +67,7 @@ class Ocs {
 
   const OcsAccount* account(const common::Imsi& imsi) const;
 
-  // RPC service "ocs": RequestQuota{imsi, bytes} and
-  // Reconcile{imsi, granted, used}.
+  // RPC service "ocs": RequestQuota and Reconcile.
   void bind(rpc::RpcNode& node);
 
   static constexpr const char* kService = "ocs";

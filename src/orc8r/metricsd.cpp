@@ -6,43 +6,20 @@
 #include <tuple>
 
 #include "obs/slo/slo.h"
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::orc8r {
 
+MAGMA_WIRE_FIELDS(MetricSample, m.gateway_id, m.name, m.value, m.time);
+
 common::Bytes encode_metric_report(const std::vector<MetricSample>& samples) {
-  rpc::Writer w;
-  w.u64(samples.size());
-  for (const MetricSample& s : samples) {
-    w.str(s.gateway_id);
-    w.str(s.name);
-    w.f64(s.value);
-    w.i64(s.time);
-  }
-  return std::move(w).take();
+  return rpc::encode_record(samples);
 }
 
 common::Result<std::vector<MetricSample>> decode_metric_report(
     common::BytesView data) {
-  rpc::Reader r(data);
-  const std::uint64_t count = r.u64();
-  std::vector<MetricSample> samples;
-  // The count is attacker-controlled wire data: never reserve it blindly
-  // (each sample needs ≥20 bytes on the wire, so cap by what could fit).
-  samples.reserve(std::min<std::uint64_t>(count, r.remaining() / 20 + 1));
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    MetricSample s;
-    s.gateway_id = r.str();
-    s.name = r.str();
-    s.value = r.f64();
-    s.time = r.i64();
-    samples.push_back(std::move(s));
-  }
-  if (!r.ok() || !r.at_end()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt metric report"};
-  }
-  return samples;
+  return rpc::decode_record<std::vector<MetricSample>>(
+      data, "corrupt metric report");
 }
 
 common::Bytes encode_histogram_report(

@@ -612,16 +612,14 @@ void Orchestrator::bind(rpc::RpcNode& node) {
       [this](const rpc::Bytes& request, rpc::Respond respond) {
         MAGMA_HOST_SCOPE("orc8r", "checkin");
         obs::svc_request(svc_bootstrapper_);
-        rpc::Reader r(request);
-        const std::string gateway_id = r.str();
-        const std::string description = r.str();
-        const common::Bytes status_blob = r.bytes();
-        if (!r.ok()) {
-          obs::svc_error(svc_bootstrapper_, "bad checkin");
-          respond(rpc::Error{rpc::ErrorCode::kInvalidArgument, "bad checkin"});
+        auto checkin =
+            rpc::decode_record<CheckinRequest>(request, "bad checkin");
+        if (!checkin.ok()) {
+          obs::svc_error(svc_bootstrapper_, checkin.error().message);
+          respond(rpc::Error{checkin.error()});
           return;
         }
-        auto services = obs::decode_gateway_status(status_blob);
+        auto services = obs::decode_gateway_status(checkin.value().status);
         if (!services.ok()) {
           obs::svc_error(svc_bootstrapper_, services.error().message);
           respond(rpc::Error{services.error()});
@@ -630,9 +628,12 @@ void Orchestrator::bind(rpc::RpcNode& node) {
         // Inventory bookkeeping stays inline (cheap, and the response's
         // tail budget needs the fleet size); the statusd apply — health FSM
         // plus per-service snapshot storage — rides the ingest shards.
+        const std::string& gateway_id = checkin.value().gateway_id;
         auto& record = gateways_[gateway_id];
         record.id = gateway_id;
-        if (record.description.empty()) record.description = description;
+        if (record.description.empty()) {
+          record.description = checkin.value().description;
+        }
         record.last_checkin = kernel_.now();
         ++record.checkin_count;
         ++stats_.checkins;
@@ -645,28 +646,23 @@ void Orchestrator::bind(rpc::RpcNode& node) {
                 })) {
           note_ingest_shed(IngestKind::kCheckin);
         }
-        rpc::Writer w;
-        w.boolean(true);
-        // Fleet-wide tail-sampling budget: this gateway's keep-per-op K
-        // (0: unmanaged, keep the local config).
-        w.u64(assigned_keep_per_op());
-        respond(std::move(w).take());
+        respond(rpc::encode_record(
+            CheckinResponse{true, assigned_keep_per_op()}));
       });
 
   node.register_method(
       kStateService, kReportCheckpoint,
       [this](const rpc::Bytes& request, rpc::Respond respond) {
         obs::svc_request(svc_state_);
-        rpc::Reader r(request);
-        const std::string gateway_id = r.str();
-        common::Bytes blob = r.bytes();
-        if (!r.ok()) {
-          obs::svc_error(svc_state_, "bad checkpoint");
-          respond(
-              rpc::Error{rpc::ErrorCode::kInvalidArgument, "bad checkpoint"});
+        auto checkpoint =
+            rpc::decode_record<CheckpointReport>(request, "bad checkpoint");
+        if (!checkpoint.ok()) {
+          obs::svc_error(svc_state_, checkpoint.error().message);
+          respond(rpc::Error{checkpoint.error()});
           return;
         }
-        checkpoints_[gateway_id] = std::move(blob);
+        checkpoints_[checkpoint.value().gateway_id] =
+            std::move(checkpoint.value().image);
         ++stats_.checkpoints_stored;
         respond(rpc::Bytes{});
       });

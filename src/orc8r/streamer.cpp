@@ -1,31 +1,20 @@
 #include "orc8r/streamer.h"
 
-#include <algorithm>
-
-#include "rpc/wire.h"
+#include "rpc/fields.h"
 
 namespace magma::orc8r {
 
+MAGMA_WIRE_FIELDS(GetUpdatesRequest, m.gateway_id, m.have_version,
+                  m.have_epoch);
+MAGMA_WIRE_FIELDS(DeltaEntry, m.kind, m.remove, m.key, m.blob);
+
 common::Bytes GetUpdatesRequest::serialize() const {
-  rpc::Writer w;
-  w.str(gateway_id);
-  w.u64(have_version);
-  w.u64(have_epoch);
-  return std::move(w).take();
+  return rpc::encode_record(*this);
 }
 
 common::Result<GetUpdatesRequest> GetUpdatesRequest::deserialize(
     common::BytesView d) {
-  rpc::Reader r(d);
-  GetUpdatesRequest req;
-  req.gateway_id = r.str();
-  req.have_version = r.u64();
-  req.have_epoch = r.u64();
-  if (!r.ok() || !r.at_end()) {
-    return common::Error{common::ErrorCode::kInvalidArgument,
-                         "corrupt GetUpdatesRequest"};
-  }
-  return req;
+  return rpc::decode_record<GetUpdatesRequest>(d, "corrupt GetUpdatesRequest");
 }
 
 common::Bytes DesiredState::serialize() const {
@@ -67,13 +56,7 @@ common::Bytes DesiredUpdate::serialize() const {
   w.u64(epoch);
   w.u8(static_cast<std::uint8_t>(mode));
   if (mode == SyncMode::kDelta) {
-    w.u64(entries.size());
-    for (const DeltaEntry& e : entries) {
-      w.u8(static_cast<std::uint8_t>(e.kind));
-      w.boolean(e.remove);
-      w.str(e.key);
-      w.bytes(e.blob);
-    }
+    rpc::put(w, entries);
   } else if (mode == SyncMode::kFull) {
     w.bytes(full);
   }
@@ -91,34 +74,21 @@ common::Result<DesiredUpdate> DesiredUpdate::deserialize(common::BytesView d) {
                          "corrupt DesiredUpdate header"};
   }
   u.mode = static_cast<SyncMode>(mode);
-  if (u.mode == SyncMode::kDelta) {
-    const std::uint64_t count = r.u64();
-    // Each entry needs ≥ 10 wire bytes (kind + remove + two length
-    // prefixes); the count is wire data — never reserve it blindly.
-    u.entries.reserve(std::min<std::uint64_t>(count, r.remaining() / 10 + 1));
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-      DeltaEntry e;
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(DeltaEntry::Kind::kPolicy)) {
-        return common::Error{common::ErrorCode::kInvalidArgument,
-                             "corrupt DeltaEntry kind"};
-      }
-      e.kind = static_cast<DeltaEntry::Kind>(kind);
-      e.remove = r.boolean();
-      e.key = r.str();
-      e.blob = r.bytes();
-      if (e.remove && !e.blob.empty()) {
-        return common::Error{common::ErrorCode::kInvalidArgument,
-                             "remove entry carries a blob"};
-      }
-      u.entries.push_back(std::move(e));
-    }
-  } else if (u.mode == SyncMode::kFull) {
-    u.full = r.bytes();
-  }
-  if (!r.ok() || !r.at_end()) {
+  const bool fields_ok = u.mode != SyncMode::kDelta || rpc::get(r, u.entries);
+  if (u.mode == SyncMode::kFull) u.full = r.bytes();
+  if (!fields_ok || !r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt DesiredUpdate"};
+  }
+  for (const DeltaEntry& e : u.entries) {
+    if (e.kind > DeltaEntry::Kind::kPolicy) {
+      return common::Error{common::ErrorCode::kInvalidArgument,
+                           "corrupt DeltaEntry kind"};
+    }
+    if (e.remove && !e.blob.empty()) {
+      return common::Error{common::ErrorCode::kInvalidArgument,
+                           "remove entry carries a blob"};
+    }
   }
   return u;
 }

@@ -30,6 +30,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "core/policy.h"
+#include "rpc/fields.h"
 
 namespace magma::orc8r {
 
@@ -87,8 +88,33 @@ inline constexpr const char* kGetUpdates = "GetUpdates";
 inline constexpr const char* kBootstrapperService = "bootstrapper";
 inline constexpr const char* kCheckin = "Checkin";
 
+// The heartbeat: `status` is the gateway's Service303 snapshot, an
+// obs::encode_gateway_status blob.
+struct CheckinRequest {
+  std::string gateway_id;
+  std::string description;
+  common::Bytes status;
+};
+MAGMA_WIRE_FIELDS(CheckinRequest, m.gateway_id, m.description, m.status);
+
+// The ack carries the fleet tail-sampling budget: the gateway's assigned
+// keep-per-op K (0: unmanaged, keep the local config).
+struct CheckinResponse {
+  bool ok = false;
+  std::uint64_t keep_per_op = 0;
+};
+MAGMA_WIRE_FIELDS(CheckinResponse, m.ok, m.keep_per_op);
+
 inline constexpr const char* kStateService = "state";
 inline constexpr const char* kReportCheckpoint = "ReportCheckpoint";
+
+// A gateway's runtime image (agw::AccessGateway::checkpoint), which orc8r
+// hands to its backup on failover.
+struct CheckpointReport {
+  std::string gateway_id;
+  common::Bytes image;
+};
+MAGMA_WIRE_FIELDS(CheckpointReport, m.gateway_id, m.image);
 
 inline constexpr const char* kMetricsService = "metricsd";
 inline constexpr const char* kReportMetrics = "Report";

@@ -7,11 +7,14 @@
 //
 // Encoding and decoding both walk that list, so the two directions cannot
 // drift apart. Each field travels as one Writer/Reader call: integers at
-// their width, bool as one byte, an enum as its underlying integer, strings
-// and byte strings length-prefixed, a fixed-length byte array
-// length-prefixed and checked against its length, a TEID / node id / IPv4
-// address as its u32, an IMSI as its string (and checked valid), and a
-// struct with its own field list as those fields in order.
+// their width (an int64 as its u64 bits), a double as its IEEE-754 bits,
+// bool as one byte, an enum as its underlying integer, strings and byte
+// strings length-prefixed, a fixed-length byte array length-prefixed and
+// checked against its length, a TEID / node id / IPv4 address as its u32,
+// an IMSI as its string (and checked valid), and a struct with its own field
+// list as those fields in order. Collections of those: a vector as a u64
+// count and its elements, and a fixed-length array of anything but bytes as
+// a u8 count, checked against its length, and its elements.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include <type_traits>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/ids.h"
@@ -49,9 +53,22 @@ template <std::size_t N>
 inline constexpr bool kIsByteArray<std::array<std::uint8_t, N>> = true;
 
 template <typename T>
+inline constexpr bool kIsArray = false;
+template <typename T, std::size_t N>
+inline constexpr bool kIsArray<std::array<T, N>> = true;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+}  // namespace fields_detail
+
+// Writes one value, for a caller composing a message of several.
+template <typename T>
 void put(Writer& w, const T& v) {
   if constexpr (std::is_enum_v<T>) {
-    fields_detail::put(w, static_cast<std::underlying_type_t<T>>(v));
+    rpc::put(w, static_cast<std::underlying_type_t<T>>(v));
   } else if constexpr (std::is_same_v<T, bool>) {
     w.boolean(v);
   } else if constexpr (std::is_same_v<T, std::uint8_t>) {
@@ -62,10 +79,22 @@ void put(Writer& w, const T& v) {
     w.u32(v);
   } else if constexpr (std::is_same_v<T, std::uint64_t>) {
     w.u64(v);
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    w.i64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
   } else if constexpr (std::is_same_v<T, std::string>) {
     w.str(v);
-  } else if constexpr (std::is_same_v<T, common::Bytes> || kIsByteArray<T>) {
+  } else if constexpr (std::is_same_v<T, common::Bytes> ||
+                       fields_detail::kIsByteArray<T>) {
     w.bytes(common::BytesView(v.data(), v.size()));
+  } else if constexpr (fields_detail::kIsVector<T>) {
+    w.u64(v.size());
+    for (const auto& element : v) rpc::put(w, element);
+  } else if constexpr (fields_detail::kIsArray<T>) {
+    static_assert(std::tuple_size_v<T> <= 0xff);
+    w.u8(static_cast<std::uint8_t>(v.size()));
+    for (const auto& element : v) rpc::put(w, element);
   } else if constexpr (std::is_same_v<T, common::Imsi>) {
     w.str(v.value);
   } else if constexpr (std::is_same_v<T, common::Ipv4>) {
@@ -74,19 +103,34 @@ void put(Writer& w, const T& v) {
                        std::is_same_v<T, common::RanNodeId>) {
     w.u32(v.value);
   } else {
-    wire_fields(v, [&w](const auto&... field) {
-      (fields_detail::put(w, field), ...);
-    });
+    wire_fields(v, [&w](const auto&... field) { (rpc::put(w, field), ...); });
   }
 }
 
-// False for a field the reader cannot flag itself: an array of the wrong
-// length or an invalid IMSI. A short read latches !r.ok() instead.
+namespace fields_detail {
+
+// What a default T encodes to, a lower bound on every T's encoding: a wire
+// count of T never reserves more than the bytes left could hold.
+template <typename T>
+std::size_t min_encoded_size() {
+  static const std::size_t size = [] {
+    Writer w;
+    rpc::put(w, T{});
+    return w.size();
+  }();
+  return size;
+}
+
+}  // namespace fields_detail
+
+// Reads one value, for a caller decoding a message of several. False for a
+// field the reader cannot flag itself: an array of the wrong length or an
+// invalid IMSI. A short read latches !r.ok() instead.
 template <typename T>
 bool get(Reader& r, T& v) {
   if constexpr (std::is_enum_v<T>) {
     std::underlying_type_t<T> raw = 0;
-    fields_detail::get(r, raw);
+    rpc::get(r, raw);
     v = static_cast<T>(raw);
   } else if constexpr (std::is_same_v<T, bool>) {
     v = r.boolean();
@@ -98,14 +142,32 @@ bool get(Reader& r, T& v) {
     v = r.u32();
   } else if constexpr (std::is_same_v<T, std::uint64_t>) {
     v = r.u64();
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    v = r.i64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.f64();
   } else if constexpr (std::is_same_v<T, std::string>) {
     v = r.str();
   } else if constexpr (std::is_same_v<T, common::Bytes>) {
     v = r.bytes();
-  } else if constexpr (kIsByteArray<T>) {
+  } else if constexpr (fields_detail::kIsByteArray<T>) {
     const common::Bytes b = r.bytes();
     if (b.size() != v.size()) return false;
     std::copy(b.begin(), b.end(), v.begin());
+  } else if constexpr (fields_detail::kIsVector<T>) {
+    using Element = typename T::value_type;
+    const std::uint64_t count = r.u64();
+    v.clear();
+    v.reserve(std::min<std::uint64_t>(
+        count, r.remaining() / fields_detail::min_encoded_size<Element>()));
+    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+      if (!rpc::get(r, v.emplace_back())) return false;
+    }
+  } else if constexpr (fields_detail::kIsArray<T>) {
+    if (r.u8() != v.size()) return false;
+    for (auto& element : v) {
+      if (!rpc::get(r, element)) return false;
+    }
   } else if constexpr (std::is_same_v<T, common::Imsi>) {
     v.value = r.str();
     return v.valid();
@@ -116,19 +178,17 @@ bool get(Reader& r, T& v) {
     v.value = r.u32();
   } else {
     return wire_fields(v, [&r](auto&... field) {
-      return (fields_detail::get(r, field) && ...);
+      return (rpc::get(r, field) && ...);
     });
   }
   return true;
 }
 
-}  // namespace fields_detail
-
 // A record: its fields alone, with nothing allowed to follow them.
 template <typename T>
 common::Bytes encode_record(const T& record) {
   Writer w;
-  fields_detail::put(w, record);
+  rpc::put(w, record);
   return std::move(w).take();
 }
 
@@ -136,7 +196,7 @@ template <typename T>
 common::Result<T> decode_record(common::BytesView data, const char* error) {
   Reader r(data);
   T record;
-  if (!fields_detail::get(r, record) || !r.ok() || !r.at_end()) {
+  if (!rpc::get(r, record) || !r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument, error};
   }
   return record;
@@ -150,7 +210,7 @@ struct MessageCodec {
   static common::Bytes encode(const Variant& msg) {
     Writer w;
     w.u8(static_cast<std::uint8_t>(kFirstTag + msg.index()));
-    std::visit([&w](const auto& m) { fields_detail::put(w, m); }, msg);
+    std::visit([&w](const auto& m) { rpc::put(w, m); }, msg);
     return std::move(w).take();
   }
 
@@ -173,8 +233,7 @@ struct MessageCodec {
   template <std::size_t... I>
   static bool get_alternative(Reader& r, std::size_t index, Variant& msg,
                               std::index_sequence<I...>) {
-    return ((index == I && fields_detail::get(r, msg.template emplace<I>())) ||
-            ...);
+    return ((index == I && rpc::get(r, msg.template emplace<I>())) || ...);
   }
 };
 

@@ -33,6 +33,7 @@
 #include "obs/sketch/subscriber_sketches.h"
 #include "obs/status.h"
 #include "obs/tail_sampler.h"
+#include "ocs/ocs.h"
 #include "orc8r/metricsd.h"
 #include "orc8r/streamer.h"
 #include "proto/lte/gtpc.h"
@@ -246,6 +247,29 @@ orc8r::GetUpdatesRequest get_updates_request(sim::Rng& rng) {
   return {random_string(rng, 10), rng.next_u64(), rng.next_u64()};
 }
 
+orc8r::CheckinRequest checkin_request(sim::Rng& rng) {
+  return {random_string(rng, 10), random_string(rng, 8),
+          random_bytes(rng, 64)};
+}
+
+orc8r::CheckinResponse checkin_response(sim::Rng& rng) {
+  return {rng.bernoulli(0.5), rng.next_u64()};
+}
+
+orc8r::CheckpointReport checkpoint_report(sim::Rng& rng) {
+  return {random_string(rng, 10), random_bytes(rng, 128)};
+}
+
+ocs::QuotaRequest quota_request(sim::Rng& rng) {
+  return {random_imsi(rng), rng.next_u64()};
+}
+
+ocs::QuotaGrant quota_grant(sim::Rng& rng) { return {rng.next_u64()}; }
+
+ocs::ReconcileRequest reconcile_request(sim::Rng& rng) {
+  return {random_imsi(rng), rng.next_u64(), rng.next_u64()};
+}
+
 std::vector<orc8r::MetricSample> metric_report(sim::Rng& rng) {
   std::vector<orc8r::MetricSample> samples(rng.uniform_int(5));
   for (orc8r::MetricSample& s : samples) {
@@ -392,6 +416,17 @@ Codec member_codec(std::string name, T (*generate)(sim::Rng&),
       [](common::BytesView data) { return T::deserialize(data); }, invariant);
 }
 
+// Payloads that are one field list (rpc/fields.h) and nothing else.
+template <typename T>
+Codec record_codec(std::string name, T (*generate)(sim::Rng&)) {
+  return codec<T>(
+      std::move(name), generate,
+      [](const T& value) { return rpc::encode_record(value); },
+      [](common::BytesView data) {
+        return rpc::decode_record<T>(data, "corrupt payload");
+      });
+}
+
 // 3GPP and RADIUS framing leaves trailing bytes to the transport.
 Codec external(Codec c) {
   c.internal = false;
@@ -433,6 +468,12 @@ const std::vector<Codec>& codecs() {
               orc8r::encode_histogram_report, orc8r::decode_histogram_report),
         codec("event_report", event_report, obs::encode_event_report,
               obs::decode_event_report),
+        record_codec("checkin_request", checkin_request),
+        record_codec("checkin_response", checkin_response),
+        record_codec("checkpoint_report", checkpoint_report),
+        record_codec("quota_request", quota_request),
+        record_codec("quota_grant", quota_grant),
+        record_codec("reconcile_request", reconcile_request),
         external(codec("nas", any_message<lte::NasMessage>, lte::encode_nas,
                        lte::decode_nas)),
         external(codec("s1ap", any_message<lte::S1apMessage>,
@@ -535,6 +576,11 @@ TEST(CodecContract, RecordsAndReports) {
                     "metric_report", "histogram_report", "event_report"});
 }
 
+TEST(CodecContract, CheckinCheckpointAndOcsPayloads) {
+  expect_contracts({"checkin_request", "checkin_response", "checkpoint_report",
+                    "quota_request", "quota_grant", "reconcile_request"});
+}
+
 // Random bytes at every decoder, store images and raw packets included.
 class FuzzSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -562,7 +608,8 @@ TEST(FuzzTraceSummary, HostileLengthsRejectedWithoutAllocating) {
     EXPECT_FALSE(obs::decode_trace_summaries(hostile).ok());
   }
   // A valid single summary whose wait-state count claims more i64s than the
-  // buffer holds: the oversized-summary guard must reject it.
+  // buffer holds: the fixed-array rule rejects any count but
+  // kWaitStateCount before it reads a state.
   {
     obs::TraceSummary s;
     s.root_op = "attach";
@@ -581,6 +628,25 @@ TEST(FuzzTraceSummary, HostileLengthsRejectedWithoutAllocating) {
     for (std::size_t i = 8; i < 16 && i < wire.size(); ++i) wire[i] = 0xff;
     EXPECT_FALSE(obs::decode_trace_summaries(wire).ok());
   }
+}
+
+// A summary from a reader with another wait-state width is rejected, not
+// truncated or zero-filled: its breakdown would no longer sum to its
+// duration.
+TEST(FuzzTraceSummary, StateCountOtherThanWaitStatesRejected) {
+  obs::TraceSummary s;
+  s.root_op = "attach";
+  const common::Bytes wire = obs::encode_trace_summaries({s});
+  ASSERT_TRUE(obs::decode_trace_summaries(wire).ok());
+  const std::size_t count_at = wire.size() - 1 - 8 * obs::kWaitStateCount;
+  // One state fewer, and one more.
+  common::Bytes fewer(wire.begin(), wire.end() - 8);
+  fewer[count_at] = obs::kWaitStateCount - 1;
+  EXPECT_FALSE(obs::decode_trace_summaries(fewer).ok());
+  common::Bytes more = wire;
+  more.insert(more.end(), 8, 0);
+  more[count_at] = obs::kWaitStateCount + 1;
+  EXPECT_FALSE(obs::decode_trace_summaries(more).ok());
 }
 
 TEST(FuzzSketchReport, HostileFieldsRejectedWithoutAllocating) {

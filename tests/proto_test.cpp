@@ -10,6 +10,7 @@
 #include "obs/events.h"
 #include "obs/status.h"
 #include "obs/tail_sampler.h"
+#include "ocs/ocs.h"
 #include "orc8r/metricsd.h"
 #include "orc8r/streamer.h"
 #include "proto/lte/emm_fsm.h"
@@ -406,6 +407,49 @@ TEST(WireRecords, DeltaUpdate) {
       "0000",
       [](const orc8r::DesiredUpdate& u) { return u.serialize(); },
       orc8r::DesiredUpdate::deserialize);
+}
+
+// The payloads that are one field list and nothing else.
+template <typename T>
+void expect_pinned_payload(const T& value, std::string_view hex) {
+  expect_pinned_record(
+      value, hex, [](const T& v) { return rpc::encode_record(v); },
+      [](common::BytesView data) {
+        return rpc::decode_record<T>(data, "corrupt payload");
+      });
+}
+
+TEST(WireRecords, CheckinRequest) {
+  expect_pinned_payload(orc8r::CheckinRequest{"gw0", "agw", {0xab, 0xcd}},
+                        "030000006777300300000061677702000000abcd");
+}
+
+TEST(WireRecords, CheckinResponse) {
+  expect_pinned_payload(orc8r::CheckinResponse{true, 4},
+                        "010400000000000000");
+}
+
+TEST(WireRecords, CheckpointReport) {
+  expect_pinned_payload(orc8r::CheckpointReport{"gw0", {1, 2, 3}},
+                        "0300000067773003000000010203");
+}
+
+TEST(WireRecords, QuotaRequest) {
+  expect_pinned_payload(
+      ocs::QuotaRequest{common::Imsi::from_digits(1010000000001ULL), 1000000},
+      "13000000494d534930303130313030303030303030303140420f0000000000");
+}
+
+TEST(WireRecords, QuotaGrant) {
+  expect_pinned_payload(ocs::QuotaGrant{500000}, "20a1070000000000");
+}
+
+TEST(WireRecords, ReconcileRequest) {
+  expect_pinned_payload(
+      ocs::ReconcileRequest{common::Imsi::from_digits(1010000000001ULL),
+                            1000000, 750000},
+      "13000000494d534930303130313030303030303030303140420f0000000000b071"
+      "0b0000000000");
 }
 
 // --- EMM FSM ----------------------------------------------------------------------

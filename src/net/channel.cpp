@@ -164,6 +164,7 @@ class ReliableEndpoint final : public ReliableChannel {
     bool lost_marked = false;  // already loss-retransmitted this episode
     sim::TimePoint sent_at = 0;  // last (re)transmission time
   };
+  using PendingMap = PooledMap<std::uint64_t, Pending>;
 
   bool cc_on() const { return config_.congestion_control; }
 
@@ -213,7 +214,7 @@ class ReliableEndpoint final : public ReliableChannel {
 
   // Oldest segment the retransmission timer is responsible for: the lowest
   // transmitted, not-yet-SACKed sequence still outstanding.
-  std::map<std::uint64_t, Pending>::iterator oldest_unsacked() {
+  PendingMap::iterator oldest_unsacked() {
     for (auto it = outstanding_.begin(); it != outstanding_.end(); ++it) {
       if (it->second.transmitted && !it->second.sacked) return it;
     }
@@ -660,7 +661,7 @@ class ReliableEndpoint final : public ReliableChannel {
 
   std::uint64_t epoch_ = 0;
   std::uint64_t next_seq_ = 0;
-  PooledMap<std::uint64_t, Pending> outstanding_;
+  PendingMap outstanding_;
   std::deque<std::uint64_t> send_queue_;  // seqs awaiting first transmission
   std::uint64_t highest_ack_ = 0;
   std::uint64_t highest_transmitted_ = 0;  // highest seq ever on the wire

@@ -38,7 +38,6 @@ struct WifiApConfig {
   int max_clients = 64;
   double dl_capacity_bps = 120e6;  // 802.11ac-class shared medium
   double ul_capacity_bps = 120e6;
-  sim::Duration accounting_interim = 60 * sim::kSecond;
 };
 
 struct WifiApStats {

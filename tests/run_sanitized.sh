@@ -21,6 +21,10 @@
 # sessions, data-plane rules and the address pool that timers and flows
 # still point at.
 #
+# The sessiond and policy suites are the only users of the OCS RPCs: their
+# SessiondOcs and PolicyTest cases send quota and reconcile requests through
+# the field-list codec and answer them from continuations.
+#
 # The metricsd suite inserts rows into the middle of a series, evicts
 # chunks from its front and rebinds rule indices as rules come and go; its
 # sweep against the sample-list reference runs every query after each
@@ -36,7 +40,8 @@ SUITES=(
   tracing_integration_test statusd_test slo_test cpu_profile_test
   host_profiler_test bench_compare_test sketch_test histogram_test
   pool_test inplace_function_test alloc_discipline_test proto_test
-  agw_test integration_fault_test metricsd_test
+  agw_test integration_fault_test metricsd_test sessiond_test
+  integration_policy_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -75,6 +80,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest|SessiondOcs|PolicyTest|WireRecords' \
   "$@"
 echo "sanitized transport suite: OK"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/network.h"
+#include "datapath/gtpu.h"
 
 namespace magma {
 namespace {
@@ -219,6 +220,185 @@ TEST_F(MultiRatTest, SameSubscriberMovesBetweenRats) {
   net_->run_for(10 * sim::kSecond);
   EXPECT_TRUE(wifi_ok);
   EXPECT_EQ(agw_->sessiond().active_sessions(), 1u);
+}
+
+// The radio model of the three RAN nodes (§4.1): admission up to the
+// node's capacity, one token bucket per direction, and byte counters that
+// agree with what the UEs sent and received.
+class RadioCell : public ::testing::Test {
+ protected:
+  // A 1 Mbps sector has a 12,500-byte burst (100 ms of capacity): a
+  // 5-packet batch fits it, a 50-packet batch does not.
+  static constexpr double kSmallSectorBps = 1e6;
+
+  void SetUp() override {
+    net_ = std::make_unique<core::Network>();
+    agw_ = &net_->add_agw(agw::virtual_xeon(4));
+  }
+
+  // Provisions a subscriber and hands it to `attach`, which starts the
+  // RAT's attach; returns the outcome after the network settles.
+  template <class Attach>
+  ran::AttachOutcome attach_one(Attach attach) {
+    const agw::SubscriberData sub =
+        net_->provision_subscriber("unlimited", "pw");
+    net_->sync_all_config();
+    ran::AttachOutcome outcome;
+    outcome.failure_reason = "no-outcome";
+    attach(sub, [&outcome](const ran::AttachOutcome& o) { outcome = o; });
+    net_->run_for(20 * sim::kSecond);
+    return outcome;
+  }
+
+  // In each direction, one batch inside the sector's burst and one far
+  // above it.
+  template <class Ue>
+  void offer_traffic(Ue& ue) {
+    net_->inject_downlink(*agw_, *ue.ip(), 1000, 5);
+    net_->inject_downlink(*agw_, *ue.ip(), 1400, 50);
+    net_->run_for(1 * sim::kSecond);
+    ue.send_uplink(kInternet, 443, 1000, 5);
+    ue.send_uplink(kInternet, 443, 1400, 50);
+    net_->run_for(1 * sim::kSecond);
+  }
+
+  template <class Ue, class Stats>
+  static void expect_radio_accounting(const Ue& ue, const Stats& stats) {
+    EXPECT_GT(stats.dl_delivered_bytes, 0u);
+    EXPECT_GT(stats.dl_dropped_radio_bytes, 0u);
+    EXPECT_EQ(ue.traffic().rx_bytes, stats.dl_delivered_bytes);
+    EXPECT_GT(stats.ul_forwarded_bytes, 0u);
+    EXPECT_GT(stats.ul_dropped_radio_bytes, 0u);
+    EXPECT_EQ(ue.traffic().tx_bytes,
+              stats.ul_forwarded_bytes + stats.ul_dropped_radio_bytes);
+  }
+
+  // A GTP-U batch for a tunnel the cell never allocated.
+  static datapath::PacketBatch unknown_teid_batch(common::Ipv4 cell) {
+    datapath::PacketBatch batch;
+    batch.packet = datapath::gtpu_encap(
+        datapath::make_udp(kInternet, common::Ipv4::from_octets(172, 16, 0, 9),
+                           443, 40000, 500),
+        common::Teid{0xBAD}, common::Ipv4::from_octets(10, 1, 0, 1), cell);
+    batch.count = 3;
+    return batch;
+  }
+
+  static inline const common::Ipv4 kInternet =
+      common::Ipv4::from_octets(8, 8, 8, 8);
+
+  std::unique_ptr<core::Network> net_;
+  agw::AccessGateway* agw_ = nullptr;
+};
+
+TEST_F(RadioCell, EnodebRefusesUeBeyondCapacity) {
+  ran::EnodebConfig config;
+  config.max_active_ues = 1;
+  ran::EnodeB& enb = net_->add_enodeb(*agw_, config);
+  const ran::AttachOutcome first = attach_one([&](auto& sub, auto done) {
+    net_->add_ue_lte(sub).attach(enb, std::move(done));
+  });
+  const ran::AttachOutcome second = attach_one([&](auto& sub, auto done) {
+    net_->add_ue_lte(sub).attach(enb, std::move(done));
+  });
+  EXPECT_TRUE(first.success) << first.failure_reason;
+  EXPECT_FALSE(second.success);
+  EXPECT_EQ(second.failure_reason, "rrc-capacity");
+  EXPECT_EQ(enb.stats().rrc_rejects_capacity, 1u);
+  EXPECT_EQ(enb.active_ues(), 1);
+}
+
+TEST_F(RadioCell, GnbRefusesUeBeyondCapacity) {
+  ran::GnbConfig config;
+  config.max_active_ues = 1;
+  ran::Gnb& gnb = net_->add_gnb(*agw_, config);
+  const ran::AttachOutcome first = attach_one([&](auto& sub, auto done) {
+    net_->add_ue_nr(sub).attach(gnb, std::move(done));
+  });
+  const ran::AttachOutcome second = attach_one([&](auto& sub, auto done) {
+    net_->add_ue_nr(sub).attach(gnb, std::move(done));
+  });
+  EXPECT_TRUE(first.success) << first.failure_reason;
+  EXPECT_FALSE(second.success);
+  EXPECT_EQ(second.failure_reason, "rrc-capacity");
+  EXPECT_EQ(gnb.stats().rrc_rejects_capacity, 1u);
+  EXPECT_EQ(gnb.active_ues(), 1);
+}
+
+TEST_F(RadioCell, WifiApRefusesClientBeyondCapacity) {
+  ran::WifiApConfig config;
+  config.max_clients = 1;
+  ran::WifiAp& ap = net_->add_wifi_ap(*agw_, config);
+  const ran::AttachOutcome first = attach_one([&](auto& sub, auto done) {
+    net_->add_wifi_client(sub, "pw").connect(ap, std::move(done));
+  });
+  const ran::AttachOutcome second = attach_one([&](auto& sub, auto done) {
+    net_->add_wifi_client(sub, "pw").connect(ap, std::move(done));
+  });
+  EXPECT_TRUE(first.success) << first.failure_reason;
+  EXPECT_FALSE(second.success);
+  EXPECT_EQ(ap.stats().associations, 1u);
+  EXPECT_EQ(ap.stats().association_failures, 1u);
+}
+
+TEST_F(RadioCell, EnodebRadioAccounting) {
+  ran::EnodebConfig config;
+  config.dl_capacity_bps = kSmallSectorBps;
+  config.ul_capacity_bps = kSmallSectorBps;
+  ran::EnodeB& enb = net_->add_enodeb(*agw_, config);
+  ran::UeLte* ue = nullptr;
+  ASSERT_TRUE(attach_one([&](auto& sub, auto done) {
+                ue = &net_->add_ue_lte(sub);
+                ue->attach(enb, std::move(done));
+              }).success);
+  offer_traffic(*ue);
+  expect_radio_accounting(*ue, enb.stats());
+}
+
+TEST_F(RadioCell, GnbRadioAccounting) {
+  ran::GnbConfig config;
+  config.dl_capacity_bps = kSmallSectorBps;
+  config.ul_capacity_bps = kSmallSectorBps;
+  ran::Gnb& gnb = net_->add_gnb(*agw_, config);
+  ran::UeNr* ue = nullptr;
+  ASSERT_TRUE(attach_one([&](auto& sub, auto done) {
+                ue = &net_->add_ue_nr(sub);
+                ue->attach(gnb, std::move(done));
+              }).success);
+  offer_traffic(*ue);
+  expect_radio_accounting(*ue, gnb.stats());
+}
+
+TEST_F(RadioCell, WifiApRadioAccounting) {
+  ran::WifiApConfig config;
+  config.dl_capacity_bps = kSmallSectorBps;
+  config.ul_capacity_bps = kSmallSectorBps;
+  ran::WifiAp& ap = net_->add_wifi_ap(*agw_, config);
+  ran::WifiClient* client = nullptr;
+  ASSERT_TRUE(attach_one([&](auto& sub, auto done) {
+                client = &net_->add_wifi_client(sub, "pw");
+                client->connect(ap, std::move(done));
+              }).success);
+  offer_traffic(*client);
+  expect_radio_accounting(*client, ap.stats());
+}
+
+TEST_F(RadioCell, EnodebDropsUnknownTeid) {
+  ran::EnodeB& enb = net_->add_enodeb(*agw_);
+  net_->run_for(2 * sim::kSecond);
+  enb.deliver_downlink(unknown_teid_batch(enb.config().address));
+  EXPECT_EQ(enb.stats().unknown_teid_drops, 1u);
+  EXPECT_EQ(enb.stats().dl_delivered_bytes, 0u);
+  EXPECT_EQ(enb.stats().dl_dropped_radio_bytes, 0u);
+}
+
+TEST_F(RadioCell, GnbDropsUnknownTeid) {
+  ran::Gnb& gnb = net_->add_gnb(*agw_);
+  net_->run_for(2 * sim::kSecond);
+  gnb.deliver_downlink(unknown_teid_batch(gnb.config().address));
+  EXPECT_EQ(gnb.stats().unknown_teid_drops, 1u);
+  EXPECT_EQ(gnb.stats().dl_delivered_bytes, 0u);
+  EXPECT_EQ(gnb.stats().dl_dropped_radio_bytes, 0u);
 }
 
 }  // namespace

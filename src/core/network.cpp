@@ -5,6 +5,17 @@
 
 namespace magma::core {
 
+namespace {
+
+// Hands a RAN node's uplink to `agw`'s user plane.
+std::function<void(datapath::PacketBatch)> ingress_to(agw::AccessGateway& agw) {
+  return [gw = &agw](datapath::PacketBatch batch) {
+    gw->ingress_from_ran(std::move(batch));
+  };
+}
+
+}  // namespace
+
 Network::Network(NetworkConfig config)
     : config_(config), kernel_(), rng_(config.seed) {
   orchestrator_ = std::make_unique<orc8r::Orchestrator>(kernel_);
@@ -87,18 +98,11 @@ void Network::wire_egress(AgwNode& node) {
                                         datapath::PacketBatch batch) {
     if (out_port == datapath::kPortRan) {
       if (batch.packet.gtpu.has_value() && batch.packet.outer_ip.has_value()) {
-        const common::Ipv4 target = batch.packet.outer_ip->dst;
-        if (auto it = node_ptr->enbs_by_address.find(target);
-            it != node_ptr->enbs_by_address.end()) {
+        auto& cells = node_ptr->cells_by_address;
+        if (auto it = cells.find(batch.packet.outer_ip->dst); it != cells.end()) {
           it->second->deliver_downlink(std::move(batch));
-          return;
         }
-        if (auto it = node_ptr->gnbs_by_address.find(target);
-            it != node_ptr->gnbs_by_address.end()) {
-          it->second->deliver_downlink(std::move(batch));
-          return;
-        }
-        return;  // unroutable tunnel
+        return;  // else an unroutable tunnel
       }
       // Untunneled (WiFi): the owning AP recognizes the client address.
       for (ran::WifiAp* ap : node_ptr->aps) {
@@ -119,71 +123,56 @@ void Network::wire_egress(AgwNode& node) {
   });
 }
 
-ran::EnodeB& Network::add_enodeb(agw::AccessGateway& agw,
-                                 ran::EnodebConfig config,
-                                 std::optional<sim::LinkConfig> s1_link) {
-  AgwNode* node = node_for(agw);
-
+template <class Config>
+net::ReliablePair& Network::add_cell_link(AgwNode& node, Config& config,
+                                          std::uint8_t subnet,
+                                          std::optional<sim::LinkConfig> link) {
   const std::uint32_t ran_id = next_ran_id_++;
   if (config.id.value == 1 && ran_id != 1) config.id.value = ran_id;
-  if (config.address == ran::EnodebConfig{}.address) {
+  if (config.address == Config{}.address) {
     config.address = common::Ipv4::from_octets(
-        10, 100, static_cast<std::uint8_t>(ran_id >> 8),
+        10, subnet, static_cast<std::uint8_t>(ran_id >> 8),
         static_cast<std::uint8_t>(ran_id & 0xFF));
   }
   config.plmn = config_.plmn;
 
-  // S1 rides a reliable channel over a LAN hop (the eNodeB and AGW are
+  // S1/NG rides a reliable channel over a LAN hop (the cell and AGW are
   // co-located at the site) unless the caller overrides it to model a
   // remote, traditional core.
-  node->ran_links.push_back(std::make_unique<net::DuplexLink>(
-      kernel_, rng_, s1_link.value_or(sim::lan_link())));
-  if (s1_link.has_value()) {
-    node->wan_ran_links.push_back(node->ran_links.back().get());
+  node.ran_links.push_back(std::make_unique<net::DuplexLink>(
+      kernel_, rng_, link.value_or(sim::lan_link())));
+  if (link.has_value()) {
+    node.wan_ran_links.push_back(node.ran_links.back().get());
   }
-  node->ran_channels.push_back(
-      net::make_reliable_pair(kernel_, *node->ran_links.back()));
-  net::ReliablePair& pair = node->ran_channels.back();
+  node.ran_channels.push_back(
+      net::make_reliable_pair(kernel_, *node.ran_links.back()));
+  return node.ran_channels.back();
+}
 
-  auto enb = std::make_unique<ran::EnodeB>(kernel_, config, *pair.a);
+void Network::add_cell(AgwNode& node, ran::Cell& cell, common::Ipv4 address) {
+  cell.set_uplink_sink(ingress_to(*node.agw));
+  node.cells_by_address[address] = &cell;
+}
+
+ran::EnodeB& Network::add_enodeb(agw::AccessGateway& agw,
+                                 ran::EnodebConfig config,
+                                 std::optional<sim::LinkConfig> s1_link) {
+  AgwNode* node = node_for(agw);
+  net::ReliablePair& pair = add_cell_link(*node, config, 100, s1_link);
+  enbs_.push_back(std::make_unique<ran::EnodeB>(kernel_, config, *pair.a));
   agw.lte().add_enb_channel(*pair.b);
-  agw::AccessGateway* agw_ptr = &agw;
-  enb->set_uplink_sink([agw_ptr](datapath::PacketBatch batch) {
-    agw_ptr->ingress_from_ran(std::move(batch));
-  });
-  node->enbs_by_address[config.address] = enb.get();
-  enb->start();
-  enbs_.push_back(std::move(enb));
+  add_cell(*node, *enbs_.back(), config.address);
+  enbs_.back()->start();
   return *enbs_.back();
 }
 
 ran::Gnb& Network::add_gnb(agw::AccessGateway& agw, ran::GnbConfig config) {
   AgwNode* node = node_for(agw);
-
-  const std::uint32_t ran_id = next_ran_id_++;
-  if (config.id.value == 1 && ran_id != 1) config.id.value = ran_id;
-  if (config.address == ran::GnbConfig{}.address) {
-    config.address = common::Ipv4::from_octets(
-        10, 101, static_cast<std::uint8_t>(ran_id >> 8),
-        static_cast<std::uint8_t>(ran_id & 0xFF));
-  }
-  config.plmn = config_.plmn;
-
-  node->ran_links.push_back(
-      std::make_unique<net::DuplexLink>(kernel_, rng_, sim::lan_link()));
-  node->ran_channels.push_back(
-      net::make_reliable_pair(kernel_, *node->ran_links.back()));
-  net::ReliablePair& pair = node->ran_channels.back();
-
-  auto gnb = std::make_unique<ran::Gnb>(kernel_, config, *pair.a);
+  net::ReliablePair& pair = add_cell_link(*node, config, 101, std::nullopt);
+  gnbs_.push_back(std::make_unique<ran::Gnb>(kernel_, config, *pair.a));
   agw.nr().add_gnb_channel(*pair.b);
-  agw::AccessGateway* agw_ptr = &agw;
-  gnb->set_uplink_sink([agw_ptr](datapath::PacketBatch batch) {
-    agw_ptr->ingress_from_ran(std::move(batch));
-  });
-  node->gnbs_by_address[config.address] = gnb.get();
-  gnb->start();
-  gnbs_.push_back(std::move(gnb));
+  add_cell(*node, *gnbs_.back(), config.address);
+  gnbs_.back()->start();
   return *gnbs_.back();
 }
 
@@ -200,10 +189,7 @@ ran::WifiAp& Network::add_wifi_ap(agw::AccessGateway& agw,
 
   auto ap = std::make_unique<ran::WifiAp>(kernel_, config, *pair.a);
   agw.wifi().add_ap_channel(*pair.b);
-  agw::AccessGateway* agw_ptr = &agw;
-  ap->set_uplink_sink([agw_ptr](datapath::PacketBatch batch) {
-    agw_ptr->ingress_from_ran(std::move(batch));
-  });
+  ap->set_uplink_sink(ingress_to(agw));
   node->aps.push_back(ap.get());
   aps_.push_back(std::move(ap));
   return *aps_.back();
@@ -217,24 +203,10 @@ void Network::adopt_ran(agw::AccessGateway& backup,
                         agw::AccessGateway& failed) {
   AgwNode* to = node_for(backup);
   AgwNode* from = node_for(failed);
-  agw::AccessGateway* backup_ptr = &backup;
-  for (auto& [addr, enb] : from->enbs_by_address) {
-    to->enbs_by_address[addr] = enb;
-    enb->set_uplink_sink([backup_ptr](datapath::PacketBatch batch) {
-      backup_ptr->ingress_from_ran(std::move(batch));
-    });
-  }
-  for (auto& [addr, gnb] : from->gnbs_by_address) {
-    to->gnbs_by_address[addr] = gnb;
-    gnb->set_uplink_sink([backup_ptr](datapath::PacketBatch batch) {
-      backup_ptr->ingress_from_ran(std::move(batch));
-    });
-  }
+  for (auto& [addr, cell] : from->cells_by_address) add_cell(*to, *cell, addr);
   for (ran::WifiAp* ap : from->aps) {
     to->aps.push_back(ap);
-    ap->set_uplink_sink([backup_ptr](datapath::PacketBatch batch) {
-      backup_ptr->ingress_from_ran(std::move(batch));
-    });
+    ap->set_uplink_sink(ingress_to(backup));
   }
 }
 

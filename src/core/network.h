@@ -151,9 +151,8 @@ class Network {
     std::unique_ptr<rpc::RpcLink> control;
     std::unique_ptr<rpc::RpcLink> ocs;
     std::unique_ptr<agw::AccessGateway> agw;
-    // RAN registry for egress routing.
-    std::map<common::Ipv4, ran::EnodeB*> enbs_by_address;
-    std::map<common::Ipv4, ran::Gnb*> gnbs_by_address;
+    // RAN registry for egress routing: eNodeBs and gNBs by tunnel address.
+    std::map<common::Ipv4, ran::Cell*> cells_by_address;
     std::vector<ran::WifiAp*> aps;
     // Owned channels RAN nodes ride on.
     std::vector<std::unique_ptr<net::DuplexLink>> ran_links;
@@ -166,6 +165,13 @@ class Network {
 
   AgwNode* node_for(agw::AccessGateway& agw);
   void wire_egress(AgwNode& node);
+  // Numbers an eNodeB or gNB, gives it 10.<subnet>.x.y unless configured
+  // with an address, and returns the reliable pair its S1/NG rides on.
+  template <class Config>
+  net::ReliablePair& add_cell_link(AgwNode& node, Config& config,
+                                   std::uint8_t subnet,
+                                   std::optional<sim::LinkConfig> link);
+  void add_cell(AgwNode& node, ran::Cell& cell, common::Ipv4 address);
 
   NetworkConfig config_;
   sim::Kernel kernel_;

@@ -1,25 +1,15 @@
 #include "ran/enodeb.h"
 
-#include "common/log.h"
-#include "datapath/gtpu.h"
-
 namespace magma::ran {
 
 namespace lte = magma::proto::lte;
 
 EnodeB::EnodeB(sim::Kernel& kernel, EnodebConfig config,
                net::Channel& s1_channel)
-    : kernel_(kernel),
+    : Cell(kernel, config.address, config.max_active_ues,
+           config.dl_capacity_bps, config.ul_capacity_bps, 0x1000),
       config_(config),
-      s1_(s1_channel),
-      dl_radio_(datapath::MeterConfig{config.dl_capacity_bps,
-                                      static_cast<std::uint64_t>(
-                                          config.dl_capacity_bps / 8 / 10)},
-                kernel.now()),
-      ul_radio_(datapath::MeterConfig{config.ul_capacity_bps,
-                                      static_cast<std::uint64_t>(
-                                          config.ul_capacity_bps / 8 / 10)},
-                kernel.now()) {
+      s1_(s1_channel) {
   s1_.set_receiver([this](common::Bytes raw) { on_s1_message(std::move(raw)); });
 }
 
@@ -36,28 +26,9 @@ void EnodeB::send_s1(const lte::S1apMessage& msg) {
   s1_.send(lte::encode_s1ap(msg));
 }
 
-std::uint32_t EnodeB::rrc_connect(LteUeLink* ue) {
-  if (active_ues() >= config_.max_active_ues) {
-    ++stats_.rrc_rejects_capacity;
-    return 0;
-  }
-  const std::uint32_t enb_ue_id = next_enb_ue_id_++;
-  ues_[enb_ue_id].ue = ue;
-  return enb_ue_id;
-}
-
-void EnodeB::rrc_disconnect(std::uint32_t enb_ue_id) {
-  auto it = ues_.find(enb_ue_id);
-  if (it == ues_.end()) return;
-  if (it->second.my_teid_dl.value != 0) {
-    ue_by_dl_teid_.erase(it->second.my_teid_dl);
-  }
-  ues_.erase(it);
-}
-
 void EnodeB::send_initial_nas(std::uint32_t enb_ue_id,
                               common::Bytes nas_pdu) {
-  if (!ues_.contains(enb_ue_id)) return;
+  if (find(enb_ue_id) == nullptr) return;
   lte::InitialUeMessage msg;
   msg.enb_ue_s1ap_id = enb_ue_id;
   msg.tac = config_.tac;
@@ -66,37 +37,22 @@ void EnodeB::send_initial_nas(std::uint32_t enb_ue_id,
 }
 
 void EnodeB::send_uplink_nas(std::uint32_t enb_ue_id, common::Bytes nas_pdu) {
-  auto it = ues_.find(enb_ue_id);
-  if (it == ues_.end()) return;
+  const UeEntry* entry = find(enb_ue_id);
+  if (entry == nullptr) return;
   lte::UplinkNasTransport msg;
   msg.enb_ue_s1ap_id = enb_ue_id;
-  msg.mme_ue_s1ap_id = it->second.mme_ue_id;
+  msg.mme_ue_s1ap_id = entry->core_ue_id;
   msg.nas_pdu = std::move(nas_pdu);
   send_s1(lte::S1apMessage{std::move(msg)});
 }
 
-void EnodeB::uplink_data(std::uint32_t enb_ue_id,
-                         datapath::PacketBatch batch) {
-  auto it = ues_.find(enb_ue_id);
-  if (it == ues_.end() || !it->second.has_bearer || !uplink_sink_) return;
-  if (!ul_radio_.allow(batch.bytes(), kernel_.now())) {
-    stats_.ul_dropped_radio_bytes += batch.bytes();
-    return;
-  }
-  stats_.ul_forwarded_bytes += batch.bytes();
-  batch.packet = datapath::gtpu_encap(std::move(batch.packet),
-                                      it->second.agw_teid_ul, config_.address,
-                                      it->second.agw_address);
-  uplink_sink_(std::move(batch));
-}
-
 void EnodeB::request_idle_release(std::uint32_t enb_ue_id) {
-  auto it = ues_.find(enb_ue_id);
-  if (it == ues_.end()) return;
+  const UeEntry* entry = find(enb_ue_id);
+  if (entry == nullptr) return;
   ++stats_.idle_releases;
   lte::UeContextReleaseRequest request;
   request.enb_ue_s1ap_id = enb_ue_id;
-  request.mme_ue_s1ap_id = it->second.mme_ue_id;
+  request.mme_ue_s1ap_id = entry->core_ue_id;
   request.cause = "user-inactivity";
   send_s1(lte::S1apMessage{std::move(request)});
 }
@@ -110,11 +66,14 @@ void EnodeB::uncamp(const common::Imsi& imsi) {
 }
 
 bool EnodeB::start_handover(std::uint32_t enb_ue_id, EnodeB& target) {
-  auto it = ues_.find(enb_ue_id);
-  if (it == ues_.end() || !it->second.has_bearer) return false;
-  const UeEntry entry = it->second;
-  const std::uint32_t new_id = target.admit_handover(
-      entry.ue, entry.mme_ue_id, entry.agw_teid_ul, entry.agw_address);
+  const UeEntry* found = find(enb_ue_id);
+  if (found == nullptr || !found->has_bearer) return false;
+  const UeEntry entry = *found;
+  // rrc_connect() admits only LTE UEs, so the link is an LteUeLink.
+  const std::uint32_t new_id =
+      target.admit_handover(static_cast<LteUeLink*>(entry.ue),
+                            entry.core_ue_id, entry.agw_teid_ul,
+                            entry.agw_address);
   if (new_id == 0) return false;
   // X2 context transfer done: the source releases its side locally (the
   // path switch at the core is the target's job).
@@ -126,19 +85,10 @@ bool EnodeB::start_handover(std::uint32_t enb_ue_id, EnodeB& target) {
 std::uint32_t EnodeB::admit_handover(LteUeLink* ue, std::uint32_t mme_ue_id,
                                      common::Teid agw_teid_ul,
                                      common::Ipv4 agw_address) {
-  if (active_ues() >= config_.max_active_ues) {
-    ++stats_.rrc_rejects_capacity;
-    return 0;
-  }
-  const std::uint32_t enb_ue_id = next_enb_ue_id_++;
-  UeEntry& entry = ues_[enb_ue_id];
-  entry.ue = ue;
-  entry.mme_ue_id = mme_ue_id;
-  entry.has_bearer = true;
-  entry.agw_teid_ul = agw_teid_ul;
-  entry.agw_address = agw_address;
-  entry.my_teid_dl = common::Teid{next_dl_teid_++};
-  ue_by_dl_teid_[entry.my_teid_dl] = enb_ue_id;
+  const std::uint32_t enb_ue_id = admit(ue);
+  if (enb_ue_id == 0) return 0;
+  const UeEntry& entry =
+      open_bearer(enb_ue_id, mme_ue_id, agw_teid_ul, agw_address);
   ++stats_.handovers_in;
 
   lte::PathSwitchRequest request;
@@ -152,31 +102,6 @@ std::uint32_t EnodeB::admit_handover(LteUeLink* ue, std::uint32_t mme_ue_id,
   return enb_ue_id;
 }
 
-void EnodeB::deliver_downlink(datapath::PacketBatch batch) {
-  if (!batch.packet.gtpu.has_value()) {
-    ++stats_.unknown_teid_drops;
-    return;
-  }
-  auto it = ue_by_dl_teid_.find(batch.packet.gtpu->teid);
-  if (it == ue_by_dl_teid_.end()) {
-    ++stats_.unknown_teid_drops;
-    return;
-  }
-  auto ue_it = ues_.find(it->second);
-  if (ue_it == ues_.end() || ue_it->second.ue == nullptr) {
-    ++stats_.unknown_teid_drops;
-    return;
-  }
-  // Radio scheduling: the sector's shared downlink capacity.
-  if (!dl_radio_.allow(batch.bytes(), kernel_.now())) {
-    stats_.dl_dropped_radio_bytes += batch.bytes();
-    return;
-  }
-  batch.packet = datapath::gtpu_decap(std::move(batch.packet));
-  stats_.dl_delivered_bytes += batch.bytes();
-  ue_it->second.ue->on_downlink_data(batch);
-}
-
 void EnodeB::on_s1_message(common::Bytes raw) {
   auto decoded = lte::decode_s1ap(raw);
   if (!decoded.ok()) return;
@@ -188,23 +113,17 @@ void EnodeB::on_s1_message(common::Bytes raw) {
   }
 
   if (auto* dl = std::get_if<lte::DownlinkNasTransport>(&msg)) {
-    auto it = ues_.find(dl->enb_ue_s1ap_id);
-    if (it == ues_.end() || it->second.ue == nullptr) return;
-    it->second.mme_ue_id = dl->mme_ue_s1ap_id;
-    it->second.ue->on_downlink_nas(std::move(dl->nas_pdu));
+    downlink_nas(dl->enb_ue_s1ap_id, dl->mme_ue_s1ap_id,
+                 std::move(dl->nas_pdu));
     return;
   }
 
   if (auto* ics = std::get_if<lte::InitialContextSetupRequest>(&msg)) {
-    auto it = ues_.find(ics->enb_ue_s1ap_id);
-    if (it == ues_.end() || it->second.ue == nullptr) return;
-    UeEntry& entry = it->second;
-    entry.mme_ue_id = ics->mme_ue_s1ap_id;
-    entry.has_bearer = true;
-    entry.agw_teid_ul = ics->agw_teid_ul;
-    entry.agw_address = ics->agw_address;
-    entry.my_teid_dl = common::Teid{next_dl_teid_++};
-    ue_by_dl_teid_[entry.my_teid_dl] = ics->enb_ue_s1ap_id;
+    const UeEntry* admitted = find(ics->enb_ue_s1ap_id);
+    if (admitted == nullptr || admitted->ue == nullptr) return;
+    const UeEntry& entry =
+        open_bearer(ics->enb_ue_s1ap_id, ics->mme_ue_s1ap_id,
+                    ics->agw_teid_ul, ics->agw_address);
 
     lte::InitialContextSetupResponse response;
     response.enb_ue_s1ap_id = ics->enb_ue_s1ap_id;
@@ -232,16 +151,11 @@ void EnodeB::on_s1_message(common::Bytes raw) {
   }
 
   if (auto* release = std::get_if<lte::UeContextReleaseCommand>(&msg)) {
-    auto it = ues_.find(release->enb_ue_s1ap_id);
     lte::UeContextReleaseComplete complete;
     complete.enb_ue_s1ap_id = release->enb_ue_s1ap_id;
     complete.mme_ue_s1ap_id = release->mme_ue_s1ap_id;
     send_s1(lte::S1apMessage{std::move(complete)});
-    if (it != ues_.end()) {
-      LteUeLink* ue = it->second.ue;
-      rrc_disconnect(release->enb_ue_s1ap_id);
-      if (ue != nullptr) ue->on_rrc_release();
-    }
+    release_ue(release->enb_ue_s1ap_id);
     return;
   }
 }

@@ -1,37 +1,30 @@
 // eNodeB model — the LTE base station of the emulated RAN.
 //
 // Plays the Spirent-Landslide role on the radio side: terminates the
-// (abstracted) RRC air interface toward UE models, speaks real S1AP toward
-// the AGW's LTE front-end, handles GTP-U encap/decap on the user plane, and
-// enforces the radio limits the paper quotes for a typical site: at most 96
-// simultaneously active users and a sector capacity of ~126 Mbps over a
-// 20 MHz channel (§4.1). The radio is modeled as a shared token bucket per
-// direction — when offered load exceeds sector capacity, the radio is the
-// bottleneck, which is exactly the regime Figure 5 demonstrates.
+// (abstracted) RRC air interface toward UE models and speaks real S1AP
+// toward the AGW's LTE front-end, with ECM-IDLE paging and X2-style
+// handover. The radio, the UE table and the GTP-U user plane are the
+// shared `Cell` (ran/cell.h), with the limits the paper quotes for a
+// typical site: at most 96 simultaneously active users and a sector
+// capacity of ~126 Mbps over a 20 MHz channel (§4.1).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 
 #include "common/ids.h"
-#include "datapath/meter.h"
-#include "datapath/pipeline.h"
 #include "net/channel.h"
 #include "proto/lte/s1ap.h"
+#include "ran/cell.h"
 #include "sim/kernel.h"
 
 namespace magma::ran {
 
-// Interface the eNodeB uses to talk back to an attached UE model.
+// The cell's UE link plus what only LTE UEs hear.
 class EnodeB;
-class LteUeLink {
+class LteUeLink : public CellUeLink {
  public:
-  virtual ~LteUeLink() = default;
-  virtual void on_downlink_nas(common::Bytes nas_pdu) = 0;
-  virtual void on_downlink_data(const datapath::PacketBatch& batch) = 0;
-  virtual void on_rrc_release() = 0;
   // ECM-IDLE support: delivered to camped UEs when the network pages them.
   virtual void on_paging() {}
   // X2-style handover completed; the UE is now served by `target`.
@@ -54,20 +47,7 @@ struct EnodebConfig {
   double ul_capacity_bps = 63e6;
 };
 
-struct EnodebStats {
-  std::uint64_t rrc_rejects_capacity = 0;
-  std::uint64_t dl_delivered_bytes = 0;
-  std::uint64_t dl_dropped_radio_bytes = 0;
-  std::uint64_t ul_forwarded_bytes = 0;
-  std::uint64_t ul_dropped_radio_bytes = 0;
-  std::uint64_t unknown_teid_drops = 0;
-  std::uint64_t handovers_in = 0;
-  std::uint64_t handovers_out = 0;
-  std::uint64_t pages_delivered = 0;
-  std::uint64_t idle_releases = 0;
-};
-
-class EnodeB {
+class EnodeB : public Cell {
  public:
   EnodeB(sim::Kernel& kernel, EnodebConfig config, net::Channel& s1_channel);
 
@@ -75,21 +55,12 @@ class EnodeB {
   void start();
   bool s1_ready() const { return s1_ready_; }
 
-  // Uplink user-plane hand-off to the AGW (set by the topology glue; the
-  // eNodeB GTP-encapsulates before calling this).
-  void set_uplink_sink(std::function<void(datapath::PacketBatch)> sink) {
-    uplink_sink_ = std::move(sink);
-  }
-
   // --- UE-facing (abstracted RRC) ----------------------------------------
   // Returns 0 on capacity rejection, else the assigned enb_ue_s1ap_id.
-  std::uint32_t rrc_connect(LteUeLink* ue);
-  void rrc_disconnect(std::uint32_t enb_ue_id);
+  // Only LTE UEs camp on an eNodeB, which X2 handover relies on.
+  std::uint32_t rrc_connect(LteUeLink* ue) { return admit(ue); }
   void send_initial_nas(std::uint32_t enb_ue_id, common::Bytes nas_pdu);
   void send_uplink_nas(std::uint32_t enb_ue_id, common::Bytes nas_pdu);
-  // Plain-IP uplink traffic from a UE; encapsulated and forwarded if the
-  // UE's bearer is up.
-  void uplink_data(std::uint32_t enb_ue_id, datapath::PacketBatch batch);
 
   // --- idle mode -----------------------------------------------------------
   // UE-inactivity release: asks the core to move the UE to ECM-IDLE (the
@@ -109,43 +80,16 @@ class EnodeB {
                                common::Teid agw_teid_ul,
                                common::Ipv4 agw_address);
 
-  // --- network-facing ------------------------------------------------------
-  // Downlink GTP-U traffic from the AGW, addressed to this eNodeB.
-  void deliver_downlink(datapath::PacketBatch batch);
-
-  int active_ues() const { return static_cast<int>(ues_.size()); }
   const EnodebConfig& config() const { return config_; }
-  const EnodebStats& stats() const { return stats_; }
 
  private:
-  struct UeEntry {
-    LteUeLink* ue = nullptr;
-    std::uint32_t mme_ue_id = 0;
-    bool has_bearer = false;
-    common::Teid agw_teid_ul;   // AGW-side tunnel for uplink
-    common::Ipv4 agw_address;
-    common::Teid my_teid_dl;    // our tunnel id for downlink
-  };
-
   void on_s1_message(common::Bytes raw);
   void send_s1(const proto::lte::S1apMessage& msg);
 
-  sim::Kernel& kernel_;
   EnodebConfig config_;
   net::Channel& s1_;
   bool s1_ready_ = false;
-  std::function<void(datapath::PacketBatch)> uplink_sink_;
-
-  std::unordered_map<std::uint32_t, UeEntry> ues_;  // by enb_ue_id
-  std::unordered_map<std::uint32_t, common::Teid> dl_teid_by_mme_id_;
-  std::unordered_map<common::Teid, std::uint32_t> ue_by_dl_teid_;
   std::unordered_map<common::Imsi, LteUeLink*> camped_;
-  std::uint32_t next_enb_ue_id_ = 1;
-  std::uint32_t next_dl_teid_ = 0x1000;
-
-  datapath::TokenBucket dl_radio_;
-  datapath::TokenBucket ul_radio_;
-  EnodebStats stats_;
 };
 
 }  // namespace magma::ran

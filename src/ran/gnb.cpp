@@ -1,23 +1,14 @@
 #include "ran/gnb.h"
 
-#include "datapath/gtpu.h"
-
 namespace magma::ran {
 
 namespace nr = magma::proto::nr5g;
 
 Gnb::Gnb(sim::Kernel& kernel, GnbConfig config, net::Channel& ng_channel)
-    : kernel_(kernel),
+    : Cell(kernel, config.address, config.max_active_ues,
+           config.dl_capacity_bps, config.ul_capacity_bps, 0x8000),
       config_(config),
-      ng_(ng_channel),
-      dl_radio_(datapath::MeterConfig{config.dl_capacity_bps,
-                                      static_cast<std::uint64_t>(
-                                          config.dl_capacity_bps / 8 / 10)},
-                kernel.now()),
-      ul_radio_(datapath::MeterConfig{config.ul_capacity_bps,
-                                      static_cast<std::uint64_t>(
-                                          config.ul_capacity_bps / 8 / 10)},
-                kernel.now()) {
+      ng_(ng_channel) {
   ng_.set_receiver([this](common::Bytes raw) { on_ng_message(std::move(raw)); });
 }
 
@@ -33,27 +24,8 @@ void Gnb::send_ng(const nr::NgapMessage& msg) {
   ng_.send(nr::encode_ngap(msg));
 }
 
-std::uint32_t Gnb::rrc_connect(NrUeLink* ue) {
-  if (active_ues() >= config_.max_active_ues) {
-    ++stats_.rrc_rejects_capacity;
-    return 0;
-  }
-  const std::uint32_t ran_ue_id = next_ran_ue_id_++;
-  ues_[ran_ue_id].ue = ue;
-  return ran_ue_id;
-}
-
-void Gnb::rrc_disconnect(std::uint32_t ran_ue_id) {
-  auto it = ues_.find(ran_ue_id);
-  if (it == ues_.end()) return;
-  if (it->second.my_teid_dl.value != 0) {
-    ue_by_dl_teid_.erase(it->second.my_teid_dl);
-  }
-  ues_.erase(it);
-}
-
 void Gnb::send_initial_nas(std::uint32_t ran_ue_id, common::Bytes nas_pdu) {
-  if (!ues_.contains(ran_ue_id)) return;
+  if (find(ran_ue_id) == nullptr) return;
   nr::InitialUeMessage5g msg;
   msg.ran_ue_ngap_id = ran_ue_id;
   msg.nas_pdu = std::move(nas_pdu);
@@ -61,51 +33,13 @@ void Gnb::send_initial_nas(std::uint32_t ran_ue_id, common::Bytes nas_pdu) {
 }
 
 void Gnb::send_uplink_nas(std::uint32_t ran_ue_id, common::Bytes nas_pdu) {
-  auto it = ues_.find(ran_ue_id);
-  if (it == ues_.end()) return;
+  const UeEntry* entry = find(ran_ue_id);
+  if (entry == nullptr) return;
   nr::UplinkNasTransport5g msg;
   msg.ran_ue_ngap_id = ran_ue_id;
-  msg.amf_ue_ngap_id = it->second.amf_ue_id;
+  msg.amf_ue_ngap_id = entry->core_ue_id;
   msg.nas_pdu = std::move(nas_pdu);
   send_ng(nr::NgapMessage{std::move(msg)});
-}
-
-void Gnb::uplink_data(std::uint32_t ran_ue_id, datapath::PacketBatch batch) {
-  auto it = ues_.find(ran_ue_id);
-  if (it == ues_.end() || !it->second.has_session || !uplink_sink_) return;
-  if (!ul_radio_.allow(batch.bytes(), kernel_.now())) {
-    stats_.ul_dropped_radio_bytes += batch.bytes();
-    return;
-  }
-  stats_.ul_forwarded_bytes += batch.bytes();
-  batch.packet = datapath::gtpu_encap(std::move(batch.packet),
-                                      it->second.agw_teid_ul, config_.address,
-                                      it->second.agw_address);
-  uplink_sink_(std::move(batch));
-}
-
-void Gnb::deliver_downlink(datapath::PacketBatch batch) {
-  if (!batch.packet.gtpu.has_value()) {
-    ++stats_.unknown_teid_drops;
-    return;
-  }
-  auto it = ue_by_dl_teid_.find(batch.packet.gtpu->teid);
-  if (it == ue_by_dl_teid_.end()) {
-    ++stats_.unknown_teid_drops;
-    return;
-  }
-  auto ue_it = ues_.find(it->second);
-  if (ue_it == ues_.end() || ue_it->second.ue == nullptr) {
-    ++stats_.unknown_teid_drops;
-    return;
-  }
-  if (!dl_radio_.allow(batch.bytes(), kernel_.now())) {
-    stats_.dl_dropped_radio_bytes += batch.bytes();
-    return;
-  }
-  batch.packet = datapath::gtpu_decap(std::move(batch.packet));
-  stats_.dl_delivered_bytes += batch.bytes();
-  ue_it->second.ue->on_downlink_data(batch);
 }
 
 void Gnb::on_ng_message(common::Bytes raw) {
@@ -113,29 +47,18 @@ void Gnb::on_ng_message(common::Bytes raw) {
   if (!decoded.ok()) return;
   nr::NgapMessage msg = std::move(decoded).take();
 
-  if (std::get_if<nr::NgSetupResponse>(&msg) != nullptr) {
-    ng_ready_ = true;
-    return;
-  }
-
   if (auto* dl = std::get_if<nr::DownlinkNasTransport5g>(&msg)) {
-    auto it = ues_.find(dl->ran_ue_ngap_id);
-    if (it == ues_.end() || it->second.ue == nullptr) return;
-    it->second.amf_ue_id = dl->amf_ue_ngap_id;
-    it->second.ue->on_downlink_nas(std::move(dl->nas_pdu));
+    downlink_nas(dl->ran_ue_ngap_id, dl->amf_ue_ngap_id,
+                 std::move(dl->nas_pdu));
     return;
   }
 
   if (auto* setup = std::get_if<nr::PduSessionResourceSetupRequest>(&msg)) {
-    auto it = ues_.find(setup->ran_ue_ngap_id);
-    if (it == ues_.end() || it->second.ue == nullptr) return;
-    UeEntry& entry = it->second;
-    entry.amf_ue_id = setup->amf_ue_ngap_id;
-    entry.has_session = true;
-    entry.agw_teid_ul = setup->agw_teid_ul;
-    entry.agw_address = setup->agw_address;
-    entry.my_teid_dl = common::Teid{next_dl_teid_++};
-    ue_by_dl_teid_[entry.my_teid_dl] = setup->ran_ue_ngap_id;
+    const UeEntry* admitted = find(setup->ran_ue_ngap_id);
+    if (admitted == nullptr || admitted->ue == nullptr) return;
+    const UeEntry& entry =
+        open_bearer(setup->ran_ue_ngap_id, setup->amf_ue_ngap_id,
+                    setup->agw_teid_ul, setup->agw_address);
 
     nr::PduSessionResourceSetupResponse response;
     response.ran_ue_ngap_id = setup->ran_ue_ngap_id;
@@ -150,16 +73,11 @@ void Gnb::on_ng_message(common::Bytes raw) {
   }
 
   if (auto* release = std::get_if<nr::UeContextReleaseCommand5g>(&msg)) {
-    auto it = ues_.find(release->ran_ue_ngap_id);
     nr::UeContextReleaseComplete5g complete;
     complete.ran_ue_ngap_id = release->ran_ue_ngap_id;
     complete.amf_ue_ngap_id = release->amf_ue_ngap_id;
     send_ng(nr::NgapMessage{std::move(complete)});
-    if (it != ues_.end()) {
-      NrUeLink* ue = it->second.ue;
-      rrc_disconnect(release->ran_ue_ngap_id);
-      if (ue != nullptr) ue->on_rrc_release();
-    }
+    release_ue(release->ran_ue_ngap_id);
     return;
   }
 }

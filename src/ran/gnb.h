@@ -1,30 +1,19 @@
 // gNB model — the 5G base station of the emulated RAN (NGAP toward the
-// AGW's NR front-end). Radio limits modeled as in EnodeB; the control
-// difference is 5G's split between registration and PDU-session resource
-// setup (Figure 1).
+// AGW's NR front-end). The radio, the UE table and the GTP-U user plane
+// are the shared `Cell` (ran/cell.h); the control difference is 5G's split
+// between registration and PDU-session resource setup (Figure 1).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "common/ids.h"
-#include "datapath/meter.h"
-#include "datapath/pipeline.h"
 #include "net/channel.h"
 #include "proto/nr5g/ngap.h"
+#include "ran/cell.h"
 #include "sim/kernel.h"
 
 namespace magma::ran {
-
-class NrUeLink {
- public:
-  virtual ~NrUeLink() = default;
-  virtual void on_downlink_nas(common::Bytes nas_pdu) = 0;
-  virtual void on_downlink_data(const datapath::PacketBatch& batch) = 0;
-  virtual void on_rrc_release() = 0;
-};
 
 struct GnbConfig {
   common::RanNodeId id{1};
@@ -36,64 +25,25 @@ struct GnbConfig {
   double ul_capacity_bps = 125e6;
 };
 
-struct GnbStats {
-  std::uint64_t rrc_rejects_capacity = 0;
-  std::uint64_t dl_delivered_bytes = 0;
-  std::uint64_t dl_dropped_radio_bytes = 0;
-  std::uint64_t ul_forwarded_bytes = 0;
-  std::uint64_t ul_dropped_radio_bytes = 0;
-  std::uint64_t unknown_teid_drops = 0;
-};
-
-class Gnb {
+class Gnb : public Cell {
  public:
   Gnb(sim::Kernel& kernel, GnbConfig config, net::Channel& ng_channel);
 
   void start();
-  bool ng_ready() const { return ng_ready_; }
 
-  void set_uplink_sink(std::function<void(datapath::PacketBatch)> sink) {
-    uplink_sink_ = std::move(sink);
-  }
-
-  std::uint32_t rrc_connect(NrUeLink* ue);
-  void rrc_disconnect(std::uint32_t ran_ue_id);
+  // Returns 0 on capacity rejection, else the assigned ran_ue_ngap_id.
+  std::uint32_t rrc_connect(CellUeLink* ue) { return admit(ue); }
   void send_initial_nas(std::uint32_t ran_ue_id, common::Bytes nas_pdu);
   void send_uplink_nas(std::uint32_t ran_ue_id, common::Bytes nas_pdu);
-  void uplink_data(std::uint32_t ran_ue_id, datapath::PacketBatch batch);
-  void deliver_downlink(datapath::PacketBatch batch);
 
-  int active_ues() const { return static_cast<int>(ues_.size()); }
   const GnbConfig& config() const { return config_; }
-  const GnbStats& stats() const { return stats_; }
 
  private:
-  struct UeEntry {
-    NrUeLink* ue = nullptr;
-    std::uint32_t amf_ue_id = 0;
-    bool has_session = false;
-    common::Teid agw_teid_ul;
-    common::Ipv4 agw_address;
-    common::Teid my_teid_dl;
-  };
-
   void on_ng_message(common::Bytes raw);
   void send_ng(const proto::nr5g::NgapMessage& msg);
 
-  sim::Kernel& kernel_;
   GnbConfig config_;
   net::Channel& ng_;
-  bool ng_ready_ = false;
-  std::function<void(datapath::PacketBatch)> uplink_sink_;
-
-  std::unordered_map<std::uint32_t, UeEntry> ues_;  // by ran_ue_id
-  std::unordered_map<common::Teid, std::uint32_t> ue_by_dl_teid_;
-  std::uint32_t next_ran_ue_id_ = 1;
-  std::uint32_t next_dl_teid_ = 0x8000;
-
-  datapath::TokenBucket dl_radio_;
-  datapath::TokenBucket ul_radio_;
-  GnbStats stats_;
 };
 
 }  // namespace magma::ran

@@ -70,11 +70,47 @@ UsimOutcome Usim::authenticate(const std::array<std::uint8_t, 16>& rand,
 }
 
 // ---------------------------------------------------------------------------
+// Shared by all three UE models
+// ---------------------------------------------------------------------------
+
+void Ue::begin_attach(AttachCallback done) {
+  attach_cb_ = std::move(done);
+  attach_started_ = kernel_.now();
+}
+
+void Ue::report(bool success, std::string failure_reason) {
+  kernel_.cancel(guard_timer_);
+  if (!attach_cb_) return;
+  AttachOutcome outcome;
+  outcome.success = success;
+  outcome.latency = kernel_.now() - attach_started_;
+  outcome.failure_reason = std::move(failure_reason);
+  auto cb = std::move(attach_cb_);
+  attach_cb_ = nullptr;
+  cb(outcome);
+}
+
+datapath::PacketBatch Ue::uplink_batch(common::Ipv4 dst, std::uint16_t dport,
+                                       std::uint32_t packet_bytes,
+                                       std::uint64_t packet_count) {
+  datapath::PacketBatch batch;
+  batch.packet = datapath::make_udp(*ip_, dst, 40000, dport, packet_bytes);
+  batch.count = packet_count;
+  traffic_.tx_bytes += batch.bytes();
+  return batch;
+}
+
+void Ue::count_downlink(const datapath::PacketBatch& batch) {
+  traffic_.rx_bytes += batch.bytes();
+  traffic_.rx_packets += batch.count;
+}
+
+// ---------------------------------------------------------------------------
 // LTE UE
 // ---------------------------------------------------------------------------
 
 UeLte::UeLte(sim::Kernel& kernel, Usim usim, sim::Duration attach_guard)
-    : kernel_(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
+    : Ue(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
 
 void UeLte::send_nas(const lte::NasMessage& msg) {
   if (enb_ == nullptr || enb_ue_id_ == 0) return;
@@ -86,31 +122,10 @@ void UeLte::send_nas(const lte::NasMessage& msg) {
 }
 
 void UeLte::fail(const std::string& reason) {
-  kernel_.cancel(guard_timer_);
   fsm_.handle(lte::EmmEvent::kImplicitDetach);
   if (enb_ != nullptr && enb_ue_id_ != 0) enb_->rrc_disconnect(enb_ue_id_);
   enb_ue_id_ = 0;
-  if (attach_cb_) {
-    AttachOutcome outcome;
-    outcome.success = false;
-    outcome.latency = kernel_.now() - attach_started_;
-    outcome.failure_reason = reason;
-    auto cb = std::move(attach_cb_);
-    attach_cb_ = nullptr;
-    cb(outcome);
-  }
-}
-
-void UeLte::succeed() {
-  kernel_.cancel(guard_timer_);
-  if (attach_cb_) {
-    AttachOutcome outcome;
-    outcome.success = true;
-    outcome.latency = kernel_.now() - attach_started_;
-    auto cb = std::move(attach_cb_);
-    attach_cb_ = nullptr;
-    cb(outcome);
-  }
+  report(false, reason);
 }
 
 void UeLte::attach(EnodeB& enb, AttachCallback done) {
@@ -119,8 +134,7 @@ void UeLte::attach(EnodeB& enb, AttachCallback done) {
   if (enb_ != nullptr && enb_ue_id_ != 0) enb_->rrc_disconnect(enb_ue_id_);
   fsm_ = proto::lte::EmmFsm{};
   enb_ = &enb;
-  attach_cb_ = std::move(done);
-  attach_started_ = kernel_.now();
+  begin_attach(std::move(done));
   dl_count_ = 0;
   ul_count_ = 0;
   dl_cipher_count_ = 0;
@@ -217,7 +231,7 @@ void UeLte::on_downlink_nas(common::Bytes nas_pdu) {
         lte::nas_mac(k_nas_int_, ul_count_, lte::NasMessage{complete});
     ++ul_count_;
     send_nas(lte::NasMessage{complete});
-    succeed();
+    report(true);
     return;
   }
 
@@ -271,16 +285,8 @@ void UeLte::send_uplink(common::Ipv4 dst, std::uint16_t dport,
                         std::uint32_t packet_bytes,
                         std::uint64_t packet_count) {
   if (!ip_.has_value() || enb_ == nullptr || enb_ue_id_ == 0) return;
-  datapath::PacketBatch batch;
-  batch.packet = datapath::make_udp(*ip_, dst, 40000, dport, packet_bytes);
-  batch.count = packet_count;
-  traffic_.tx_bytes += batch.bytes();
-  enb_->uplink_data(enb_ue_id_, std::move(batch));
-}
-
-void UeLte::on_downlink_data(const datapath::PacketBatch& batch) {
-  traffic_.rx_bytes += batch.bytes();
-  traffic_.rx_packets += batch.count;
+  enb_->uplink_data(enb_ue_id_,
+                    uplink_batch(dst, dport, packet_bytes, packet_count));
 }
 
 void UeLte::on_rrc_release() {
@@ -340,7 +346,7 @@ void UeLte::on_handover_complete(EnodeB& target,
 // ---------------------------------------------------------------------------
 
 UeNr::UeNr(sim::Kernel& kernel, Usim usim, sim::Duration attach_guard)
-    : kernel_(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
+    : Ue(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
 
 void UeNr::send_nas(const nr::Nas5gMessage& msg) {
   if (gnb_ == nullptr || ran_ue_id_ == 0) return;
@@ -348,39 +354,17 @@ void UeNr::send_nas(const nr::Nas5gMessage& msg) {
 }
 
 void UeNr::fail(const std::string& reason) {
-  kernel_.cancel(guard_timer_);
   if (gnb_ != nullptr && ran_ue_id_ != 0) gnb_->rrc_disconnect(ran_ue_id_);
   ran_ue_id_ = 0;
   registered_ = false;
-  if (attach_cb_) {
-    AttachOutcome outcome;
-    outcome.success = false;
-    outcome.latency = kernel_.now() - attach_started_;
-    outcome.failure_reason = reason;
-    auto cb = std::move(attach_cb_);
-    attach_cb_ = nullptr;
-    cb(outcome);
-  }
-}
-
-void UeNr::succeed() {
-  kernel_.cancel(guard_timer_);
-  if (attach_cb_) {
-    AttachOutcome outcome;
-    outcome.success = true;
-    outcome.latency = kernel_.now() - attach_started_;
-    auto cb = std::move(attach_cb_);
-    attach_cb_ = nullptr;
-    cb(outcome);
-  }
+  report(false, reason);
 }
 
 void UeNr::attach(Gnb& gnb, AttachCallback done) {
   if (gnb_ != nullptr && ran_ue_id_ != 0) gnb_->rrc_disconnect(ran_ue_id_);
   registered_ = false;
   gnb_ = &gnb;
-  attach_cb_ = std::move(done);
-  attach_started_ = kernel_.now();
+  begin_attach(std::move(done));
   dl_count_ = 0;
   ul_count_ = 0;
   ip_.reset();
@@ -467,7 +451,7 @@ void UeNr::on_downlink_nas(common::Bytes nas_pdu) {
   if (const auto* accept =
           std::get_if<nr::PduSessionEstablishmentAccept>(&msg)) {
     ip_ = accept->ue_address;
-    succeed();
+    report(true);
     return;
   }
 
@@ -498,16 +482,8 @@ void UeNr::send_uplink(common::Ipv4 dst, std::uint16_t dport,
                        std::uint32_t packet_bytes,
                        std::uint64_t packet_count) {
   if (!ip_.has_value() || gnb_ == nullptr || ran_ue_id_ == 0) return;
-  datapath::PacketBatch batch;
-  batch.packet = datapath::make_udp(*ip_, dst, 40000, dport, packet_bytes);
-  batch.count = packet_count;
-  traffic_.tx_bytes += batch.bytes();
-  gnb_->uplink_data(ran_ue_id_, std::move(batch));
-}
-
-void UeNr::on_downlink_data(const datapath::PacketBatch& batch) {
-  traffic_.rx_bytes += batch.bytes();
-  traffic_.rx_packets += batch.count;
+  gnb_->uplink_data(ran_ue_id_,
+                    uplink_batch(dst, dport, packet_bytes, packet_count));
 }
 
 void UeNr::on_rrc_release() {
@@ -522,12 +498,11 @@ void UeNr::on_rrc_release() {
 
 WifiClient::WifiClient(sim::Kernel& kernel, common::Imsi user,
                        std::string password)
-    : kernel_(kernel), user_(std::move(user)), password_(std::move(password)) {}
+    : Ue(kernel), user_(std::move(user)), password_(std::move(password)) {}
 
 void WifiClient::connect(WifiAp& ap, AttachCallback done) {
   ap_ = &ap;
-  attach_cb_ = std::move(done);
-  attach_started_ = kernel_.now();
+  begin_attach(std::move(done));
   ap.associate(this, user_, password_);
 }
 
@@ -537,36 +512,19 @@ void WifiClient::disconnect() {
 }
 
 void WifiClient::on_association_result(common::Result<common::Ipv4> ip) {
-  AttachOutcome outcome;
-  outcome.latency = kernel_.now() - attach_started_;
-  if (ip.ok()) {
-    ip_ = ip.value();
-    outcome.success = true;
-  } else {
-    outcome.success = false;
-    outcome.failure_reason = ip.error().to_string();
+  if (!ip.ok()) {
+    report(false, ip.error().to_string());
+    return;
   }
-  if (attach_cb_) {
-    auto cb = std::move(attach_cb_);
-    attach_cb_ = nullptr;
-    cb(outcome);
-  }
+  ip_ = ip.value();
+  report(true);
 }
 
 void WifiClient::send_uplink(common::Ipv4 dst, std::uint16_t dport,
                              std::uint32_t packet_bytes,
                              std::uint64_t packet_count) {
   if (!ip_.has_value() || ap_ == nullptr) return;
-  datapath::PacketBatch batch;
-  batch.packet = datapath::make_udp(*ip_, dst, 40000, dport, packet_bytes);
-  batch.count = packet_count;
-  traffic_.tx_bytes += batch.bytes();
-  ap_->uplink_data(user_, std::move(batch));
-}
-
-void WifiClient::on_downlink_data(const datapath::PacketBatch& batch) {
-  traffic_.rx_bytes += batch.bytes();
-  traffic_.rx_packets += batch.count;
+  ap_->uplink_data(user_, uplink_batch(dst, dport, packet_bytes, packet_count));
 }
 
 }  // namespace magma::ran

@@ -90,11 +90,42 @@ struct UeTrafficStats {
   std::uint64_t rx_packets = 0;
 };
 
+// What the three UE models share: the attach report, the address the
+// network assigned, and the user-plane counters.
+class Ue {
+ public:
+  std::optional<common::Ipv4> ip() const { return ip_; }
+  const UeTrafficStats& traffic() const { return traffic_; }
+
+ protected:
+  explicit Ue(sim::Kernel& kernel) : kernel_(kernel) {}
+
+  // Starts an attach attempt; `done` fires once, from report().
+  void begin_attach(AttachCallback done);
+  // Cancels the guard timer and reports the attempt with its latency.
+  // Later reports of the same attempt are dropped.
+  void report(bool success, std::string failure_reason = {});
+  // `packet_count` UDP packets from ip() to `dst`, counted as sent.
+  datapath::PacketBatch uplink_batch(common::Ipv4 dst, std::uint16_t dport,
+                                     std::uint32_t packet_bytes,
+                                     std::uint64_t packet_count);
+  void count_downlink(const datapath::PacketBatch& batch);
+
+  sim::Kernel& kernel_;
+  sim::EventId guard_timer_;  // armed by the RATs that have one
+  std::optional<common::Ipv4> ip_;
+
+ private:
+  AttachCallback attach_cb_;
+  sim::TimePoint attach_started_ = 0;
+  UeTrafficStats traffic_;
+};
+
 // ---------------------------------------------------------------------------
 // LTE UE
 // ---------------------------------------------------------------------------
 
-class UeLte final : public LteUeLink {
+class UeLte final : public Ue, public LteUeLink {
  public:
   UeLte(sim::Kernel& kernel, Usim usim,
         sim::Duration attach_guard = proto::lte::EmmTimers::kT3410_ms *
@@ -107,10 +138,8 @@ class UeLte final : public LteUeLink {
   bool registered() const {
     return fsm_.state() == proto::lte::EmmState::kRegistered;
   }
-  std::optional<common::Ipv4> ip() const { return ip_; }
   const Usim& usim() const { return usim_; }
   Usim& usim() { return usim_; }
-  const UeTrafficStats& traffic() const { return traffic_; }
 
   // Send uplink application traffic (UDP toward `dst`).
   void send_uplink(common::Ipv4 dst, std::uint16_t dport,
@@ -132,7 +161,9 @@ class UeLte final : public LteUeLink {
 
   // LteUeLink:
   void on_downlink_nas(common::Bytes nas_pdu) override;
-  void on_downlink_data(const datapath::PacketBatch& batch) override;
+  void on_downlink_data(const datapath::PacketBatch& batch) override {
+    count_downlink(batch);
+  }
   void on_rrc_release() override;
   void on_paging() override;
   void on_handover_complete(EnodeB& target,
@@ -140,19 +171,14 @@ class UeLte final : public LteUeLink {
 
  private:
   void fail(const std::string& reason);
-  void succeed();
   void send_nas(const proto::lte::NasMessage& msg);
 
-  sim::Kernel& kernel_;
   Usim usim_;
   sim::Duration attach_guard_;
 
   EnodeB* enb_ = nullptr;
   std::uint32_t enb_ue_id_ = 0;
   proto::lte::EmmFsm fsm_;
-  AttachCallback attach_cb_;
-  sim::TimePoint attach_started_ = 0;
-  sim::EventId guard_timer_;
 
   crypto::Key256 kasme_{};
   crypto::Key256 k_nas_int_{};
@@ -163,18 +189,16 @@ class UeLte final : public LteUeLink {
   std::uint32_t dl_cipher_count_ = 0;
   std::uint32_t ul_cipher_count_ = 0;
   std::uint32_t m_tmsi_ = 0;
-  std::optional<common::Ipv4> ip_;
   bool idle_ = false;
   bool expecting_idle_release_ = false;
   std::uint64_t pages_received_ = 0;
-  UeTrafficStats traffic_;
 };
 
 // ---------------------------------------------------------------------------
 // 5G UE
 // ---------------------------------------------------------------------------
 
-class UeNr final : public NrUeLink {
+class UeNr final : public Ue, public CellUeLink {
  public:
   UeNr(sim::Kernel& kernel, Usim usim,
        sim::Duration attach_guard = 15 * sim::kSecond);
@@ -186,46 +210,39 @@ class UeNr final : public NrUeLink {
 
   bool registered() const { return registered_; }
   bool session_up() const { return ip_.has_value(); }
-  std::optional<common::Ipv4> ip() const { return ip_; }
-  const UeTrafficStats& traffic() const { return traffic_; }
 
   void send_uplink(common::Ipv4 dst, std::uint16_t dport,
                    std::uint32_t packet_bytes, std::uint64_t packet_count);
 
-  // NrUeLink:
+  // CellUeLink:
   void on_downlink_nas(common::Bytes nas_pdu) override;
-  void on_downlink_data(const datapath::PacketBatch& batch) override;
+  void on_downlink_data(const datapath::PacketBatch& batch) override {
+    count_downlink(batch);
+  }
   void on_rrc_release() override;
 
  private:
   void fail(const std::string& reason);
-  void succeed();
   void send_nas(const proto::nr5g::Nas5gMessage& msg);
 
-  sim::Kernel& kernel_;
   Usim usim_;
   sim::Duration attach_guard_;
 
   Gnb* gnb_ = nullptr;
   std::uint32_t ran_ue_id_ = 0;
   bool registered_ = false;
-  AttachCallback attach_cb_;
-  sim::TimePoint attach_started_ = 0;
-  sim::EventId guard_timer_;
 
   crypto::Key256 kasme_{};
   crypto::Key256 k_nas_int_{};
   std::uint32_t dl_count_ = 0;
   std::uint32_t ul_count_ = 0;
-  std::optional<common::Ipv4> ip_;
-  UeTrafficStats traffic_;
 };
 
 // ---------------------------------------------------------------------------
 // WiFi client
 // ---------------------------------------------------------------------------
 
-class WifiClient final : public WifiClientLink {
+class WifiClient final : public Ue, public WifiClientLink {
  public:
   WifiClient(sim::Kernel& kernel, common::Imsi user, std::string password);
 
@@ -233,26 +250,21 @@ class WifiClient final : public WifiClientLink {
   void disconnect();
 
   bool connected() const { return ip_.has_value(); }
-  std::optional<common::Ipv4> ip() const { return ip_; }
   const common::Imsi& user() const { return user_; }
-  const UeTrafficStats& traffic() const { return traffic_; }
 
   void send_uplink(common::Ipv4 dst, std::uint16_t dport,
                    std::uint32_t packet_bytes, std::uint64_t packet_count);
 
   // WifiClientLink:
   void on_association_result(common::Result<common::Ipv4> ip) override;
-  void on_downlink_data(const datapath::PacketBatch& batch) override;
+  void on_downlink_data(const datapath::PacketBatch& batch) override {
+    count_downlink(batch);
+  }
 
  private:
-  sim::Kernel& kernel_;
   common::Imsi user_;
   std::string password_;
   WifiAp* ap_ = nullptr;
-  AttachCallback attach_cb_;
-  sim::TimePoint attach_started_ = 0;
-  std::optional<common::Ipv4> ip_;
-  UeTrafficStats traffic_;
 };
 
 }  // namespace magma::ran

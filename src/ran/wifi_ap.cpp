@@ -8,17 +8,9 @@ namespace wifi = magma::proto::wifi;
 
 WifiAp::WifiAp(sim::Kernel& kernel, WifiApConfig config,
                net::Channel& radius_channel)
-    : kernel_(kernel),
-      config_(config),
+    : config_(config),
       radius_(radius_channel),
-      dl_radio_(datapath::MeterConfig{config.dl_capacity_bps,
-                                      static_cast<std::uint64_t>(
-                                          config.dl_capacity_bps / 8 / 10)},
-                kernel.now()),
-      ul_radio_(datapath::MeterConfig{config.ul_capacity_bps,
-                                      static_cast<std::uint64_t>(
-                                          config.ul_capacity_bps / 8 / 10)},
-                kernel.now()) {
+      radio_(kernel, config.dl_capacity_bps, config.ul_capacity_bps, stats_) {
   radius_.set_receiver([this](common::Bytes raw) { on_radius(std::move(raw)); });
 }
 
@@ -78,12 +70,8 @@ void WifiAp::uplink_data(const common::Imsi& user,
                          datapath::PacketBatch batch) {
   auto it = clients_.find(user);
   if (it == clients_.end() || !it->second.associated || !uplink_sink_) return;
-  if (!ul_radio_.allow(batch.bytes(), kernel_.now())) {
-    stats_.ul_dropped_radio_bytes += batch.bytes();
-    return;
-  }
+  if (!radio_.uplink(batch.bytes())) return;
   it->second.tx_octets += batch.bytes();
-  stats_.ul_forwarded_bytes += batch.bytes();
   uplink_sink_(std::move(batch));
 }
 
@@ -92,12 +80,9 @@ void WifiAp::deliver_downlink(datapath::PacketBatch batch) {
   if (ip_it == client_by_ip_.end()) return;
   auto it = clients_.find(ip_it->second);
   if (it == clients_.end() || it->second.client == nullptr) return;
-  if (!dl_radio_.allow(batch.bytes(), kernel_.now())) {
-    stats_.dl_dropped_radio_bytes += batch.bytes();
-    return;
-  }
+  if (!radio_.downlink(batch.bytes())) return;
   it->second.rx_octets += batch.bytes();
-  stats_.dl_delivered_bytes += batch.bytes();
+  radio_.delivered(batch.bytes());
   it->second.client->on_downlink_data(batch);
 }
 

@@ -3,8 +3,8 @@
 // Plays the role of the APs in Figure 10 (AccessParks) and the "carrier
 // WiFi" deployments: associates clients, runs CHAP against the AGW's WiFi
 // front-end over RADIUS, reports accounting, and bridges plain-IP client
-// traffic to and from the AGW. The shared medium is a token bucket like the
-// cellular sectors, but best-effort and lower capacity (§2.1).
+// traffic to and from the AGW. The shared medium is the same `Radio` as the
+// cellular sectors' (ran/cell.h), but best-effort and lower capacity (§2.1).
 //
 // Modeling note: the CHAP digest is computed here from the password given
 // at associate() — in reality the client computes it; collapsing that hop
@@ -18,10 +18,10 @@
 
 #include "common/ids.h"
 #include "crypto/hmac.h"
-#include "datapath/meter.h"
 #include "datapath/pipeline.h"
 #include "net/channel.h"
 #include "proto/wifi/radius.h"
+#include "ran/cell.h"
 #include "sim/kernel.h"
 
 namespace magma::ran {
@@ -40,13 +40,9 @@ struct WifiApConfig {
   double ul_capacity_bps = 120e6;
 };
 
-struct WifiApStats {
+struct WifiApStats : RadioStats {
   std::uint64_t associations = 0;
   std::uint64_t association_failures = 0;
-  std::uint64_t dl_delivered_bytes = 0;
-  std::uint64_t dl_dropped_radio_bytes = 0;
-  std::uint64_t ul_forwarded_bytes = 0;
-  std::uint64_t ul_dropped_radio_bytes = 0;
 };
 
 class WifiAp {
@@ -82,7 +78,6 @@ class WifiAp {
   void send_radius(const proto::wifi::RadiusPacket& packet);
   void send_accounting(const common::Imsi& user, proto::wifi::AcctStatus status);
 
-  sim::Kernel& kernel_;
   WifiApConfig config_;
   net::Channel& radius_;
   std::function<void(datapath::PacketBatch)> uplink_sink_;
@@ -91,9 +86,8 @@ class WifiAp {
   std::unordered_map<common::Ipv4, common::Imsi> client_by_ip_;
   std::uint8_t next_identifier_ = 1;
 
-  datapath::TokenBucket dl_radio_;
-  datapath::TokenBucket ul_radio_;
   WifiApStats stats_;
+  Radio radio_;  // counts into stats_
 };
 
 }  // namespace magma::ran

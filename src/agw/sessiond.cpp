@@ -44,7 +44,7 @@ common::Result<SessionRecord> SessionRecord::deserialize(
   s.quota_granted = r.u64();
   s.quota_reported = r.u64();
   s.quota_denied = r.boolean();
-  if (!r.ok()) {
+  if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt session record"};
   }

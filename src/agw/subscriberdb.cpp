@@ -239,7 +239,7 @@ common::Status SubscriberDb::restore(common::BytesView image) {
     if (!parsed.ok()) return common::Status(parsed.error());
     rows.push_back(std::move(parsed).take());
   }
-  if (!r.ok()) {
+  if (!r.ok() || !r.at_end()) {
     return common::Error{common::ErrorCode::kInvalidArgument,
                          "corrupt subscriberdb image"};
   }

@@ -233,6 +233,24 @@ agw::SessionFlows session_flows(sim::Rng& rng) {
           {u32(rng)},         {u32(rng)}};
 }
 
+// Field order: id, IMSI, flows and policy (each length-prefixed), start
+// times, usage and quota counters, the quota-denied flag.
+agw::SessionRecord session_record(sim::Rng& rng) {
+  agw::SessionRecord s;
+  s.id.value = rng.next_u64();
+  s.imsi = random_imsi(rng);
+  s.flows = session_flows(rng);
+  s.policy = policy(rng);
+  s.started = static_cast<sim::TimePoint>(rng.next_u64() >> 1);
+  s.interval_start = static_cast<sim::TimePoint>(rng.next_u64() >> 1);
+  s.interval_base_bytes = rng.next_u64();
+  s.used_bytes = rng.next_u64();
+  s.quota_granted = rng.next_u64();
+  s.quota_reported = rng.next_u64();
+  s.quota_denied = rng.bernoulli(0.5);
+  return s;
+}
+
 orc8r::DesiredState full_state(sim::Rng& rng) {
   orc8r::DesiredState state;
   state.version = rng.next_u64() >> 1;
@@ -462,6 +480,7 @@ const std::vector<Codec>& codecs() {
         member_codec("subscriber_data", subscriber_data),
         member_codec("policy", policy),
         member_codec("session_flows", session_flows),
+        member_codec("session_record", session_record),
         codec("metric_report", metric_report, orc8r::encode_metric_report,
               orc8r::decode_metric_report),
         codec("histogram_report", histogram_report,
@@ -573,7 +592,8 @@ TEST(FuzzMutation, BitFlipsOnValidMessages) {
 
 TEST(CodecContract, RecordsAndReports) {
   expect_contracts({"subscriber_data", "policy", "session_flows",
-                    "metric_report", "histogram_report", "event_report"});
+                    "session_record", "metric_report", "histogram_report",
+                    "event_report"});
 }
 
 TEST(CodecContract, CheckinCheckpointAndOcsPayloads) {

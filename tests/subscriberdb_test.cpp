@@ -192,6 +192,20 @@ TEST_F(SubscriberDbTest, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(other.snapshot(), image);  // canonical ordering => identical
 }
 
+TEST_F(SubscriberDbTest, RestoreRejectsTrailingByte) {
+  sim::Rng source(5);
+  for (std::uint64_t i = 0; i < 3; ++i) db_.upsert(make_subscriber(i, source));
+  common::Bytes image = db_.snapshot();
+  image.push_back(0x00);
+
+  sim::Rng rng2(9);
+  SubscriberDb other([&rng2]() { return rng2.next_u64(); });
+  other.upsert(make_subscriber(7, source));
+  const common::Bytes before = other.snapshot();
+  EXPECT_FALSE(other.restore(image).ok());
+  EXPECT_EQ(other.snapshot(), before);  // the cache is untouched
+}
+
 TEST_F(SubscriberDbTest, SqnTableMergesByMaxBeforeOrAfterSync) {
   sim::Rng source(6);
   const SubscriberData a = make_subscriber(1, source);

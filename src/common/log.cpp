@@ -1,28 +1,12 @@
 #include "common/log.h"
 
 #include <cstdio>
-#include <iomanip>
 
 namespace magma::common {
 
 Logger& Logger::instance() {
   static Logger logger;
   return logger;
-}
-
-Logger::Logger() {
-  sink_ = [](std::string_view line) {
-    std::fwrite(line.data(), 1, line.size(), stderr);
-    std::fputc('\n', stderr);
-  };
-}
-
-void Logger::set_sink(std::function<void(std::string_view)> sink) {
-  sink_ = std::move(sink);
-}
-
-void Logger::set_time_source(std::function<double()> now_seconds) {
-  now_seconds_ = std::move(now_seconds);
 }
 
 std::uint64_t Logger::add_event_hook(EventHook hook) {
@@ -37,9 +21,8 @@ void Logger::remove_event_hook(std::uint64_t id) {
 
 void Logger::log(LogLevel level, std::string_view component,
                  std::string_view msg) {
-  if (level < level_ || level_ == LogLevel::kOff) return;
-  if (level >= LogLevel::kWarn && level != LogLevel::kOff && !in_hook_ &&
-      !hooks_.empty()) {
+  if (level < LogLevel::kWarn) return;
+  if (!in_hook_ && !hooks_.empty()) {
     in_hook_ = true;
     // By index: a hook may register/remove hooks while running.
     for (std::size_t i = 0; i < hooks_.size(); ++i) {
@@ -49,12 +32,10 @@ void Logger::log(LogLevel level, std::string_view component,
   }
   static constexpr const char* kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
   std::ostringstream line;
-  if (now_seconds_) {
-    line << '[' << std::fixed << std::setprecision(6) << now_seconds_()
-         << "] ";
-  }
   line << kNames[static_cast<int>(level)] << ' ' << component << ": " << msg;
-  if (sink_) sink_(line.str());
+  const std::string text = line.str();
+  std::fwrite(text.data(), 1, text.size(), stderr);
+  std::fputc('\n', stderr);
 }
 
 }  // namespace magma::common

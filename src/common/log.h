@@ -3,8 +3,8 @@
 // Magma's real AGW ships logs to the orchestrator; gateways reproduce that
 // by registering an event hook (see src/obs/events.h) that turns WARN/ERROR
 // lines into structured events shipped over the control channel. The logger
-// itself stays synchronous and deterministic (no wall-clock timestamps by
-// default) so that test output is reproducible.
+// itself stays synchronous and deterministic (no timestamps) so that test
+// output is reproducible.
 #pragma once
 
 #include <cstdint>
@@ -17,26 +17,15 @@
 
 namespace magma::common {
 
-enum class LogLevel : std::uint8_t { kDebug = 0, kInfo, kWarn, kError, kOff };
+enum class LogLevel : std::uint8_t { kDebug = 0, kInfo, kWarn, kError };
 
-// Global log configuration. Not thread-safe by design: the simulator is
+// The process-wide logger. Not thread-safe by design: the simulator is
 // single-threaded and deterministic.
 class Logger {
  public:
   static Logger& instance();
 
-  void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
-
-  // Redirect output (used by tests to capture logs). The sink receives fully
-  // formatted lines without a trailing newline.
-  void set_sink(std::function<void(std::string_view)> sink);
-
-  // Optional clock: when set, each line is prefixed with the simulated time.
-  void set_time_source(std::function<double()> now_seconds);
-  void clear_time_source() { now_seconds_ = nullptr; }
-
-  // Event hooks observe every WARN/ERROR line regardless of sink (gateways
+  // Event hooks observe every WARN/ERROR line as it is written (gateways
   // use this to ship logs to the orchestrator as structured events). Hooks
   // receive the raw component and message, not the formatted line. The
   // registrant must remove its hook before its captures die. Hooks are not
@@ -47,13 +36,11 @@ class Logger {
   std::uint64_t add_event_hook(EventHook hook);
   void remove_event_hook(std::uint64_t id);
 
+  // Writes a WARN or ERROR line to stderr; lower levels are dropped.
   void log(LogLevel level, std::string_view component, std::string_view msg);
 
  private:
-  Logger();
-  LogLevel level_ = LogLevel::kWarn;
-  std::function<void(std::string_view)> sink_;
-  std::function<double()> now_seconds_;
+  Logger() = default;
   std::vector<std::pair<std::uint64_t, EventHook>> hooks_;
   std::uint64_t next_hook_id_ = 1;
   bool in_hook_ = false;
@@ -83,15 +70,9 @@ class LogLine {
 
 }  // namespace magma::common
 
-#define MAGMA_LOG(level_, component_)                                     \
-  if (::magma::common::Logger::instance().level() <= (level_))            \
-  ::magma::common::detail::LogLine((level_), (component_))
-
-#define MLOG_DEBUG(component) \
-  MAGMA_LOG(::magma::common::LogLevel::kDebug, (component))
-#define MLOG_INFO(component) \
-  MAGMA_LOG(::magma::common::LogLevel::kInfo, (component))
-#define MLOG_WARN(component) \
-  MAGMA_LOG(::magma::common::LogLevel::kWarn, (component))
-#define MLOG_ERROR(component) \
-  MAGMA_LOG(::magma::common::LogLevel::kError, (component))
+#define MLOG_WARN(component)                                        \
+  ::magma::common::detail::LogLine(::magma::common::LogLevel::kWarn, \
+                                   (component))
+#define MLOG_ERROR(component)                                        \
+  ::magma::common::detail::LogLine(::magma::common::LogLevel::kError, \
+                                   (component))

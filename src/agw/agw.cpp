@@ -319,15 +319,14 @@ std::vector<orc8r::MetricSample> AccessGateway::telemetry_snapshot() {
   for (const auto& [service, seconds] : cpu_.service_busy_seconds()) {
     gauge("cpu_service_busy_s_" + service, seconds);
   }
-  // Off-CPU counterpart: cumulative wait (run-queue + blocked-on-RPC +
-  // timer) per service, so fleet dashboards can plot on-CPU vs off-CPU per
-  // service without shipping every label.
+  // Off-CPU counterpart: cumulative wait (run-queue + blocked-on-RPC) per
+  // service, so fleet dashboards can plot on-CPU vs off-CPU per service
+  // without shipping every label.
   {
     std::map<std::string, double> wait_s;
     for (const sim::TaskLabelStats& label : cpu_.labels()) {
       wait_s[label.service] +=
-          sim::to_seconds(label.queue_wait_ns + label.rpc_wait_ns +
-                          label.timer_wait_ns);
+          sim::to_seconds(label.queue_wait_ns + label.rpc_wait_ns);
     }
     for (const auto& [service, seconds] : wait_s) {
       if (seconds > 0) gauge("cpu_service_wait_s_" + service, seconds);

@@ -102,7 +102,6 @@ class Pipeline {
   // exact header match. Table mutations invalidate via the generation
   // counters. On by default; the ablation microbench switches it off.
   void set_flow_cache_enabled(bool enabled);
-  bool flow_cache_enabled() const { return cache_enabled_; }
 
  private:
   struct CacheKey {

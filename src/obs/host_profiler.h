@@ -127,7 +127,6 @@ class HostProfiler {
   void note_event_dispatched(HostLabelId label);
   void note_alloc(std::size_t bytes);
   void note_free();
-  std::size_t frame_depth() const { return frames_.size(); }
 
   static std::uint64_t now_ns();  // steady_clock, ns since an arbitrary epoch
 

@@ -40,7 +40,6 @@ TraceContext Tracer::begin(std::string name, std::string service,
   span.service = std::move(service);
   span.node = std::move(node);
   span.start = kernel_.now();
-  ++spans_started_;
 
   const TraceContext ctx{span.trace_id, span.span_id};
   open_.emplace(span.span_id, std::move(span));

@@ -194,8 +194,6 @@ class Tracer {
   // index, so the cost follows the trace's span count, not the ring's.
   std::vector<SpanRecord> trace_spans(std::uint64_t trace_id) const;
 
-  std::size_t open_spans() const { return open_.size(); }
-  std::uint64_t spans_started() const { return spans_started_; }
   std::uint64_t spans_finished() const { return spans_finished_; }
   std::uint64_t spans_dropped() const { return spans_dropped_; }
 
@@ -219,7 +217,6 @@ class Tracer {
   // Explicitly pinned traces -> pin refcount.
   std::unordered_map<std::uint64_t, std::uint32_t> tail_pinned_;
   std::size_t max_pinned_traces_ = 128;
-  std::uint64_t spans_started_ = 0;
   std::uint64_t spans_finished_ = 0;
   std::uint64_t spans_dropped_ = 0;
   std::vector<std::pair<std::uint64_t, FinishHook>> hooks_;

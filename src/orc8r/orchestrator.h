@@ -164,7 +164,6 @@ class Orchestrator {
   void set_fleet_trace_budget(std::uint64_t budget) {
     fleet_trace_budget_ = budget;
   }
-  std::uint64_t fleet_trace_budget() const { return fleet_trace_budget_; }
   // K currently handed out at checkin (0 when unmanaged).
   std::uint64_t assigned_keep_per_op() const;
 

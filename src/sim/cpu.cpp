@@ -36,7 +36,6 @@ void CpuModel::charge_wait(LabelId label, obs::WaitState state,
   switch (state) {
     case obs::WaitState::kRunq: ls.queue_wait_ns += amount; break;
     case obs::WaitState::kRpcWait: ls.rpc_wait_ns += amount; break;
-    case obs::WaitState::kTimer: ls.timer_wait_ns += amount; break;
     default: break;  // on-CPU and link time are charged elsewhere
   }
 }

@@ -59,23 +59,19 @@ struct CpuStats {
 // Per-(service, operation) attribution. busy_ns is charged when the task
 // *starts* (same convention as CpuStats::busy_ns, so per-label sums match
 // per-class and per-core totals exactly); queue_wait_ns is the time the task
-// sat runnable before a core picked it up. rpc_wait_ns and timer_wait_ns are
-// off-CPU charges reported by other layers via charge_wait() — the RPC stack
-// charges blocked-on-RPC time against the label that issued the call — so
-// wall time per label decomposes into busy + queue_wait + rpc_wait +
-// timer_wait.
+// sat runnable before a core picked it up. rpc_wait_ns is the off-CPU charge
+// reported by other layers via charge_wait() — the RPC stack charges
+// blocked-on-RPC time against the label that issued the call — so wall time
+// per label decomposes into busy + queue_wait + rpc_wait.
 struct TaskLabelStats {
   std::string service;  // e.g. "accessd", "pipelined"
   std::string op;       // e.g. "establish", "forward_ul"
   Duration busy_ns = 0;
   Duration queue_wait_ns = 0;
   Duration rpc_wait_ns = 0;
-  Duration timer_wait_ns = 0;
   std::uint64_t completed = 0;
 
-  Duration wall_ns() const {
-    return busy_ns + queue_wait_ns + rpc_wait_ns + timer_wait_ns;
-  }
+  Duration wall_ns() const { return busy_ns + queue_wait_ns + rpc_wait_ns; }
 };
 
 class CpuModel {
@@ -93,8 +89,9 @@ class CpuModel {
   // Off-CPU attribution: charge `amount` of wait time against `label`.
   // kRunq adds to queue_wait_ns (the scheduler also charges this itself for
   // run-queue time; callers use it for upstream admission queues, e.g. the
-  // accessd shard queue), kRpcWait/kTimer to their own counters. Other
-  // states are ignored — on-CPU time is only ever charged by start().
+  // accessd shard queue), kRpcWait to rpc_wait_ns. Other states are
+  // ignored: on-CPU time is only ever charged by start(), and no layer
+  // charges kTimer (obs/trace.h).
   void charge_wait(LabelId label, obs::WaitState state, Duration amount);
 
   // Submit `reference_seconds` of work. `done` runs when the work completes;

@@ -62,7 +62,6 @@ class Link {
   // Administratively disable the link (models backhaul outage): everything
   // transmitted while down is dropped.
   void set_up(bool up) { up_ = up; }
-  bool is_up() const { return up_; }
 
  private:
   Kernel& kernel_;

@@ -161,7 +161,7 @@ TEST(CpuProfile, ChargeWaitFeedsWallTimeDecomposition) {
 
   // Off-CPU charges reported by other layers land in their own buckets.
   cpu.charge_wait(l, obs::WaitState::kRpcWait, 3 * kSecond);
-  cpu.charge_wait(l, obs::WaitState::kTimer, kSecond);
+  cpu.charge_wait(l, obs::WaitState::kTimer, kSecond);     // no bucket
   cpu.charge_wait(l, obs::WaitState::kCpu, kSecond);       // not an off-CPU state
   cpu.charge_wait(l, obs::WaitState::kRpcWait, -5);        // non-positive
   cpu.charge_wait(static_cast<LabelId>(9999),
@@ -171,12 +171,10 @@ TEST(CpuProfile, ChargeWaitFeedsWallTimeDecomposition) {
   EXPECT_EQ(ls.busy_ns, 3 * kSecond);
   EXPECT_EQ(ls.queue_wait_ns, 2 * kSecond);
   EXPECT_EQ(ls.rpc_wait_ns, 3 * kSecond);
-  EXPECT_EQ(ls.timer_wait_ns, kSecond);
   // The profiler's contract: wall time is the sum of the on- and off-CPU
   // buckets, so per-label breakdowns tile with no residue.
-  EXPECT_EQ(ls.wall_ns(),
-            ls.busy_ns + ls.queue_wait_ns + ls.rpc_wait_ns + ls.timer_wait_ns);
-  EXPECT_EQ(ls.wall_ns(), 9 * kSecond);
+  EXPECT_EQ(ls.wall_ns(), ls.busy_ns + ls.queue_wait_ns + ls.rpc_wait_ns);
+  EXPECT_EQ(ls.wall_ns(), 8 * kSecond);
 }
 
 TEST(CpuProfile, WaitTracerChargesRunqAndCpuOntoTheSubmittingSpan) {

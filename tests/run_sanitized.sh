@@ -30,6 +30,11 @@
 # sweep against the sample-list reference runs every query after each
 # step. SymbolTable covers the interned names those rows point at.
 #
+# The RAN suites (LTE attach, mobility, multi-RAT and the RadioCell pins)
+# drive the shared cell of ran/cell.h: a cell calls back into a UE right
+# after it erases the UE's entry (release), and X2 handover moves a UE
+# between cells while both hold pointers to it.
+#
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,7 +46,8 @@ SUITES=(
   host_profiler_test bench_compare_test sketch_test histogram_test
   pool_test inplace_function_test alloc_discipline_test proto_test
   agw_test integration_fault_test metricsd_test sessiond_test
-  integration_policy_test
+  integration_policy_test integration_attach_test integration_mobility_test
+  integration_multirat_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -80,6 +86,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest|SessiondOcs|PolicyTest|WireRecords' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest|SessiondOcs|PolicyTest|WireRecords|LteAttach|Mobility|MultiRat|RadioCell' \
   "$@"
 echo "sanitized transport suite: OK"

@@ -99,9 +99,8 @@ void Network::wire_egress(AgwNode& node) {
     if (out_port == datapath::kPortRan) {
       if (batch.packet.gtpu.has_value() && batch.packet.outer_ip.has_value()) {
         auto& cells = node_ptr->cells_by_address;
-        if (auto it = cells.find(batch.packet.outer_ip->dst); it != cells.end()) {
-          it->second->deliver_downlink(std::move(batch));
-        }
+        auto it = cells.find(batch.packet.outer_ip->dst);
+        if (it != cells.end()) it->second->deliver_downlink(std::move(batch));
         return;  // else an unroutable tunnel
       }
       // Untunneled (WiFi): the owning AP recognizes the client address.

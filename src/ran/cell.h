@@ -121,7 +121,7 @@ class Cell {
   // The core released the UE: drop its context, then tell the UE.
   void release_ue(std::uint32_t ran_ue_id);
 
-  CellStats stats_;
+  CellStats stats_;  // declared before radio_, which counts into it
 
  private:
   common::Ipv4 address_;

@@ -87,7 +87,7 @@ class WifiAp {
   std::uint8_t next_identifier_ = 1;
 
   WifiApStats stats_;
-  Radio radio_;  // counts into stats_
+  Radio radio_;  // counts into stats_, so declared after it
 };
 
 }  // namespace magma::ran

@@ -2,13 +2,65 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "rpc/fields.h"
 
 namespace magma::agw {
 
 namespace {
+
 constexpr std::array<std::uint8_t, 2> kAmf = {0x80, 0x00};
+constexpr std::size_t kPrefix = 4;  // "IMSI"
+constexpr std::size_t kMaxDigits = 15;
+
+// "IMSI" + n digits packs to (the digits right-padded with zeros to 15)
+// x 16 + n. The packing is injective, and integer order is the IMSIs'
+// string order: a shorter IMSI sorts before a longer one it prefixes. A
+// plain numeric value would put "IMSI12345" before "IMSI001010000000001".
+std::optional<std::uint64_t> pack(const common::Imsi& imsi) {
+  if (!imsi.valid()) return std::nullopt;
+  const std::size_t n = imsi.value.size() - kPrefix;
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < kMaxDigits; ++i) {
+    key = key * 10 +
+          (i < n ? static_cast<std::uint64_t>(imsi.value[kPrefix + i] - '0')
+                 : 0);
+  }
+  return key * 16 + n;
+}
+
+// The IMSI a key packs, spelled into a fixed buffer.
+struct ImsiText {
+  std::array<char, kPrefix + kMaxDigits> chars{'I', 'M', 'S', 'I'};
+  std::size_t size = 0;
+  std::string_view view() const { return {chars.data(), size}; }
+};
+
+ImsiText unpack(std::uint64_t key) {
+  ImsiText text;
+  text.size = kPrefix + key % 16;
+  std::uint64_t digits = key / 16;
+  for (std::size_t i = kPrefix + kMaxDigits; i-- > kPrefix;) {
+    text.chars[i] = static_cast<char>('0' + digits % 10);
+    digits /= 10;
+  }
+  return text;
+}
+
+common::Imsi unpack_imsi(std::uint64_t key) {
+  return common::Imsi{std::string(unpack(key).view())};
+}
+
+template <typename Map>
+std::vector<std::uint64_t> sorted_keys(const Map& rows) {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(rows.size());
+  for (const auto& [key, _] : rows) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 }  // namespace
 
 std::array<std::uint8_t, 6> sqn_to_bytes(std::uint64_t sqn) {
@@ -47,58 +99,91 @@ SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source,
 
 // SQN is runtime state owned by this AGW: a config push, full or delta,
 // must not rewind it, or the next vector would be rejected by the USIM.
-std::uint64_t SubscriberDb::raise_sqn(const common::Imsi& imsi,
-                                      std::uint64_t sqn) {
-  if (sqn == 0 && !sqns_.contains(imsi)) return 0;
-  std::uint64_t& held = sqns_[imsi];
+std::uint64_t SubscriberDb::raise_sqn(std::uint64_t key, std::uint64_t sqn) {
+  if (sqn == 0 && !sqns_.contains(key)) return 0;
+  std::uint64_t& held = sqns_[key];
   return held = std::max(held, sqn);
 }
 
+SubscriberData SubscriberDb::record(common::Imsi imsi, std::uint64_t key,
+                                    const Row& row) const {
+  const auto sqn = sqns_.find(key);
+  const auto password = wifi_passwords_.find(key);
+  return SubscriberData{
+      std::move(imsi),
+      row.k,
+      row.opc,
+      sqn == sqns_.end() ? 0 : sqn->second,
+      common::symbol_name(row.policy),
+      password == wifi_passwords_.end() ? std::string() : password->second,
+      row.active};
+}
+
 void SubscriberDb::upsert(SubscriberData data) {
-  data.sqn = raise_sqn(data.imsi, data.sqn);
-  SubscriberData& cached = subscribers_[data.imsi];
-  cached = std::move(data);
+  const std::optional<std::uint64_t> key = pack(data.imsi);
+  if (!key) return;
+  raise_sqn(*key, data.sqn);
+  rows_.insert_or_assign(
+      *key, Row{data.k, data.opc, common::intern(data.policy_name),
+                data.active});
+  if (data.wifi_password.empty()) {
+    wifi_passwords_.erase(*key);
+  } else {
+    wifi_passwords_.insert_or_assign(*key, std::move(data.wifi_password));
+  }
 }
 
 void SubscriberDb::remove(const common::Imsi& imsi) {
-  subscribers_.erase(imsi);
-  sqns_.erase(imsi);
+  const std::optional<std::uint64_t> key = pack(imsi);
+  if (!key) return;
+  rows_.erase(*key);
+  wifi_passwords_.erase(*key);
+  sqns_.erase(*key);
 }
 
 std::optional<SubscriberData> SubscriberDb::get(const common::Imsi& imsi) {
   ++stats_.lookups;
-  auto it = subscribers_.find(imsi);
-  if (it == subscribers_.end()) {
+  const std::optional<std::uint64_t> key = pack(imsi);
+  auto it = key ? rows_.find(*key) : rows_.end();
+  if (it == rows_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
-  return it->second;
+  return record(imsi, *key, it->second);
 }
 
 std::vector<common::Imsi> SubscriberDb::all_imsis() const {
   std::vector<common::Imsi> out;
-  out.reserve(subscribers_.size());
-  for (const auto& [imsi, _] : subscribers_) out.push_back(imsi);
-  std::sort(out.begin(), out.end());
+  out.reserve(rows_.size());
+  for (std::uint64_t key : sorted_keys(rows_)) {
+    out.push_back(unpack_imsi(key));
+  }
   return out;
 }
 
 void SubscriberDb::replace_all(const std::vector<SubscriberData>& data) {
-  std::unordered_map<common::Imsi, SubscriberData> next;
+  std::unordered_map<std::uint64_t, Row> next;
+  std::unordered_map<std::uint64_t, std::string> passwords;
   next.reserve(data.size());
-  // Copy-construct each row: assigning into an empty row would give every
-  // IMSI string a doubled buffer (1000 gateways x 1000 rows: +15 MiB).
-  for (const SubscriberData& s : data) next.insert_or_assign(s.imsi, s);
+  // Backwards, so that the last row pushed for an IMSI wins.
+  for (auto s = data.rbegin(); s != data.rend(); ++s) {
+    const std::optional<std::uint64_t> key = pack(s->imsi);
+    if (!key || next.contains(*key)) continue;
+    next.emplace(*key, Row{s->k, s->opc, common::intern(s->policy_name),
+                           s->active});
+    if (!s->wifi_password.empty()) passwords.emplace(*key, s->wifi_password);
+    raise_sqn(*key, s->sqn);
+  }
   // A subscriber the push drops takes its SQN along.
   std::erase_if(sqns_, [&](const auto& e) { return !next.contains(e.first); });
-  for (auto& [imsi, row] : next) row.sqn = raise_sqn(imsi, row.sqn);
-  subscribers_ = std::move(next);
+  rows_ = std::move(next);
+  wifi_passwords_ = std::move(passwords);
 }
 
 void SubscriberDb::write_sqn_table(rpc::Writer& w) const {
   w.u64(sqns_.size());
-  for (const auto& [imsi, sqn] : sqns_) {
-    w.str(imsi.value);
+  for (const auto& [key, sqn] : sqns_) {
+    w.str(unpack(key).view());
     w.u64(sqn);
   }
 }
@@ -123,9 +208,8 @@ common::Result<SubscriberDb::SqnTable> SubscriberDb::read_sqn_table(
 
 void SubscriberDb::merge_sqn_table(const SqnTable& table) {
   for (const auto& [imsi, sqn] : table) {
-    const std::uint64_t merged = raise_sqn(imsi, sqn);
-    if (auto it = subscribers_.find(imsi); it != subscribers_.end()) {
-      it->second.sqn = merged;
+    if (const std::optional<std::uint64_t> key = pack(imsi)) {
+      raise_sqn(*key, sqn);
     }
   }
 }
@@ -133,14 +217,15 @@ void SubscriberDb::merge_sqn_table(const SqnTable& table) {
 common::Result<AuthVector> SubscriberDb::generate_auth_vector(
     const common::Imsi& imsi) {
   obs::svc_request(status_);
-  auto it = subscribers_.find(imsi);
-  if (it == subscribers_.end()) {
+  const std::optional<std::uint64_t> key = pack(imsi);
+  auto it = key ? rows_.find(*key) : rows_.end();
+  if (it == rows_.end()) {
     ++stats_.misses;
     obs::svc_error(status_, "unknown subscriber");
     return common::Error{common::ErrorCode::kNotFound,
                          "unknown subscriber " + imsi.value};
   }
-  SubscriberData& sub = it->second;
+  const Row& sub = it->second;
   if (!sub.active) {
     return common::Error{common::ErrorCode::kPermissionDenied,
                          "subscriber deactivated"};
@@ -152,9 +237,8 @@ common::Result<AuthVector> SubscriberDb::generate_auth_vector(
     std::memcpy(v.rand.data() + i * 8, &r, 8);
   }
 
-  sub.sqn += 1;  // advance before use; SQN must never repeat
-  sqns_[it->first] = sub.sqn;
-  const auto sqn = sqn_to_bytes(sub.sqn);
+  // Advance before use; SQN must never repeat.
+  const auto sqn = sqn_to_bytes(++sqns_[*key]);
 
   const crypto::Milenage milenage =
       crypto::Milenage::from_opc(sub.k, sub.opc);
@@ -181,12 +265,13 @@ common::Status SubscriberDb::resync(const common::Imsi& imsi,
                                     const std::array<std::uint8_t, 14>& auts,
                                     const std::array<std::uint8_t, 16>& rand) {
   obs::svc_request(status_);
-  auto it = subscribers_.find(imsi);
-  if (it == subscribers_.end()) {
+  const std::optional<std::uint64_t> key = pack(imsi);
+  auto it = key ? rows_.find(*key) : rows_.end();
+  if (it == rows_.end()) {
     obs::svc_error(status_, "unknown subscriber");
     return common::Error{common::ErrorCode::kNotFound, "unknown subscriber"};
   }
-  SubscriberData& sub = it->second;
+  const Row& sub = it->second;
 
   // AUTS = (SQNms xor AK*) || MAC-S. Recover SQNms using f5*.
   const crypto::Milenage milenage =
@@ -212,18 +297,18 @@ common::Status SubscriberDb::resync(const common::Imsi& imsi,
     return common::Error{common::ErrorCode::kUnauthenticated, "bad MAC-S"};
   }
 
-  sub.sqn = std::max(sub.sqn, sqn_ms) + 1;
-  sqns_[it->first] = sub.sqn;
+  std::uint64_t& held = sqns_[*key];
+  held = std::max(held, sqn_ms) + 1;
   ++stats_.resyncs;
   return common::Status::Ok();
 }
 
 common::Bytes SubscriberDb::snapshot() const {
   rpc::Writer w;
-  w.u64(subscribers_.size());
+  w.u64(rows_.size());
   // Deterministic order for byte-identical snapshots.
-  for (const common::Imsi& imsi : all_imsis()) {
-    w.bytes(subscribers_.at(imsi).serialize());
+  for (std::uint64_t key : sorted_keys(rows_)) {
+    w.bytes(record(unpack_imsi(key), key, rows_.at(key)).serialize());
   }
   return std::move(w).take();
 }

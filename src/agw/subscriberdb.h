@@ -12,7 +12,9 @@
 // desired-state sync. The cache is what lets an AGW keep authenticating
 // UEs while disconnected from the orchestrator (§3.2 headless operation).
 // Its runtime state is each subscriber's SQN, which this AGW advances; only
-// that goes into a checkpoint (§3.4).
+// that goes into a checkpoint (§3.4). A fleet holds the cache once per
+// gateway, so each row is a fixed 40 bytes under its IMSI packed into one
+// integer; SQNs and WiFi passwords live beside the rows, under the same key.
 //
 // Auth vector generation (EPS-AKA via Milenage, including SQN management
 // and resynchronisation) happens here, as in Magma's subscriberdb.
@@ -30,6 +32,7 @@
 #include "common/bytes.h"
 #include "common/ids.h"
 #include "common/result.h"
+#include "common/symbol.h"
 #include "crypto/kdf.h"
 #include "obs/status.h"
 #include "crypto/milenage.h"
@@ -75,11 +78,14 @@ class SubscriberDb {
                         std::string plmn = "00101");
 
   // Adds or overwrites one row (a delta sync). Like replace_all, it keeps
-  // the SQN held here when that is ahead of the pushed one.
+  // the SQN held here when that is ahead of the pushed one. A row under an
+  // invalid IMSI is skipped here and in replace_all; no decoder delivers
+  // one, since rpc::get<common::Imsi> refuses it. Every lookup answers an
+  // invalid IMSI as an unknown subscriber.
   void upsert(SubscriberData data);
   void remove(const common::Imsi& imsi);
   std::optional<SubscriberData> get(const common::Imsi& imsi);
-  std::size_t size() const { return subscribers_.size(); }
+  std::size_t size() const { return rows_.size(); }
   std::vector<common::Imsi> all_imsis() const;
 
   // Desired-state replacement: the new subscriber set *is* `data` (§3.4).
@@ -116,15 +122,31 @@ class SubscriberDb {
   common::Status restore(common::BytesView image);
 
  private:
-  // Raises `imsi`'s SQN to at least `sqn` and returns it.
-  std::uint64_t raise_sqn(const common::Imsi& imsi, std::uint64_t sqn);
+  // One cached subscriber, kept under its packed IMSI (subscriberdb.cpp):
+  // no string and no SQN, so a node is 64 bytes with its key.
+  struct Row {
+    crypto::Key128 k{};
+    crypto::Key128 opc{};
+    common::Symbol policy = 0;
+    bool active = true;
+  };
+  static_assert(sizeof(Row) == 40);
+
+  // Raises the SQN under `key` to at least `sqn` and returns it.
+  std::uint64_t raise_sqn(std::uint64_t key, std::uint64_t sqn);
+  // The API record of `row`; `imsi` is the IMSI that `key` packs.
+  SubscriberData record(common::Imsi imsi, std::uint64_t key,
+                        const Row& row) const;
 
   std::function<std::uint64_t()> rand_source_;
   crypto::ServingNetwork sn_;
-  std::unordered_map<common::Imsi, SubscriberData> subscribers_;
-  // Every SQN above 0, in IMSI order: a checkpoint writes it unsorted. A
-  // row's `sqn` mirrors its entry; a restored entry may have no row yet.
-  std::map<common::Imsi, std::uint64_t> sqns_;
+  std::unordered_map<std::uint64_t, Row> rows_;
+  // The WiFi password of each row that has one.
+  std::unordered_map<std::uint64_t, std::string> wifi_passwords_;
+  // Every SQN above 0, in IMSI order (packed keys sort as their IMSIs do),
+  // so a checkpoint writes it unsorted. This is the SQN's only copy; a
+  // restored entry may have no row yet.
+  std::map<std::uint64_t, std::uint64_t> sqns_;
   SubscriberDbStats stats_;
   obs::Service303* status_ = nullptr;
 };

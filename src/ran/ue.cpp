@@ -74,6 +74,8 @@ UsimOutcome Usim::authenticate(const std::array<std::uint8_t, 16>& rand,
 // ---------------------------------------------------------------------------
 
 void Ue::begin_attach(AttachCallback done) {
+  // A new attempt replaces a pending one, whose guard must not fire on it.
+  kernel_.cancel(guard_timer_);
   attach_cb_ = std::move(done);
   attach_started_ = kernel_.now();
 }

@@ -100,7 +100,8 @@ class Ue {
  protected:
   explicit Ue(sim::Kernel& kernel) : kernel_(kernel) {}
 
-  // Starts an attach attempt; `done` fires once, from report().
+  // Starts an attach attempt, cancelling the guard timer of one still
+  // pending; `done` fires once, from report().
   void begin_attach(AttachCallback done);
   // Cancels the guard timer and reports the attempt with its latency.
   // Later reports of the same attempt are dropped.

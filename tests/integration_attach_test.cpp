@@ -169,6 +169,20 @@ TEST_F(LteAttachTest, ReattachAfterDetachWorks) {
   EXPECT_EQ(agw_->sessiond().active_sessions(), 1u);
 }
 
+// A second attach while the first is pending replaces it: the first
+// attempt's T3410 must not tear the new registration down when it expires.
+TEST_F(LteAttachTest, ReattachDuringAttemptKeepsRegistration) {
+  const agw::SubscriberData sub = net_->provision_subscriber();
+  net_->sync_all_config();
+  ran::UeLte& ue = net_->add_ue_lte(sub);
+  ue.attach(*enb_, [](const ran::AttachOutcome&) {});
+  const ran::AttachOutcome second = attach(ue);  // runs past both guards
+  ASSERT_TRUE(second.success) << second.failure_reason;
+  EXPECT_TRUE(ue.registered());
+  EXPECT_EQ(enb_->active_ues(), 1);
+  EXPECT_TRUE(ue.ip().has_value());
+}
+
 TEST_F(LteAttachTest, EnodebCapacityLimitsActiveUes) {
   // A tiny cell: 3 active UEs max.
   ran::EnodebConfig small;

@@ -72,6 +72,21 @@ TEST_F(MultiRatTest, FiveGDeregistration) {
   EXPECT_EQ(agw_->nr().stats().deregistrations, 1u);
 }
 
+// As for LTE: the first attempt's T3510 must not deregister the second.
+TEST_F(MultiRatTest, FiveGReattachDuringAttemptKeepsRegistration) {
+  const agw::SubscriberData sub = net_->provision_subscriber();
+  net_->sync_all_config();
+  ran::UeNr& ue = net_->add_ue_nr(sub);
+  ue.attach(*gnb_, [](const ran::AttachOutcome&) {});
+  ran::AttachOutcome outcome;
+  ue.attach(*gnb_, [&](const ran::AttachOutcome& o) { outcome = o; });
+  net_->run_for(20 * sim::kSecond);  // past both guards
+  ASSERT_TRUE(outcome.success) << outcome.failure_reason;
+  EXPECT_TRUE(ue.registered());
+  EXPECT_EQ(gnb_->active_ues(), 1);
+  EXPECT_TRUE(ue.ip().has_value());
+}
+
 TEST_F(MultiRatTest, FiveGReRegistersAfterOperatorEdit) {
   // Regression: the delta sync of an edited subscriber overwrote the AGW's
   // SQN with orc8r's stale copy. The USIM then refused the next challenge

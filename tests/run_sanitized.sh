@@ -35,6 +35,12 @@
 # after it erases the UE's entry (release), and X2 handover moves a UE
 # between cells while both hold pointers to it.
 #
+# The subscriber cache suites: the cache packs each IMSI into an integer
+# and spells it back into a fixed buffer, its sweep erases and re-inserts
+# rows across three containers (rows, WiFi passwords, SQNs) that must stay
+# in step, and accessd reads the cache from continuations that run after
+# CPU charges.
+#
 # Usage: tests/run_sanitized.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,7 +53,7 @@ SUITES=(
   pool_test inplace_function_test alloc_discipline_test proto_test
   agw_test integration_fault_test metricsd_test sessiond_test
   integration_policy_test integration_attach_test integration_mobility_test
-  integration_multirat_test
+  integration_multirat_test subscriberdb_test accessd_test
 )
 
 # Bench binaries backing the ctest smoke targets (HostMicrobenchSmoke,
@@ -86,6 +92,6 @@ done
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 ctest --test-dir build-asan --output-on-failure \
-  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest|SessiondOcs|PolicyTest|WireRecords|LteAttach|Mobility|MultiRat|RadioCell' \
+  -R 'Channel|Reliable|Datagram|Congestion|Fuzz|CodecContract|Rpc|Wire|Magmad|Orchestrator|DesiredState|TransportTelemetry|Tracer|Histogram|EventBuffer|EventReport|ChromeTrace|Tracing|Statusd|Service303|GatewayStatus|CpuProfile|TailSampler|CriticalPath|FleetIngest|DeltaStream|FleetScale|HostProfiler|BenchCompare|BlockPool|PoolAllocator|InplaceFunction|KernelClosure|AllocDiscipline|AvailabilityLedger|BurnRate|Attribution|SloReport|SloIntegration|fleet_slo_availability|SpaceSaving|HyperLogLog|SubscriberSketches|SketchCodec|FormatTopSubscribers|Metricsd|MetricReport|SymbolTable|AccessdSketch|SubscriberBench|NasCodec|S1apCodec|Nas5gCodec|NgapCodec|GtpcCodec|RadiusCodec|EmmFsm|Fault|AgwTest|SessiondOcs|PolicyTest|WireRecords|LteAttach|Mobility|MultiRat|RadioCell|SubscriberDb|SubscriberData|Imsi|SqnBytes|Accessd' \
   "$@"
 echo "sanitized transport suite: OK"

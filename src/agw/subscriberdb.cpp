@@ -99,10 +99,11 @@ SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source,
 
 // SQN is runtime state owned by this AGW: a config push, full or delta,
 // must not rewind it, or the next vector would be rejected by the USIM.
-std::uint64_t SubscriberDb::raise_sqn(std::uint64_t key, std::uint64_t sqn) {
-  if (sqn == 0 && !sqns_.contains(key)) return 0;
-  std::uint64_t& held = sqns_[key];
-  return held = std::max(held, sqn);
+void SubscriberDb::raise_sqn(std::uint64_t key, std::uint64_t sqn) {
+  if (sqn > 0) {
+    std::uint64_t& held = sqns_[key];
+    held = std::max(held, sqn);
+  }
 }
 
 SubscriberData SubscriberDb::record(common::Imsi imsi, std::uint64_t key,
@@ -119,17 +120,21 @@ SubscriberData SubscriberDb::record(common::Imsi imsi, std::uint64_t key,
       row.active};
 }
 
-void SubscriberDb::upsert(SubscriberData data) {
-  const std::optional<std::uint64_t> key = pack(data.imsi);
-  if (!key) return;
-  raise_sqn(*key, data.sqn);
+void SubscriberDb::put(std::uint64_t key, const SubscriberData& data) {
+  raise_sqn(key, data.sqn);
   rows_.insert_or_assign(
-      *key, Row{data.k, data.opc, common::intern(data.policy_name),
-                data.active});
+      key, Row{data.k, data.opc, common::intern(data.policy_name),
+               data.active});
   if (data.wifi_password.empty()) {
-    wifi_passwords_.erase(*key);
+    wifi_passwords_.erase(key);
   } else {
-    wifi_passwords_.insert_or_assign(*key, std::move(data.wifi_password));
+    wifi_passwords_.insert_or_assign(key, data.wifi_password);
+  }
+}
+
+void SubscriberDb::upsert(SubscriberData data) {
+  if (const std::optional<std::uint64_t> key = pack(data.imsi)) {
+    put(*key, data);
   }
 }
 
@@ -162,22 +167,16 @@ std::vector<common::Imsi> SubscriberDb::all_imsis() const {
 }
 
 void SubscriberDb::replace_all(const std::vector<SubscriberData>& data) {
-  std::unordered_map<std::uint64_t, Row> next;
-  std::unordered_map<std::uint64_t, std::string> passwords;
-  next.reserve(data.size());
+  rows_.clear();
+  wifi_passwords_.clear();
+  rows_.reserve(data.size());
   // Backwards, so that the last row pushed for an IMSI wins.
   for (auto s = data.rbegin(); s != data.rend(); ++s) {
     const std::optional<std::uint64_t> key = pack(s->imsi);
-    if (!key || next.contains(*key)) continue;
-    next.emplace(*key, Row{s->k, s->opc, common::intern(s->policy_name),
-                           s->active});
-    if (!s->wifi_password.empty()) passwords.emplace(*key, s->wifi_password);
-    raise_sqn(*key, s->sqn);
+    if (key && !rows_.contains(*key)) put(*key, *s);
   }
   // A subscriber the push drops takes its SQN along.
-  std::erase_if(sqns_, [&](const auto& e) { return !next.contains(e.first); });
-  rows_ = std::move(next);
-  wifi_passwords_ = std::move(passwords);
+  std::erase_if(sqns_, [&](const auto& e) { return !rows_.contains(e.first); });
 }
 
 void SubscriberDb::write_sqn_table(rpc::Writer& w) const {

@@ -132,8 +132,10 @@ class SubscriberDb {
   };
   static_assert(sizeof(Row) == 40);
 
-  // Raises the SQN under `key` to at least `sqn` and returns it.
-  std::uint64_t raise_sqn(std::uint64_t key, std::uint64_t sqn);
+  // Raises the SQN under `key` to at least `sqn`.
+  void raise_sqn(std::uint64_t key, std::uint64_t sqn);
+  // Stores `data` under `key`, its SQN raised as by a push.
+  void put(std::uint64_t key, const SubscriberData& data);
   // The API record of `row`; `imsi` is the IMSI that `key` packs.
   SubscriberData record(common::Imsi imsi, std::uint64_t key,
                         const Row& row) const;

@@ -123,7 +123,7 @@ class SubscriberDb {
 
  private:
   // One cached subscriber, kept under its packed IMSI (subscriberdb.cpp):
-  // no string and no SQN, so a node is 64 bytes with its key.
+  // no string and no SQN, so its map node fits a 64-byte heap chunk.
   struct Row {
     crypto::Key128 k{};
     crypto::Key128 opc{};

@@ -1,13 +1,14 @@
 // Process-wide symbol table: one dense integer per distinct string.
 //
 // Hot stores that would otherwise keep the same few names as std::string in
-// every record (metricsd's rows carry a gateway id each) keep a 4-byte
-// Symbol instead and resolve it back to its name at the edge. The table is
-// append-only, so a Symbol and the name it resolves to stay valid for the
-// life of the process.
+// every record (metricsd's rows carry a gateway id each, the AGW subscriber
+// cache's rows a policy name) keep a 4-byte Symbol instead and resolve it
+// back to its name at the edge. The table is append-only, so a Symbol and
+// the name it resolves to stay valid for the life of the process.
 //
-// Intern only bounded vocabularies — metric names, gateway ids, rule names —
-// never per-subscriber keys such as IMSIs: nothing is ever removed.
+// Intern only bounded vocabularies — metric names, gateway ids, rule names,
+// policy names — never per-subscriber values such as IMSIs or passwords:
+// nothing is ever removed.
 //
 // Single-threaded, like the simulator and obs::host_label. host_label keeps
 // its own registry: its ids are dense slots of HostProfiler's stats vector

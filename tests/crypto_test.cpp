@@ -212,6 +212,35 @@ TEST(Kdf, KasmeDeterministicAndKeyDependent) {
   EXPECT_NE(kasme1, crypto::derive_kasme(ck, ik, other, sqn_ak));
 }
 
+// Pins the S string of every derivation (FC, parameters, 2-byte lengths):
+// the UE and the AGW call the same functions, so a wrong S would still
+// attach. CK, IK and SQN xor AK are TS 35.207 Test Set 1's; the digests
+// match an independent HMAC-SHA256 over the TS 33.220 B.2 layout.
+TEST(Kdf, KnownAnswers) {
+  const auto hex = [](const crypto::Key256& key) {
+    return to_hex(common::BytesView(key.data(), key.size()));
+  };
+  const auto ck = arr<16>("b40ba9a3c58b2a05bbf0d987b21bf8cb");
+  const auto ik = arr<16>("f769bcd751044604127672711c6d3441");
+  const auto sqn_ak = arr<6>("55f328b43577");
+  crypto::ServingNetwork sn;
+  sn.plmn = "00101";
+  const crypto::Key256 kasme = crypto::derive_kasme(ck, ik, sn, sqn_ak);
+  EXPECT_EQ(hex(kasme),
+            "67ec93d15ffd3b36b6d9a582fb077393a2ae01db77a673c823dd559f3fcec2f0");
+  sn.plmn = "00102";
+  EXPECT_EQ(hex(crypto::derive_kasme(ck, ik, sn, sqn_ak)),
+            "31b65e816e55a310b045fe17547f51a79d595df63641b1d3ccad6b100f11dc2a");
+  EXPECT_EQ(hex(crypto::derive_k_nas_int(kasme, crypto::NasAlgorithm::kEia2)),
+            "0cc9bf8eccd5ef99fb4fa4202ac151dcdd3bc8e7a91a818508e23c633fe7103e");
+  EXPECT_EQ(hex(crypto::derive_k_nas_enc(kasme, crypto::NasAlgorithm::kEea2)),
+            "88f5443e6784a0951df72c775e5b16fcf654e3fc3ed54db8520d6fc77c2af4b4");
+  EXPECT_EQ(hex(crypto::derive_k_enb(kasme, 0)),
+            "3143b802343c3647875f9f64d2dbc0c9a5df3a928b71908dd239572569ceb971");
+  EXPECT_EQ(hex(crypto::derive_k_enb(kasme, 1)),
+            "72416f6431f68fc93a4e10f51b29a6e076f80cc26409948d75eca6f0496dcebd");
+}
+
 TEST(Kdf, DistinctSubKeys) {
   crypto::Key256 kasme{};
   kasme[0] = 1;

@@ -1,6 +1,8 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 namespace magma::crypto {
 
@@ -31,9 +33,13 @@ Digest256 hmac_sha256(common::BytesView key, common::BytesView message) {
 }
 
 KdfInput& KdfInput::param(common::BytesView p) {
-  s_.insert(s_.end(), p.begin(), p.end());
-  s_.push_back(static_cast<std::uint8_t>(p.size() >> 8));
-  s_.push_back(static_cast<std::uint8_t>(p.size() & 0xFF));
+  if (p.size() + 2 > kCapacity - size_) {
+    throw std::length_error("KDF input S exceeds its buffer");
+  }
+  std::copy(p.begin(), p.end(), s_.begin() + size_);
+  size_ += p.size();
+  s_[size_++] = static_cast<std::uint8_t>(p.size() >> 8);
+  s_[size_++] = static_cast<std::uint8_t>(p.size() & 0xFF);
   return *this;
 }
 

@@ -1,12 +1,15 @@
 // Known-answer and property tests for the crypto substrate.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/bytes.h"
 #include "crypto/aes128.h"
 #include "crypto/hmac.h"
 #include "crypto/kdf.h"
 #include "crypto/milenage.h"
 #include "crypto/sha256.h"
+#include "obs/host_profiler.h"
 #include "proto/lte/nas.h"
 
 namespace magma {
@@ -239,6 +242,35 @@ TEST(Kdf, KnownAnswers) {
             "3143b802343c3647875f9f64d2dbc0c9a5df3a928b71908dd239572569ceb971");
   EXPECT_EQ(hex(crypto::derive_k_enb(kasme, 1)),
             "72416f6431f68fc93a4e10f51b29a6e076f80cc26409948d75eca6f0496dcebd");
+}
+
+// Every attach derives these keys at the AGW and again in the UE, so S is
+// built in a fixed buffer: no derivation touches the heap, and a parameter
+// that would run past the buffer is refused instead of written.
+TEST(Kdf, DerivationsAllocateNothing) {
+  const auto ck = arr<16>("b40ba9a3c58b2a05bbf0d987b21bf8cb");
+  const auto ik = arr<16>("f769bcd751044604127672711c6d3441");
+  const auto sqn_ak = arr<6>("55f328b43577");
+  crypto::ServingNetwork sn;
+  const crypto::Key256 kasme = crypto::derive_kasme(ck, ik, sn, sqn_ak);
+  crypto::Key256 sink{};
+  const auto allocs = [](const auto& derive) {
+    const std::uint64_t before = obs::HostProfiler::process_alloc_count();
+    for (int i = 0; i < 100; ++i) derive();
+    return obs::HostProfiler::process_alloc_count() - before;
+  };
+  const auto eia2 = crypto::NasAlgorithm::kEia2;
+  const auto eea2 = crypto::NasAlgorithm::kEea2;
+  EXPECT_EQ(allocs([&] { sink = crypto::derive_kasme(ck, ik, sn, sqn_ak); }),
+            0u);
+  EXPECT_EQ(allocs([&] { sink = crypto::derive_k_nas_int(kasme, eia2); }), 0u);
+  EXPECT_EQ(allocs([&] { sink = crypto::derive_k_nas_enc(kasme, eea2); }), 0u);
+  EXPECT_EQ(allocs([&] { sink = crypto::derive_k_enb(kasme, 1); }), 0u);
+  EXPECT_NE(sink, crypto::Key256{});
+
+  // KASME's S fills the buffer exactly; a six-digit PLMN would overrun it.
+  sn.plmn = "001001";
+  EXPECT_THROW(crypto::derive_kasme(ck, ik, sn, sqn_ak), std::length_error);
 }
 
 TEST(Kdf, DistinctSubKeys) {

@@ -63,20 +63,10 @@ struct SessionInfo {
 
 struct AccessdConfig {
   // Parallelism of control-plane processing (MME worker shards). The
-  // bare-metal AGW profile uses 1; the virtual AGW parallelizes.
+  // bare-metal AGW profile uses 1; the virtual AGW parallelizes. The
+  // per-stage CPU costs each worker pays are calibrated constants in
+  // accessd.cpp (DESIGN.md §6).
   int workers = 1;
-  // Per-stage CPU cost in reference-GHz-seconds (see DESIGN.md calibration:
-  // the three stages sum to 0.50, putting a 1.6 GHz single-worker AGW at
-  // 3.2 attach/s — it absorbs Figure 5's 3 UE/s ramp but breaks just past
-  // it, Figure 6's knee — and a 3-worker 2.6 GHz VM at ~15.6/s, the paper's
-  // "a 4 vCPU instance of our virtual AGW supports 16 attaches per
-  // second").
-  double cost_begin_attach = 0.20;
-  double cost_verify_auth = 0.10;
-  double cost_establish = 0.20;
-  double cost_detach = 0.05;
-  // Give up on half-open attach contexts after this guard (T3450-like).
-  sim::Duration context_guard = 30 * sim::kSecond;
   // Reject new control work beyond this queue depth (overload shedding,
   // the SCTP-backlog analogue). Bounded queueing is what makes CSR degrade
   // *gradually* toward capacity/offered under overload (Figures 6/8)

@@ -51,9 +51,6 @@ struct AgwProfile {
   AccessdConfig accessd;
   IpBlock ip_block;
   common::Ipv4 address = common::Ipv4::from_octets(10, 0, 0, 1);
-  // User-plane CPU cost per forwarded packet, in reference-GHz-seconds.
-  // Calibrated in DESIGN.md so the Xeon VM forwards ~600 Mbps/core.
-  double user_cost_per_packet = 4.85e-5;
   // Pending user-plane batches beyond this are dropped (overload).
   std::size_t user_queue_max = 65536;
 };

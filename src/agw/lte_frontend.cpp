@@ -8,6 +8,9 @@ namespace lte = magma::proto::lte;
 
 namespace {
 
+// The name S1 Setup Response gives this MME.
+constexpr char kMmeName[] = "magma-mme";
+
 lte::EmmCause cause_from_error(const common::Error& error) {
   switch (error.code) {
     case common::ErrorCode::kNotFound:
@@ -25,13 +28,11 @@ lte::EmmCause cause_from_error(const common::Error& error) {
 }  // namespace
 
 LteFrontend::LteFrontend(sim::Kernel& kernel, Accessd& accessd,
-                         Sessiond& sessiond, common::Ipv4 agw_address,
-                         std::string mme_name)
+                         Sessiond& sessiond, common::Ipv4 agw_address)
     : kernel_(kernel),
       accessd_(accessd),
       sessiond_(sessiond),
-      agw_address_(agw_address),
-      mme_name_(std::move(mme_name)) {}
+      agw_address_(agw_address) {}
 
 void LteFrontend::set_observability(obs::Tracer* tracer, std::string node,
                                     obs::EventBuffer* events) {
@@ -105,7 +106,6 @@ void LteFrontend::release_ue(UeCtx& ue, const std::string& cause) {
     release.mme_ue_s1ap_id = ue.mme_ue_id;
     release.cause = cause;
     send(*ue.conn, lte::S1apMessage{std::move(release)});
-    ue.conn->enb_to_mme.erase(ue.enb_ue_id);
   }
   imsi_to_mme_id_.erase(ue.imsi);
   tmsi_to_mme_id_.erase(ue.m_tmsi);
@@ -127,11 +127,9 @@ void LteFrontend::on_message(EnbConn& conn, common::Bytes raw) {
 }
 
 void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
-  if (auto* setup = std::get_if<lte::S1SetupRequest>(&msg)) {
-    conn.enb_id = setup->enb_id;
-    conn.setup_done = true;
+  if (std::holds_alternative<lte::S1SetupRequest>(msg)) {
     ++stats_.s1_setups;
-    send(conn, lte::S1apMessage{lte::S1SetupResponse{mme_name_, 255}});
+    send(conn, lte::S1apMessage{lte::S1SetupResponse{kMmeName, 255}});
     return;
   }
 
@@ -156,11 +154,7 @@ void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
     // restarts the procedure (the old context is discarded by accessd).
     if (auto it = imsi_to_mme_id_.find(attach->imsi);
         it != imsi_to_mme_id_.end()) {
-      auto old = ues_.find(it->second);
-      if (old != ues_.end()) {
-        old->second.conn->enb_to_mme.erase(old->second.enb_ue_id);
-        ues_.erase(old);
-      }
+      ues_.erase(it->second);
       imsi_to_mme_id_.erase(it);
     }
 
@@ -170,7 +164,6 @@ void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
     ue.conn = &conn;
     ue.enb_ue_id = initial->enb_ue_s1ap_id;
     ue.mme_ue_id = mme_ue_id;
-    conn.enb_to_mme[ue.enb_ue_id] = mme_ue_id;
     imsi_to_mme_id_[ue.imsi] = mme_ue_id;
 
     // Root of the attach trace: one span covering InitialUeMessage through
@@ -243,7 +236,6 @@ void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
     command.mme_ue_s1ap_id = ue->mme_ue_id;
     command.cause = "idle";
     send(conn, lte::S1apMessage{std::move(command)});
-    conn.enb_to_mme.erase(ue->enb_ue_id);
     ue->conn = nullptr;
     ue->enb_ue_id = 0;
     ue->idle = true;
@@ -256,12 +248,8 @@ void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
     // downlink tunnel (§3.2: mobility across radios served by one AGW).
     UeCtx* ue = find_by_mme_id(path_switch->mme_ue_s1ap_id);
     if (ue == nullptr) return;
-    if (ue->conn != nullptr && ue->conn != &conn) {
-      ue->conn->enb_to_mme.erase(ue->enb_ue_id);
-    }
     ue->conn = &conn;
     ue->enb_ue_id = path_switch->enb_ue_s1ap_id;
-    conn.enb_to_mme[ue->enb_ue_id] = ue->mme_ue_id;
     sessiond_.update_bearer(ue->imsi, path_switch->enb_teid_dl,
                             path_switch->enb_address)
         .ok();
@@ -324,7 +312,6 @@ void LteFrontend::handle_service_request(EnbConn& conn,
   // Re-associate and rebuild the radio-side bearer.
   ue->conn = &conn;
   ue->enb_ue_id = enb_ue_id;
-  conn.enb_to_mme[enb_ue_id] = ue->mme_ue_id;
   ue->idle = false;
 
   const SessionRecord* session = sessiond_.find(ue->imsi);

@@ -49,7 +49,7 @@ struct LteFrontendStats {
 class LteFrontend {
  public:
   LteFrontend(sim::Kernel& kernel, Accessd& accessd, Sessiond& sessiond,
-              common::Ipv4 agw_address, std::string mme_name = "magma-mme");
+              common::Ipv4 agw_address);
 
   // Attach one eNodeB's S1 connection. The frontend takes the receive side
   // of the channel; responses flow back over the same channel.
@@ -70,9 +70,6 @@ class LteFrontend {
  private:
   struct EnbConn {
     net::Channel* channel = nullptr;
-    common::RanNodeId enb_id;
-    bool setup_done = false;
-    std::unordered_map<std::uint32_t, std::uint32_t> enb_to_mme;  // ue ids
   };
 
   struct UeCtx {
@@ -126,7 +123,6 @@ class LteFrontend {
   Accessd& accessd_;
   Sessiond& sessiond_;
   common::Ipv4 agw_address_;
-  std::string mme_name_;
 
   std::vector<std::unique_ptr<EnbConn>> conns_;
   std::unordered_map<std::uint32_t, UeCtx> ues_;  // by mme_ue_id

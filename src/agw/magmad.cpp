@@ -8,6 +8,18 @@
 
 namespace magma::agw {
 
+namespace {
+constexpr sim::Duration kRpcDeadline = 10 * sim::kSecond;
+// Deadline for the streamer GetUpdates poll specifically. The sync is the
+// one RPC that must land on degraded backhaul, and on a satellite path at
+// high loss a round trip can sit out several RTO backoffs; a deadline
+// shorter than that discards responses the transport was about to
+// deliver. Long-poll style: one poll interval.
+constexpr sim::Duration kSyncRpcDeadline = 30 * sim::kSecond;
+// Events per LogEvents RPC.
+constexpr std::size_t kEventBatchMax = 64;
+}  // namespace
+
 Magmad::Magmad(sim::Kernel& kernel, std::string gateway_id,
                rpc::RpcNode* orc8r, SubscriberDb& subscribers,
                PolicyDb& policies,
@@ -50,7 +62,7 @@ template <typename Done>
 void Magmad::report(const char* service, const char* method,
                     common::Bytes payload, Done done) {
   obs::svc_request(status_);
-  orc8r_->call(service, method, std::move(payload), config_.rpc_deadline,
+  orc8r_->call(service, method, std::move(payload), kRpcDeadline,
                [done](rpc::Result<rpc::Bytes> result) { done(result.ok()); });
 }
 
@@ -174,7 +186,7 @@ void Magmad::sync_config_now(std::function<void(bool)> done) {
   obs::svc_request(status_);
   orc8r_->call(
       orc8r::kStreamerService, orc8r::kGetUpdates, req.serialize(),
-      config_.sync_rpc_deadline, [this, done](rpc::Result<rpc::Bytes> result) {
+      kSyncRpcDeadline, [this, done](rpc::Result<rpc::Bytes> result) {
         if (!result.ok()) {
           ++stats_.sync_failures;
           if (result.error().code == rpc::ErrorCode::kDeadlineExceeded) {
@@ -207,7 +219,7 @@ void Magmad::checkin() {
                                      : std::vector<obs::ServiceStatus>{})};
   obs::svc_request(status_);
   orc8r_->call(orc8r::kBootstrapperService, orc8r::kCheckin,
-               rpc::encode_record(request), config_.rpc_deadline,
+               rpc::encode_record(request), kRpcDeadline,
                [this](rpc::Result<rpc::Bytes> result) {
                  if (result.ok()) {
                    ++stats_.checkins_ok;
@@ -354,7 +366,7 @@ void Magmad::event_tick() {
   // and events wait in the bounded buffer (a long backlog only ever costs
   // buffer memory, never channel occupancy).
   while (events_->size() > 0 && !shed_telemetry()) {
-    std::vector<obs::Event> batch = events_->take(config_.event_batch_max);
+    std::vector<obs::Event> batch = events_->take(kEventBatchMax);
     if (batch.empty()) break;
     const std::size_t count = batch.size();
     // Parent the shipping RPC under the first traced event so the eventd
@@ -383,7 +395,7 @@ void Magmad::event_tick() {
       // re-queued (re-queueing under backhaul loss would just churn the
       // bounded buffer).
       orc8r_->call(orc8r::kEventService, orc8r::kLogEvents,
-                   obs::encode_event_report(batch), config_.rpc_deadline,
+                   obs::encode_event_report(batch), kRpcDeadline,
                    [this, count](rpc::Result<rpc::Bytes> result) {
                      if (result.ok()) {
                        stats_.events_shipped += count;

@@ -50,15 +50,7 @@ struct MagmadConfig {
   sim::Duration checkin_interval = 60 * sim::kSecond;
   sim::Duration metrics_interval = 15 * sim::kSecond;
   sim::Duration checkpoint_interval = 60 * sim::kSecond;
-  sim::Duration rpc_deadline = 10 * sim::kSecond;
-  // Deadline for the streamer GetUpdates poll specifically. The sync is the
-  // one RPC that must land on degraded backhaul, and on a satellite path at
-  // high loss a round trip can sit out several RTO backoffs; a deadline
-  // shorter than that discards responses the transport was about to
-  // deliver. Long-poll style: one poll interval.
-  sim::Duration sync_rpc_deadline = 30 * sim::kSecond;
   sim::Duration event_flush_interval = 5 * sim::kSecond;
-  std::size_t event_batch_max = 64;
   // Best-effort backpressure: when the control channel already holds this
   // many unacknowledged messages, metrics/event/checkpoint ticks skip
   // shipping (counted in telemetry_sheds) instead of queueing behind the

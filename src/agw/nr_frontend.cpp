@@ -8,6 +8,9 @@ namespace nr = magma::proto::nr5g;
 
 namespace {
 
+// The name NG Setup Response gives this AMF.
+constexpr char kAmfName[] = "magma-amf";
+
 nr::FgmmCause cause_from_error(const common::Error& error) {
   switch (error.code) {
     case common::ErrorCode::kPermissionDenied:
@@ -23,14 +26,9 @@ nr::FgmmCause cause_from_error(const common::Error& error) {
 
 }  // namespace
 
-NrFrontend::NrFrontend(sim::Kernel& kernel, Accessd& accessd,
-                       Sessiond& sessiond, common::Ipv4 agw_address,
-                       std::string amf_name)
-    : kernel_(kernel),
-      accessd_(accessd),
-      sessiond_(sessiond),
-      agw_address_(agw_address),
-      amf_name_(std::move(amf_name)) {}
+NrFrontend::NrFrontend(Accessd& accessd, Sessiond& sessiond,
+                       common::Ipv4 agw_address)
+    : accessd_(accessd), sessiond_(sessiond), agw_address_(agw_address) {}
 
 void NrFrontend::add_gnb_channel(net::Channel& channel) {
   auto conn = std::make_unique<GnbConn>();
@@ -84,11 +82,9 @@ void NrFrontend::on_message(GnbConn& conn, common::Bytes raw) {
 }
 
 void NrFrontend::handle(GnbConn& conn, nr::NgapMessage msg) {
-  if (auto* setup = std::get_if<nr::NgSetupRequest>(&msg)) {
-    conn.gnb_id = setup->gnb_id;
-    conn.setup_done = true;
+  if (std::holds_alternative<nr::NgSetupRequest>(msg)) {
     ++stats_.ng_setups;
-    send(conn, nr::NgapMessage{nr::NgSetupResponse{amf_name_}});
+    send(conn, nr::NgapMessage{nr::NgSetupResponse{kAmfName}});
     return;
   }
 

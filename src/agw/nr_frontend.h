@@ -18,7 +18,6 @@
 #include "net/channel.h"
 #include "proto/nr5g/nas5g.h"
 #include "proto/nr5g/ngap.h"
-#include "sim/kernel.h"
 
 namespace magma::agw {
 
@@ -36,8 +35,7 @@ struct NrFrontendStats {
 
 class NrFrontend {
  public:
-  NrFrontend(sim::Kernel& kernel, Accessd& accessd, Sessiond& sessiond,
-             common::Ipv4 agw_address, std::string amf_name = "magma-amf");
+  NrFrontend(Accessd& accessd, Sessiond& sessiond, common::Ipv4 agw_address);
 
   void add_gnb_channel(net::Channel& channel);
 
@@ -46,8 +44,6 @@ class NrFrontend {
  private:
   struct GnbConn {
     net::Channel* channel = nullptr;
-    common::RanNodeId gnb_id;
-    bool setup_done = false;
   };
 
   struct UeCtx {
@@ -71,11 +67,9 @@ class NrFrontend {
   void release_ue(UeCtx& ue, const std::string& cause);
   UeCtx* find_by_amf_id(std::uint32_t amf_ue_id);
 
-  sim::Kernel& kernel_;
   Accessd& accessd_;
   Sessiond& sessiond_;
   common::Ipv4 agw_address_;
-  std::string amf_name_;
 
   std::vector<std::unique_ptr<GnbConn>> conns_;
   std::unordered_map<std::uint32_t, UeCtx> ues_;  // by amf_ue_id

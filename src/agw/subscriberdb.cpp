@@ -91,11 +91,8 @@ common::Result<SubscriberData> SubscriberData::deserialize(
                                             "corrupt subscriber record");
 }
 
-SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source,
-                           std::string plmn)
-    : rand_source_(std::move(rand_source)) {
-  sn_.plmn = std::move(plmn);
-}
+SubscriberDb::SubscriberDb(std::function<std::uint64_t()> rand_source)
+    : rand_source_(std::move(rand_source)) {}
 
 // SQN is runtime state owned by this AGW: a config push, full or delta,
 // must not rewind it, or the next vector would be rejected by the USIM.

@@ -74,8 +74,7 @@ class SubscriberDb {
  public:
   // `rand_source` supplies the 16 random bytes for each vector (seeded
   // deterministically by the simulation).
-  explicit SubscriberDb(std::function<std::uint64_t()> rand_source,
-                        std::string plmn = "00101");
+  explicit SubscriberDb(std::function<std::uint64_t()> rand_source);
 
   // Adds or overwrites one row (a delta sync). Like replace_all, it keeps
   // the SQN held here when that is ahead of the pushed one. A row under an

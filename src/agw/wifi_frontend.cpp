@@ -6,9 +6,7 @@ namespace magma::agw {
 
 namespace wifi = magma::proto::wifi;
 
-WifiFrontend::WifiFrontend(sim::Kernel& kernel, Accessd& accessd,
-                           Sessiond& sessiond)
-    : kernel_(kernel), accessd_(accessd), sessiond_(sessiond) {}
+WifiFrontend::WifiFrontend(Accessd& accessd) : accessd_(accessd) {}
 
 void WifiFrontend::add_ap_channel(net::Channel& channel) {
   auto conn = std::make_unique<ApConn>();

@@ -19,7 +19,6 @@
 #include "common/ids.h"
 #include "net/channel.h"
 #include "proto/wifi/radius.h"
-#include "sim/kernel.h"
 
 namespace magma::agw {
 
@@ -36,7 +35,7 @@ struct WifiFrontendStats {
 
 class WifiFrontend {
  public:
-  WifiFrontend(sim::Kernel& kernel, Accessd& accessd, Sessiond& sessiond);
+  explicit WifiFrontend(Accessd& accessd);
 
   void add_ap_channel(net::Channel& channel);
 
@@ -53,9 +52,7 @@ class WifiFrontend {
   void send_reject(ApConn& conn, std::uint8_t identifier,
                    const std::string& user);
 
-  sim::Kernel& kernel_;
   Accessd& accessd_;
-  Sessiond& sessiond_;
   std::vector<std::unique_ptr<ApConn>> conns_;
   WifiFrontendStats stats_;
 };

@@ -11,6 +11,12 @@
 
 namespace magma::common {
 
+// The simulated network's PLMN identity (MCC 001, MNC 01: the test
+// network). EPS-AKA binds KASME to it, so the USIMs and the AGW's
+// subscriber cache must derive with the same value; the eNodeB and gNB
+// announce it in S1/NG setup.
+inline constexpr char kPlmn[] = "00101";
+
 // International Mobile Subscriber Identity. Stored as the canonical
 // "IMSI001010000000001"-style string Magma uses as subscriber key.
 struct Imsi {

@@ -20,10 +20,6 @@ Network::Network(NetworkConfig config)
     : config_(config), kernel_(), rng_(config.seed) {
   orchestrator_ = std::make_unique<orc8r::Orchestrator>(kernel_);
   orchestrator_->set_tracer(&tracer_);
-  // Re-install the transport alerting with this deployment's engineered
-  // SRTT baseline (idempotent by rule name).
-  orc8r::install_default_transport_rules(orchestrator_->metrics(),
-                                         config_.srtt_alert_baseline_s);
   // Gateway health plane: judge checkin freshness against the cadence the
   // AGWs are actually configured with, and start the periodic sweep.
   orc8r::StatusdConfig statusd = config_.statusd;
@@ -133,7 +129,6 @@ net::ReliablePair& Network::add_cell_link(AgwNode& node, Config& config,
         10, subnet, static_cast<std::uint8_t>(ran_id >> 8),
         static_cast<std::uint8_t>(ran_id & 0xFF));
   }
-  config.plmn = config_.plmn;
 
   // S1/NG rides a reliable channel over a LAN hop (the cell and AGW are
   // co-located at the site) unless the caller overrides it to model a
@@ -268,15 +263,13 @@ void Network::sync_all_config() {
 
 ran::UeLte& Network::add_ue_lte(const agw::SubscriberData& subscriber) {
   lte_ues_.push_back(std::make_unique<ran::UeLte>(
-      kernel_,
-      ran::Usim(subscriber.imsi, subscriber.k, subscriber.opc, config_.plmn)));
+      kernel_, ran::Usim(subscriber.imsi, subscriber.k, subscriber.opc)));
   return *lte_ues_.back();
 }
 
 ran::UeNr& Network::add_ue_nr(const agw::SubscriberData& subscriber) {
   nr_ues_.push_back(std::make_unique<ran::UeNr>(
-      kernel_,
-      ran::Usim(subscriber.imsi, subscriber.k, subscriber.opc, config_.plmn)));
+      kernel_, ran::Usim(subscriber.imsi, subscriber.k, subscriber.opc)));
   return *nr_ues_.back();
 }
 

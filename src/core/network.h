@@ -46,11 +46,6 @@ struct NetworkConfig {
   // measure the fixed-RTO and cumulative-ACK baselines.
   net::ReliableConfig transport = {};
   bool with_ocs = false;
-  std::string plmn = "00101";
-  // Engineered control-path SRTT; the default transport alert rules page
-  // when the measured SRTT sits above 2× this (satellite deployments raise
-  // it).
-  double srtt_alert_baseline_s = 0.25;
   // magmad periodic cadences, applied to every AGW added to this network.
   agw::MagmadConfig magmad = {};
   // Gateway health plane (orc8r statusd): missed-checkin thresholds. The

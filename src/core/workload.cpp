@@ -114,6 +114,11 @@ void DownlinkFlow::tick() {
 // DiurnalWorkload
 // ---------------------------------------------------------------------------
 
+namespace {
+constexpr double kRateNoise = 0.25;  // lognormal-ish spread across hours
+constexpr sim::Duration kSampleInterval = 1 * sim::kHour;
+}  // namespace
+
 DiurnalWorkload::DiurnalWorkload(Network& network, agw::AccessGateway& agw,
                                  std::vector<common::Ipv4> subscriber_ips,
                                  DiurnalConfig config, sim::Rng rng)
@@ -146,14 +151,14 @@ void DiurnalWorkload::tick() {
       static_cast<double>(ips_.size()) *
       std::min(1.0, std::max(0.0, activity + rng_.normal(0, 0.03))));
 
-  const double interval_s = sim::to_seconds(config_.sample_interval);
+  const double interval_s = sim::to_seconds(kSampleInterval);
   double offered_bytes = 0;
   for (int i = 0; i < active; ++i) {
     const common::Ipv4 ip = ips_[rng_.uniform_int(ips_.size())];
     // Per-subscriber hourly volume, scaled by the activity level with
     // multiplicative noise.
     double rate = config_.peak_rate_bps * activity;
-    rate *= std::exp(rng_.normal(0, config_.rate_noise));
+    rate *= std::exp(rng_.normal(0, kRateNoise));
     const double bytes = rate * interval_s / 8.0;
     // Inject as one aggregate batch for the hour (coarse but sufficient
     // for per-hour reporting).
@@ -170,7 +175,7 @@ void DiurnalWorkload::tick() {
   sample.offered_gbytes = offered_bytes / 1e9;
   samples_.push_back(sample);
 
-  network_.kernel().schedule(config_.sample_interval, [this]() { tick(); });
+  network_.kernel().schedule(kSampleInterval, [this]() { tick(); });
 }
 
 }  // namespace magma::core

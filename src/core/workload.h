@@ -94,8 +94,6 @@ struct DiurnalConfig {
   double peak_hour = 20.0;
   // Per-active-subscriber average downlink rate at peak.
   double peak_rate_bps = 800e3;
-  double rate_noise = 0.25;  // lognormal-ish spread across hours
-  sim::Duration sample_interval = 1 * sim::kHour;
 };
 
 struct DiurnalSample {

@@ -80,10 +80,10 @@ double traditional_per_site_cost(const CoreCostModel& model, int sites) {
          model.traditional_per_site_usd;
 }
 
-double magma_per_site_cost(const CoreCostModel& model, int sites,
-                           int amortization_months) {
+double magma_per_site_cost(const CoreCostModel& model, int sites) {
+  constexpr int kAmortizationMonths = 36;
   if (sites <= 0) return 0;
-  return model.magma_orchestrator_monthly_usd * amortization_months / sites +
+  return model.magma_orchestrator_monthly_usd * kAmortizationMonths / sites +
          model.magma_agw_per_site_usd;
 }
 

@@ -67,7 +67,7 @@ struct CoreCostModel {
 };
 
 double traditional_per_site_cost(const CoreCostModel& model, int sites);
-double magma_per_site_cost(const CoreCostModel& model, int sites,
-                           int amortization_months = 36);
+// The orchestrator's monthly cost is amortized over three years.
+double magma_per_site_cost(const CoreCostModel& model, int sites);
 
 }  // namespace magma::cost

@@ -8,6 +8,11 @@
 namespace magma::crypto {
 
 namespace {
+// KASME's S (FC, the PLMN and SQN xor AK with their lengths) is the
+// largest S the hierarchy builds.
+static_assert(1 + (sizeof(common::kPlmn) - 1) + 2 + 6 + 2 <=
+              KdfInput::kCapacity);
+
 Key256 to_key(const Digest256& d) {
   Key256 k;
   std::memcpy(k.data(), d.data(), d.size());

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/bytes.h"
+#include "common/ids.h"
 #include "crypto/hmac.h"
 
 namespace magma::crypto {
@@ -20,9 +21,9 @@ namespace magma::crypto {
 using Key256 = std::array<std::uint8_t, 32>;
 
 // Serving network identity: MCC+MNC packed per TS 24.301 (we use the ASCII
-// PLMN string, e.g. "00101"; faithful packing is not load-bearing here).
+// PLMN string; faithful packing is not load-bearing here).
 struct ServingNetwork {
-  std::string plmn = "00101";
+  std::string plmn = common::kPlmn;
 };
 
 // KASME = KDF(CK || IK, FC=0x10, P0 = SN id, P1 = SQN xor AK).

@@ -38,7 +38,7 @@ constexpr std::uint8_t kFlagReservedMask =
 // carry is wire garbage, not a bigger reorder buffer.
 constexpr std::uint64_t kDecodeSackLimit = 16;
 
-// Cap on RTO backoff doubling (2^20 ~ 1e6x) — max_rto clamps long before
+// Cap on RTO backoff doubling (2^20 ~ 1e6x) — kMaxRto clamps long before
 // this; the cap only guards the shift against undefined behavior.
 constexpr int kMaxBackoffShift = 20;
 
@@ -176,13 +176,13 @@ class ReliableEndpoint final : public ReliableChannel {
   }
 
   // The armed timeout: the estimator's RTO doubled once per consecutive
-  // timeout (exponential backoff), clamped to max_rto.
+  // timeout (exponential backoff), clamped to kMaxRto.
   sim::Duration backoff_rto() const {
     const int shift = std::min(consecutive_timeouts_, kMaxBackoffShift);
     const sim::Duration base = current_rto();
     sim::Duration rto = base;
-    for (int i = 0; i < shift && rto < config_.max_rto; ++i) rto *= 2;
-    return std::min(rto, config_.max_rto);
+    for (int i = 0; i < shift && rto < kMaxRto; ++i) rto *= 2;
+    return std::min(rto, kMaxRto);
   }
 
   void sync_cc_stats() {
@@ -209,7 +209,7 @@ class ReliableEndpoint final : public ReliableChannel {
     ++stats_.rtt_samples;
     stats_.rto = std::clamp(
         stats_.srtt + std::max(kRtoGranularity, 4 * stats_.rttvar),
-        config_.min_rto, config_.max_rto);
+        kMinRto, kMaxRto);
   }
 
   // Oldest segment the retransmission timer is responsible for: the lowest
@@ -272,7 +272,7 @@ class ReliableEndpoint final : public ReliableChannel {
       header.tsval = kernel_.now();
     }
     const std::uint64_t wire = it->second.payload.size() +
-                               config_.header_overhead +
+                               kHeaderOverhead +
                                segment_option_bytes(header);
     // The header crosses the wire encoded; the payload is copied so the
     // original stays in `outstanding_` for retransmission.
@@ -298,7 +298,7 @@ class ReliableEndpoint final : public ReliableChannel {
     p.lost_marked = false;  // the RTO owns recovery of this segment now
     consecutive_timeouts_ = std::min(consecutive_timeouts_ + 1,
                                      kMaxBackoffShift);
-    if (backoff_rto() >= config_.max_rto) ++stats_.rto_at_cap;
+    if (backoff_rto() >= kMaxRto) ++stats_.rto_at_cap;
     if (cc_on()) {
       // RFC 5681 §3.1: a timeout is a full loss event — collapse to one
       // segment and leave fast recovery (the retransmit below restarts it).
@@ -357,7 +357,7 @@ class ReliableEndpoint final : public ReliableChannel {
     SegmentHeader header;
     header.epoch = epoch_;
     header.is_rst = true;
-    tx_.transmit(config_.header_overhead,
+    tx_.transmit(kHeaderOverhead,
                  [peer = peer_, guard = peer_alive_,
                   bytes = encode_segment_header(header)]() {
                    if (peer == nullptr || guard.expired()) return;
@@ -377,7 +377,7 @@ class ReliableEndpoint final : public ReliableChannel {
       header.tsecr = ts_recent_;
     }
     if (config_.sack) build_sack_blocks(trigger_seq, header.sack);
-    tx_.transmit(config_.header_overhead + segment_option_bytes(header),
+    tx_.transmit(kHeaderOverhead + segment_option_bytes(header),
                  [peer = peer_, guard = peer_alive_,
                   bytes = encode_segment_header(header)]() {
                    if (peer == nullptr || guard.expired()) return;
@@ -388,7 +388,7 @@ class ReliableEndpoint final : public ReliableChannel {
   // Coalesce the reorder buffer into [start, end) ranges. Per RFC 2018 the
   // FIRST block must contain the segment that triggered this ACK — the
   // sender learns about the newest arrival even when the buffer holds more
-  // ranges than max_sack_blocks can report; remaining slots are filled
+  // ranges than kMaxSackBlocks can report; remaining slots are filled
   // lowest-first so the oldest holes' neighbors stay visible too.
   void build_sack_blocks(std::uint64_t trigger_seq,
                          std::vector<SackBlock>& out) const {
@@ -407,8 +407,7 @@ class ReliableEndpoint final : public ReliableChannel {
         break;
       }
     }
-    const std::size_t cap = static_cast<std::size_t>(
-        std::max(config_.max_sack_blocks, 1));
+    const std::size_t cap = static_cast<std::size_t>(kMaxSackBlocks);
     if (first < ranges.size()) out.push_back(ranges[first]);
     for (std::size_t i = 0; i < ranges.size() && out.size() < cap; ++i) {
       if (i != first) out.push_back(ranges[i]);
@@ -425,7 +424,7 @@ class ReliableEndpoint final : public ReliableChannel {
     if (!cc_on() || in_recovery_) return;
     ssthresh_ = std::max<std::uint64_t>(flight_ / 2, 2);
     cwnd_ = std::min<std::uint64_t>(
-        ssthresh_ + static_cast<std::uint64_t>(config_.dupack_threshold),
+        ssthresh_ + static_cast<std::uint64_t>(kDupackThreshold),
         config_.max_cwnd);
     ca_credit_ = 0;
     in_recovery_ = true;
@@ -453,7 +452,7 @@ class ReliableEndpoint final : public ReliableChannel {
     return true;
   }
 
-  // A hole with >= dupack_threshold sacked segments above it is lost (the
+  // A hole with >= kDupackThreshold sacked segments above it is lost (the
   // RFC 6675 DupThresh rule): retransmit every such hole immediately,
   // without waiting for cumulative progress to expose them one at a time.
   void sack_loss_scan() {
@@ -466,7 +465,7 @@ class ReliableEndpoint final : public ReliableChannel {
         continue;
       }
       if (!it->second.transmitted || it->second.lost_marked) continue;
-      if (sacked_above >= config_.dupack_threshold) lost.push_back(it->first);
+      if (sacked_above >= kDupackThreshold) lost.push_back(it->first);
     }
     // Ascending order: repair the oldest hole first.
     for (auto it = lost.rbegin(); it != lost.rend(); ++it) {
@@ -488,7 +487,7 @@ class ReliableEndpoint final : public ReliableChannel {
   // ours). Piggybacking matters under asymmetric loss: when a run of pure
   // ACKs dies on the wire, the peer's own DATA flowing the other way still
   // confirms delivery — without it the stuck segment's RTO backs off toward
-  // max_rto while perfectly healthy traffic crosses the same link.
+  // kMaxRto while perfectly healthy traffic crosses the same link.
   void process_ack_info(const SegmentHeader& seg, bool pure) {
     // The ack refers to an incarnation of *our* seq stream; ignore it unless
     // it is the current one (seqs restart at 0 on reset, so a stale ack
@@ -572,7 +571,7 @@ class ReliableEndpoint final : public ReliableChannel {
           // Inflation: each further dup ACK means a segment left the wire.
           cwnd_ = std::min(cwnd_ + 1, config_.max_cwnd);
         }
-        if (dup_acks_ == config_.dupack_threshold) {
+        if (dup_acks_ == kDupackThreshold) {
           enter_recovery();
           if (loss_retransmit(seg.ack)) ++stats_.fast_retransmits;
         }

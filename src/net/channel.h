@@ -14,11 +14,11 @@
 //    seeds SRTT = R, RTTVAR = R/2; later samples update
 //    RTTVAR = 3/4·RTTVAR + 1/4·|SRTT − R| and SRTT = 7/8·SRTT + 1/8·R
 //    (alpha = 1/8, beta = 1/4).
-//  * RTO — SRTT + max(G, 4·RTTVAR), clamped to [min_rto, max_rto]. Until
+//  * RTO — SRTT + max(G, 4·RTTVAR), clamped to [kMinRto, kMaxRto]. Until
 //    the first sample arrives, `initial_rto` is used. A segment whose timer
-//    fires backs its own RTO off exponentially (bounded by max_rto; the
+//    fires backs its own RTO off exponentially (bounded by kMaxRto; the
 //    `rto_at_cap` counter records timeouts that fired with the backoff
-//    already clamped — a gateway "sitting at max_rto" is page-worthy);
+//    already clamped — a gateway "sitting at kMaxRto" is page-worthy);
 //    fresh sends always start from the connection's current estimate.
 //  * Karn's rule / TSopt — without timestamps, segments that were ever
 //    retransmitted never contribute RTT samples (their ACK is ambiguous
@@ -33,7 +33,7 @@
 //    "MSS"). Slow start grows cwnd by one segment per newly acked segment
 //    below ssthresh, congestion avoidance by one segment per window above
 //    it. A fast retransmit halves ssthresh to max(flight/2, 2) and enters
-//    fast recovery (cwnd = ssthresh + dupack_threshold, inflated per extra
+//    fast recovery (cwnd = ssthresh + kDupackThreshold, inflated per extra
 //    dup ACK, deflated to ssthresh on the ACK that covers `recover`); a
 //    retransmission timeout collapses cwnd to 1. New data is admitted only
 //    while flight_size < cwnd (property-tested: `window_violations` stays
@@ -41,14 +41,14 @@
 //    queue in order and are released as ACKs open it — this is the
 //    backpressure a satellite config push actually experiences.
 //  * Fast retransmit — the receiver acks every DATA segment cumulatively;
-//    `dupack_threshold` (default 3) duplicate ACKs for the same sequence
+//    `kDupackThreshold` (3) duplicate ACKs for the same sequence
 //    trigger one immediate retransmission of that segment without waiting
 //    for the RTO, once per duplicate burst.
 //  * Selective ACKs (gated by `sack`) — every ACK carries up to
-//    `max_sack_blocks` ranges of out-of-order data held in the reorder
+//    `kMaxSackBlocks` ranges of out-of-order data held in the reorder
 //    buffer. The sender marks sacked segments (they leave the flight and
 //    are never retransmitted) and retransmits any hole with >=
-//    dupack_threshold sacked segments above it immediately
+//    kDupackThreshold sacked segments above it immediately
 //    (`sack_retransmits`), so a multi-loss burst repairs in about one RTT
 //    where cumulative ACKs alone would pay one RTO per hole.
 //  * Piggybacked ACKs — every DATA segment carries the sender's cumulative
@@ -56,7 +56,7 @@
 //    segment carries the ACK field. Pure ACKs are unreliable; when a run
 //    of them is lost, the reverse direction's data keeps the forward
 //    direction's window moving. Without this, one stuck segment whose ACKs
-//    keep getting unlucky backs its RTO off to max_rto and starves a
+//    keep getting unlucky backs its RTO off to kMaxRto and starves a
 //    bidirectional RPC channel for minutes while the other direction is
 //    perfectly healthy.
 //  * Reset semantics — a segment exhausting `max_retries` resets the
@@ -136,6 +136,20 @@ struct ChannelPair {
 // Unreliable transport. Per-message overhead models IP+UDP headers.
 ChannelPair make_datagram_pair(sim::Kernel& kernel, DuplexLink& path);
 
+// Clamp for the adaptive RTO estimate (RFC 6298 §2.4 uses 1 s for the lower
+// bound; we go lower because simulated control links are cleaner than the
+// 2004 Internet).
+inline constexpr sim::Duration kMinRto = 100 * sim::kMillisecond;
+inline constexpr sim::Duration kMaxRto = 30 * sim::kSecond;
+// IP+TCP (options billed separately).
+inline constexpr std::uint64_t kHeaderOverhead = 40;
+// Duplicate cumulative ACKs that trigger a fast retransmit. Also the SACK
+// loss threshold: a hole with this many sacked segments above it is
+// considered lost and retransmitted.
+inline constexpr int kDupackThreshold = 3;
+// SACK blocks per ACK: TCP fits 3-4 blocks in the options space.
+inline constexpr int kMaxSackBlocks = 4;
+
 struct ReliableConfig {
   // RTO before the first RTT sample (and forever when adaptive_rto=false).
   // RFC 6298 §2.1 mandates 1 s, and the value matters more than it looks:
@@ -145,21 +159,11 @@ struct ReliableConfig {
   // satellite links (≥500 ms RTT) into a permanent spurious-retransmission
   // storm. (Timestamps break that deadlock, but the mandate stands.)
   sim::Duration initial_rto = 1 * sim::kSecond;
-  // Clamp for the adaptive RTO estimate (RFC 6298 §2.4 uses 1 s for the
-  // lower bound; we default lower because simulated control links are
-  // cleaner than the 2004 Internet, and it is configurable).
-  sim::Duration min_rto = 100 * sim::kMillisecond;
-  sim::Duration max_rto = 30 * sim::kSecond;
   int max_retries = 12;  // after this, the connection resets
-  std::uint64_t header_overhead = 40;  // IP+TCP (options billed separately)
   // RFC 6298 SRTT/RTTVAR estimator with Karn's rule. false = the fixed-RTO
   // baseline (pure exponential backoff from initial_rto), kept for the
   // ablation benches.
   bool adaptive_rto = true;
-  // Duplicate cumulative ACKs that trigger a fast retransmit. Also the
-  // SACK loss threshold: a hole with this many sacked segments above it is
-  // considered lost and retransmitted.
-  int dupack_threshold = 3;
   // --- congestion control (NewReno-style; window counted in segments) ----
   // false = the pre-cwnd transport: every message transmits the instant it
   // is sent, however many are in flight (kept for the ablation benches —
@@ -170,7 +174,6 @@ struct ReliableConfig {
   std::uint64_t max_cwnd = 256;         // receive-window stand-in
   // Selective acknowledgements on every ACK (RFC 2018 analogue).
   bool sack = true;
-  int max_sack_blocks = 4;  // TCP fits 3-4 blocks in the options space
   // TSopt-style per-segment timestamps (RFC 7323 analogue): RTT samples
   // from retransmitted segments, relaxing Karn's rule.
   bool timestamps = true;
@@ -197,7 +200,7 @@ struct ReliableStats {
   sim::Duration rttvar = 0;
   sim::Duration rto = 0;       // current connection RTO
   // Timeouts that fired with their per-segment backoff already clamped at
-  // max_rto — the control channel is "sitting at max_rto" (ROADMAP alert).
+  // kMaxRto — the control channel is "sitting at kMaxRto" (ROADMAP alert).
   std::uint64_t rto_at_cap = 0;
   // --- congestion state (segments; cwnd/ssthresh 0 when disabled) --------
   std::uint64_t cwnd = 0;
@@ -273,7 +276,7 @@ common::Bytes encode_segment_header(const SegmentHeader& header);
 // Fail-soft: arbitrary bytes must never crash; structurally invalid input
 // (reserved flags, unordered/empty SACK blocks, trailing bytes) is an error.
 common::Result<SegmentHeader> decode_segment_header(common::BytesView data);
-// TCP-equivalent option cost billed to the link on top of header_overhead:
+// TCP-equivalent option cost billed to the link on top of kHeaderOverhead:
 // 10 bytes for the timestamp option, 2 + 8·n for n SACK blocks.
 std::uint64_t segment_option_bytes(const SegmentHeader& header);
 

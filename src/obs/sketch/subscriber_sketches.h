@@ -35,7 +35,6 @@ const char* subscriber_metric_name(SubscriberMetric metric);
 
 struct SketchConfig {
   std::size_t topk_capacity = 64;
-  unsigned hll_precision = 12;
   // Active-IMSI window: `active_window()` answers over the last *closed*
   // window of this length, so the number is a rate ("distinct IMSIs per
   // window"), not an ever-growing total.

@@ -8,6 +8,10 @@
 
 namespace magma::obs {
 
+namespace {
+constexpr std::size_t kMaxOpsPerWindow = 64;  // distinct root ops tracked
+}  // namespace
+
 // The breakdown travels with its state count, which decode checks against
 // kWaitStateCount.
 MAGMA_WIRE_FIELDS(TraceSummary, m.root_op, m.root_service, m.gateway_id,
@@ -87,7 +91,7 @@ void TailSampler::on_finish(const SpanRecord& span) {
 
   auto it = kept_.find(span.name);
   if (it == kept_.end()) {
-    if (kept_.size() >= config_.max_ops_per_window) {
+    if (kept_.size() >= kMaxOpsPerWindow) {
       ++stats_.skipped_op_cap;
       return;
     }

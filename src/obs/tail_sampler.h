@@ -53,7 +53,6 @@ common::Result<std::vector<TraceSummary>> decode_trace_summaries(
 struct TailSamplerConfig {
   std::size_t keep_per_op = 4;                 // K slowest per root op
   sim::Duration window = 30 * sim::kSecond;    // 0: one unbounded window
-  std::size_t max_ops_per_window = 64;         // distinct root ops tracked
   std::size_t max_ready = 256;                 // summaries awaiting shipping
 };
 

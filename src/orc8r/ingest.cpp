@@ -6,6 +6,12 @@
 
 namespace magma::orc8r {
 
+namespace {
+// Delay from the first queued apply to its shard's pump, and between pumps
+// while a backlog remains.
+constexpr sim::Duration kPumpInterval = 5 * sim::kMillisecond;
+}  // namespace
+
 IngestShards::IngestShards(sim::Kernel& kernel, IngestConfig config)
     : kernel_(kernel), config_(config) {
   config_.shards = std::max<std::size_t>(1, config_.shards);
@@ -42,7 +48,7 @@ bool IngestShards::submit(const std::string& gateway_id, IngestKind kind,
   stats_.max_pending = std::max<std::uint64_t>(stats_.max_pending, pending());
   if (!shard.pump_scheduled) {
     shard.pump_scheduled = true;
-    kernel_.schedule(config_.pump_interval, [this, index]() { pump(index); });
+    kernel_.schedule(kPumpInterval, [this, index]() { pump(index); });
   }
   return true;
 }
@@ -76,7 +82,7 @@ void IngestShards::pump(std::size_t index) {
   }
   if (done > 0) ++stats_.batches;
   if (!shard.queues.empty()) {
-    kernel_.schedule(config_.pump_interval, [this, index]() { pump(index); });
+    kernel_.schedule(kPumpInterval, [this, index]() { pump(index); });
   } else {
     shard.pump_scheduled = false;
   }

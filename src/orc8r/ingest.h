@@ -48,7 +48,6 @@ struct IngestConfig {
   // 64 absorbs a pump stall of a dozen cycles before anything is lost.
   std::size_t gateway_queue_max = 64;
   std::size_t batch_per_pump = 16;  // applies per shard per pump tick
-  sim::Duration pump_interval = 5 * sim::kMillisecond;
 };
 
 struct IngestStats {

@@ -571,8 +571,9 @@ std::optional<double> Metricsd::mean_in_window(const std::string& name,
   return sum / static_cast<double>(n);
 }
 
-void install_default_transport_rules(Metricsd& metricsd,
-                                     double srtt_baseline_s) {
+void install_default_transport_rules(Metricsd& metricsd) {
+  // Engineered control-path SRTT (fiber and LTE backhaul).
+  constexpr double kSrttBaselineS = 0.25;
   // transport_resets is a monotonic counter: any growth between two reports
   // means a control-channel incarnation died (max-retries exhausted) — the
   // ROADMAP's "page when transport_resets grows".
@@ -582,9 +583,9 @@ void install_default_transport_rules(Metricsd& metricsd,
   // SRTT persistently above 2× the engineered path baseline means the
   // backhaul degraded (congestion, reroute via satellite, bufferbloat).
   metricsd.add_alert_rule(AlertRule{"transport_srtt_high", "transport_srtt_s",
-                                    2.0 * srtt_baseline_s, true,
+                                    2.0 * kSrttBaselineS, true,
                                     AlertKind::kThreshold});
-  // transport_rto_at_cap counts retransmission timers that hit max_rto:
+  // transport_rto_at_cap counts retransmission timers that hit net::kMaxRto:
   // growth means the gateway's control channel is backed off as far as it
   // can go — the link is effectively dead even if resets haven't fired yet.
   metricsd.add_alert_rule(AlertRule{"transport_rto_at_cap_growth",

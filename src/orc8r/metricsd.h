@@ -317,12 +317,11 @@ class Metricsd {
 };
 
 // Default alerting for the transport gauges: pages on connection-reset
-// growth, on SRTT sitting above 2× the engineered path baseline, and on
-// transport_rto_at_cap growth (a control channel stuck at max_rto backoff).
-// Installed by Orchestrator (and re-installed by core::Network with its
-// configured baseline); idempotent by rule name.
-void install_default_transport_rules(Metricsd& metricsd,
-                                     double srtt_baseline_s);
+// growth, on SRTT sitting above 2× the engineered path baseline (0.25 s,
+// which covers fiber and LTE backhaul, so above 0.5 s), and on
+// transport_rto_at_cap growth (a control channel stuck at net::kMaxRto
+// backoff). Installed by Orchestrator; idempotent by rule name.
+void install_default_transport_rules(Metricsd& metricsd);
 
 // Human-readable rendering of the attribution table (one line per root op,
 // mean and max duration plus per-state percentages) — what benches print as

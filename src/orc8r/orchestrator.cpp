@@ -17,14 +17,17 @@ namespace {
 // "meta/epoch" alone would restart the sequence and let a gateway splice
 // new-incarnation deltas onto old-incarnation state.
 std::uint64_t g_next_epoch = 1;
+
+// The orchestrator's own name in span records, events and the metrics it
+// pushes.
+constexpr char kNodeLabel[] = "orc8r";
+// Cadence of the periodic SLO evaluation.
+constexpr sim::Duration kSloTickInterval = 60 * sim::kSecond;
 }  // namespace
 
-Orchestrator::Orchestrator(sim::Kernel& kernel, std::string network_name)
-    : kernel_(kernel), network_name_(std::move(network_name)) {
-  // Every deployment watches its control transports out of the box (0.25 s
-  // SRTT baseline covers fiber and LTE backhaul; core::Network re-installs
-  // with its configured baseline for satellite-class paths).
-  install_default_transport_rules(metricsd_, 0.25);
+Orchestrator::Orchestrator(sim::Kernel& kernel) : kernel_(kernel) {
+  // Every deployment watches its control transports out of the box.
+  install_default_transport_rules(metricsd_);
   // ... and its gateways' checkin freshness (statusd gauges).
   install_default_health_rules(metricsd_);
   // A store blob that stops deserializing silently shrinks the config
@@ -113,11 +116,6 @@ std::vector<obs::Event> Orchestrator::events_of_type(
     if (e.type == type) out.push_back(e);
   }
   return out;
-}
-
-void Orchestrator::set_tracer(obs::Tracer* tracer, std::string node_label) {
-  tracer_ = tracer;
-  node_label_ = std::move(node_label);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,11 +224,11 @@ void Orchestrator::note_store_decode_error(const std::string& key,
       << "store blob failed to decode, dropped from desired state: " << key
       << " (" << what << ")";
   metricsd_.ingest(MetricSample{
-      node_label_, "orchestrator_store_decode_errors",
+      kNodeLabel, "orchestrator_store_decode_errors",
       static_cast<double>(stats_.store_decode_errors), kernel_.now()});
   obs::Event event;
   event.time = kernel_.now();
-  event.gateway_id = node_label_;
+  event.gateway_id = kNodeLabel;
   event.type = "store_decode_error";
   event.source = "streamer";
   event.message = key + ": " + what;
@@ -356,7 +354,7 @@ std::uint64_t Orchestrator::assigned_keep_per_op() const {
 void Orchestrator::note_ingest_shed(IngestKind kind) {
   (void)kind;  // per-kind breakdown lives in IngestShards' stats
   ++stats_.ingest_sheds;
-  metricsd_.ingest(MetricSample{node_label_, "orc8r_ingest_shed",
+  metricsd_.ingest(MetricSample{kNodeLabel, "orc8r_ingest_shed",
                                 static_cast<double>(stats_.ingest_sheds),
                                 kernel_.now()});
 }
@@ -365,16 +363,16 @@ void Orchestrator::note_ingest_shed(IngestKind kind) {
 // Fleet SLO layer
 // ---------------------------------------------------------------------------
 
-void Orchestrator::start_slo_tick(sim::Duration interval) {
+void Orchestrator::start_slo_tick() {
   if (slo_tick_started_) return;
   slo_tick_started_ = true;
-  slo_tick(interval);
+  slo_tick();
 }
 
-void Orchestrator::slo_tick(sim::Duration interval) {
-  kernel_.schedule(interval, [this, interval]() {
+void Orchestrator::slo_tick() {
+  kernel_.schedule(kSloTickInterval, [this]() {
     slo_tick_now();
-    slo_tick(interval);
+    slo_tick();
   });
 }
 
@@ -392,7 +390,7 @@ void Orchestrator::slo_tick_now() {
     if (metricsd_.histogram_count(spec.source_histogram) == 0) continue;
     const double q =
         metricsd_.histogram_quantile(spec.source_histogram, spec.quantile);
-    metricsd_.ingest(MetricSample{node_label_, spec.sli_metric,
+    metricsd_.ingest(MetricSample{kNodeLabel, spec.sli_metric,
                                   q <= spec.target ? 1.0 : 0.0, now});
   }
 }
@@ -634,8 +632,6 @@ void Orchestrator::bind(rpc::RpcNode& node) {
         if (record.description.empty()) {
           record.description = checkin.value().description;
         }
-        record.last_checkin = kernel_.now();
-        ++record.checkin_count;
         ++stats_.checkins;
         obs::svc_request(svc_statusd_);
         if (!ingest_.submit(
@@ -717,7 +713,7 @@ void Orchestrator::bind(rpc::RpcNode& node) {
             // Anchor the ingest into the event's originating trace — this
             // is the orc8r-side leaf of an attach's span tree.
             const obs::TraceContext span = tracer_->begin(
-                "ingest_event", "eventd", node_label_,
+                "ingest_event", "eventd", kNodeLabel,
                 obs::SpanKind::kInternal, e.trace);
             tracer_->tag(span, "type", e.type);
             tracer_->tag(span, "gateway", e.gateway_id);

@@ -44,11 +44,10 @@
 
 namespace magma::orc8r {
 
+// Checkin freshness and counts live in statusd (GatewayStatus).
 struct GatewayRecord {
   std::string id;
   std::string description;
-  sim::TimePoint last_checkin = -1;  // -1: never checked in
-  std::uint64_t checkin_count = 0;
 };
 
 struct OrchestratorStats {
@@ -94,7 +93,7 @@ struct OrchestratorStats {
 
 class Orchestrator {
  public:
-  explicit Orchestrator(sim::Kernel& kernel, std::string network_name = "net");
+  explicit Orchestrator(sim::Kernel& kernel);
 
   // --- Northbound API (operator-facing) ---------------------------------
   void add_subscriber(const agw::SubscriberData& subscriber);
@@ -142,7 +141,7 @@ class Orchestrator {
 
   // Tracing: when set, event ingestion anchors an "ingest_event" span into
   // each event's originating trace, and bind()-created handlers run traced.
-  void set_tracer(obs::Tracer* tracer, std::string node_label = "orc8r");
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
   // Current config version (changes on every northbound mutation).
@@ -176,10 +175,10 @@ class Orchestrator {
   // success rate from structured events, attach p95 from the shipped
   // histograms, and config-sync freshness from streamer polls.
   //
-  // Begin the periodic SLO evaluation (derived histogram SLIs). NOT started
-  // implicitly for the same reason as statusd's sweep — the tick
-  // reschedules forever; core::Network starts it.
-  void start_slo_tick(sim::Duration interval = 60 * sim::kSecond);
+  // Begin the periodic SLO evaluation (derived histogram SLIs), once a
+  // minute. NOT started implicitly for the same reason as statusd's sweep —
+  // the tick reschedules forever; core::Network starts it.
+  void start_slo_tick();
   // One evaluation (what the periodic tick runs): push each derived
   // histogram SLI (quantile vs target, as a 0/1 good sample).
   void slo_tick_now();
@@ -232,7 +231,7 @@ class Orchestrator {
   template <auto kDecode, IngestKind kKind, Metricsd::DropKind kDrop,
             std::uint64_t OrchestratorStats::*kReports, typename Apply>
   void bind_report(rpc::RpcNode& node, const char* method, Apply apply);
-  void slo_tick(sim::Duration interval);
+  void slo_tick();
   // Downtime attribution join (statusd ledger hooks): snapshot the
   // fleet critical-path profile when an interval opens, gather counter
   // growth / events / runq share after it closes (plus settle), label it.
@@ -243,7 +242,6 @@ class Orchestrator {
                           obs::slo::DowntimeInterval interval);
 
   sim::Kernel& kernel_;
-  std::string network_name_;
   store::WalStore store_;  // durable config: subscribers + policies
   std::uint64_t epoch_ = 1;
   std::map<std::string, GatewayRecord> gateways_;
@@ -262,7 +260,6 @@ class Orchestrator {
   std::deque<obs::Event> events_;
   static constexpr std::size_t kEventRetention = 65536;
   obs::Tracer* tracer_ = nullptr;
-  std::string node_label_ = "orc8r";
 
   // Recent mutations, version-tagged, for delta serving. A record exists
   // for every northbound store mutation since log_floor_versions_ worth of

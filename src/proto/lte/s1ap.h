@@ -21,7 +21,7 @@ namespace magma::proto::lte {
 struct S1SetupRequest {
   common::RanNodeId enb_id;
   std::string enb_name;
-  std::string plmn = "00101";
+  std::string plmn = common::kPlmn;
   std::uint16_t tac = 1;
   bool operator==(const S1SetupRequest&) const = default;
 };

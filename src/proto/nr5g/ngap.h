@@ -19,7 +19,7 @@ namespace magma::proto::nr5g {
 struct NgSetupRequest {
   common::RanNodeId gnb_id;
   std::string gnb_name;
-  std::string plmn = "00101";
+  std::string plmn = common::kPlmn;
   bool operator==(const NgSetupRequest&) const = default;
 };
 

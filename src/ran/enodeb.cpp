@@ -17,8 +17,6 @@ void EnodeB::start() {
   lte::S1SetupRequest setup;
   setup.enb_id = config_.id;
   setup.enb_name = config_.name;
-  setup.plmn = config_.plmn;
-  setup.tac = config_.tac;
   send_s1(lte::S1apMessage{std::move(setup)});
 }
 
@@ -31,7 +29,6 @@ void EnodeB::send_initial_nas(std::uint32_t enb_ue_id,
   if (find(enb_ue_id) == nullptr) return;
   lte::InitialUeMessage msg;
   msg.enb_ue_s1ap_id = enb_ue_id;
-  msg.tac = config_.tac;
   msg.nas_pdu = std::move(nas_pdu);
   send_s1(lte::S1apMessage{std::move(msg)});
 }

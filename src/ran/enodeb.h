@@ -39,8 +39,6 @@ struct EnodebConfig {
   common::RanNodeId id{1};
   std::string name = "enb";
   common::Ipv4 address = common::Ipv4::from_octets(10, 0, 1, 1);
-  std::string plmn = "00101";
-  std::uint16_t tac = 1;
   // Radio limits (§4.1): 96 active users, ~126 Mbps/20 MHz sector.
   int max_active_ues = 96;
   double dl_capacity_bps = 126e6;

@@ -16,7 +16,6 @@ void Gnb::start() {
   nr::NgSetupRequest setup;
   setup.gnb_id = config_.id;
   setup.gnb_name = config_.name;
-  setup.plmn = config_.plmn;
   send_ng(nr::NgapMessage{std::move(setup)});
 }
 

@@ -19,7 +19,6 @@ struct GnbConfig {
   common::RanNodeId id{1};
   std::string name = "gnb";
   common::Ipv4 address = common::Ipv4::from_octets(10, 0, 2, 1);
-  std::string plmn = "00101";
   int max_active_ues = 96;
   double dl_capacity_bps = 250e6;  // n78 100 MHz-class cell, conservative
   double ul_capacity_bps = 125e6;

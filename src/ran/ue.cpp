@@ -13,11 +13,8 @@ namespace nr = magma::proto::nr5g;
 // USIM
 // ---------------------------------------------------------------------------
 
-Usim::Usim(common::Imsi imsi, crypto::Key128 k, crypto::Key128 opc,
-           std::string plmn)
-    : imsi_(std::move(imsi)), milenage_(crypto::Milenage::from_opc(k, opc)) {
-  sn_.plmn = std::move(plmn);
-}
+Usim::Usim(common::Imsi imsi, crypto::Key128 k, crypto::Key128 opc)
+    : imsi_(std::move(imsi)), milenage_(crypto::Milenage::from_opc(k, opc)) {}
 
 UsimOutcome Usim::authenticate(const std::array<std::uint8_t, 16>& rand,
                                const std::array<std::uint8_t, 16>& autn) {
@@ -111,8 +108,12 @@ void Ue::count_downlink(const datapath::PacketBatch& batch) {
 // LTE UE
 // ---------------------------------------------------------------------------
 
-UeLte::UeLte(sim::Kernel& kernel, Usim usim, sim::Duration attach_guard)
-    : Ue(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
+// T3410: an attach the network has not completed by then fails.
+constexpr sim::Duration kLteAttachGuard =
+    lte::EmmTimers::kT3410_ms * sim::kMillisecond;
+
+UeLte::UeLte(sim::Kernel& kernel, Usim usim)
+    : Ue(kernel), usim_(std::move(usim)) {}
 
 void UeLte::send_nas(const lte::NasMessage& msg) {
   if (enb_ == nullptr || enb_ue_id_ == 0) return;
@@ -156,7 +157,7 @@ void UeLte::attach(EnodeB& enb, AttachCallback done) {
     return;
   }
   guard_timer_ =
-      kernel_.schedule(attach_guard_, [this]() { fail("t3410-expired"); });
+      kernel_.schedule(kLteAttachGuard, [this]() { fail("t3410-expired"); });
 
   lte::AttachRequest request;
   request.imsi = usim_.imsi();
@@ -347,8 +348,11 @@ void UeLte::on_handover_complete(EnodeB& target,
 // 5G UE
 // ---------------------------------------------------------------------------
 
-UeNr::UeNr(sim::Kernel& kernel, Usim usim, sim::Duration attach_guard)
-    : Ue(kernel), usim_(std::move(usim)), attach_guard_(attach_guard) {}
+// T3510's role for the whole bring-up, registration through PDU session.
+constexpr sim::Duration kNrAttachGuard = 15 * sim::kSecond;
+
+UeNr::UeNr(sim::Kernel& kernel, Usim usim)
+    : Ue(kernel), usim_(std::move(usim)) {}
 
 void UeNr::send_nas(const nr::Nas5gMessage& msg) {
   if (gnb_ == nullptr || ran_ue_id_ == 0) return;
@@ -377,7 +381,7 @@ void UeNr::attach(Gnb& gnb, AttachCallback done) {
     return;
   }
   guard_timer_ =
-      kernel_.schedule(attach_guard_, [this]() { fail("t3510-expired"); });
+      kernel_.schedule(kNrAttachGuard, [this]() { fail("t3510-expired"); });
 
   nr::RegistrationRequest request;
   request.supi = usim_.imsi();

@@ -53,8 +53,7 @@ using UsimOutcome =
 
 class Usim {
  public:
-  Usim(common::Imsi imsi, crypto::Key128 k, crypto::Key128 opc,
-       std::string plmn = "00101");
+  Usim(common::Imsi imsi, crypto::Key128 k, crypto::Key128 opc);
 
   // TS 33.102 §6.3.3: verify AUTN's MAC-A, check SQN freshness, produce RES
   // and the key hierarchy — or AUTS on desynchronisation.
@@ -128,9 +127,7 @@ class Ue {
 
 class UeLte final : public Ue, public LteUeLink {
  public:
-  UeLte(sim::Kernel& kernel, Usim usim,
-        sim::Duration attach_guard = proto::lte::EmmTimers::kT3410_ms *
-                                     sim::kMillisecond);
+  UeLte(sim::Kernel& kernel, Usim usim);
 
   // Begin the attach dialogue through `enb`. `done` fires exactly once.
   void attach(EnodeB& enb, AttachCallback done);
@@ -175,7 +172,6 @@ class UeLte final : public Ue, public LteUeLink {
   void send_nas(const proto::lte::NasMessage& msg);
 
   Usim usim_;
-  sim::Duration attach_guard_;
 
   EnodeB* enb_ = nullptr;
   std::uint32_t enb_ue_id_ = 0;
@@ -201,8 +197,7 @@ class UeLte final : public Ue, public LteUeLink {
 
 class UeNr final : public Ue, public CellUeLink {
  public:
-  UeNr(sim::Kernel& kernel, Usim usim,
-       sim::Duration attach_guard = 15 * sim::kSecond);
+  UeNr(sim::Kernel& kernel, Usim usim);
 
   // Full 5G bring-up: registration then PDU session. `done` fires once,
   // after the PDU session is established (or on failure/timeout).
@@ -227,7 +222,6 @@ class UeNr final : public Ue, public CellUeLink {
   void send_nas(const proto::nr5g::Nas5gMessage& msg);
 
   Usim usim_;
-  sim::Duration attach_guard_;
 
   Gnb* gnb_ = nullptr;
   std::uint32_t ran_ue_id_ = 0;

@@ -303,7 +303,8 @@ TEST_F(MagmadTest, PeriodicLoopsShipEverything) {
   // Orchestrator side saw all of it.
   EXPECT_GE(orc8r_.stats().checkins, 2u);
   ASSERT_TRUE(orc8r_.gateway("gw0").has_value());
-  EXPECT_GT(orc8r_.gateway("gw0")->checkin_count, 0u);
+  ASSERT_NE(orc8r_.statusd().gateway("gw0"), nullptr);
+  EXPECT_GT(orc8r_.statusd().gateway("gw0")->checkins, 0u);
   EXPECT_EQ(orc8r_.stored_checkpoint("gw0").value(),
             common::to_bytes("ckpt"));
   EXPECT_GT(orc8r_.metrics().total_samples(), 0u);

@@ -39,14 +39,16 @@ AgwProfile virtual_xeon(int vcpus, int user_plane_cores) {
 }
 
 AccessGateway::AccessGateway(sim::Kernel& kernel, common::GatewayId id,
-                             AgwProfile profile, sim::Rng rng)
+                             AgwProfile profile, sim::Rng rng,
+                             obs::Tracer* tracer)
     : kernel_(kernel),
       id_(std::move(id)),
       profile_(profile),
       rng_(rng),
       cpu_(kernel, profile.cpu),
       subscriberdb_([this]() { return rng_.next_u64(); }),
-      mobilityd_(profile.ip_block) {
+      mobilityd_(profile.ip_block),
+      tracer_(tracer) {
   pipelined_.pipeline().set_local_address(profile_.address);
   sessiond_ = std::make_unique<Sessiond>(kernel_, pipelined_, nullptr);
   accessd_ = std::make_unique<Accessd>(kernel_, &cpu_, subscriberdb_,
@@ -80,6 +82,27 @@ AccessGateway::AccessGateway(sim::Kernel& kernel, common::GatewayId id,
   nr_frontend_ =
       std::make_unique<NrFrontend>(*accessd_, *sessiond_, profile_.address);
   wifi_frontend_ = std::make_unique<WifiFrontend>(*accessd_);
+  if (tracer_ != nullptr) {
+    // Spans are opt-in per task, but wait attribution (runq/cpu charges
+    // onto whatever span submitted the work) should follow every charge.
+    cpu_.set_wait_tracer(tracer_);
+    accessd_->set_observability(tracer_, id_.value);
+    sessiond_->set_observability(tracer_, id_.value);
+    lte_frontend_->set_observability(tracer_, id_.value, &events_);
+    tail_sampler_ = std::make_unique<obs::TailSampler>(kernel_, *tracer_);
+    tail_sampler_->set_node_filter(id_.value);
+    // Aggregate every finished stage span of this gateway into a latency
+    // histogram; magmad ships the buckets with each metrics tick.
+    finish_hook_id_ = tracer_->add_finish_hook(
+        [this](const obs::SpanRecord& span) {
+          if (span.node != id_.value ||
+              span.kind != obs::SpanKind::kInternal) {
+            return;
+          }
+          latency_hist_["span_" + span.service + "_" + span.name + "_s"]
+              .observe(sim::to_seconds(span.duration()));
+        });
+  }
   // Ship WARN/ERROR log lines as structured events. The logger is global,
   // so every gateway of a multi-AGW simulation records process-wide
   // warnings under its own id — the orchestrator dedups by message if it
@@ -104,43 +127,7 @@ AccessGateway::AccessGateway(sim::Kernel& kernel, common::GatewayId id,
 
 AccessGateway::~AccessGateway() {
   common::Logger::instance().remove_event_hook(log_hook_id_);
-  if (tracer_ != nullptr && finish_hook_id_ != 0) {
-    tracer_->remove_finish_hook(finish_hook_id_);
-  }
-}
-
-void AccessGateway::set_tracer(obs::Tracer* tracer) {
-  if (tracer_ == tracer) return;
-  if (tracer_ != nullptr && finish_hook_id_ != 0) {
-    tracer_->remove_finish_hook(finish_hook_id_);
-    finish_hook_id_ = 0;
-  }
-  tail_sampler_.reset();  // bound to the old tracer's ring
-  tracer_ = tracer;
-  // Spans are opt-in per task, but wait attribution (runq/cpu charges onto
-  // whatever span submitted the work) should follow every charge.
-  cpu_.set_wait_tracer(tracer_);
-  accessd_->set_observability(tracer_, id_.value);
-  sessiond_->set_observability(tracer_, id_.value);
-  lte_frontend_->set_observability(tracer_, id_.value, &events_);
-  if (orc8r_link_ != nullptr) {
-    orc8r_link_->client.set_tracer(tracer_, id_.value);
-  }
-  if (ocs_node_ != nullptr) ocs_node_->set_tracer(tracer_, id_.value);
-  if (tracer_ == nullptr) return;
-  tail_sampler_ =
-      std::make_unique<obs::TailSampler>(kernel_, *tracer_, tail_config_);
-  tail_sampler_->set_node_filter(id_.value);
-  // Aggregate every finished stage span of this gateway into a latency
-  // histogram; magmad ships the buckets with each metrics tick.
-  finish_hook_id_ = tracer_->add_finish_hook([this](
-                                                 const obs::SpanRecord& span) {
-    if (span.node != id_.value || span.kind != obs::SpanKind::kInternal) {
-      return;
-    }
-    latency_hist_["span_" + span.service + "_" + span.name + "_s"].observe(
-        sim::to_seconds(span.duration()));
-  });
+  if (tracer_ != nullptr) tracer_->remove_finish_hook(finish_hook_id_);
 }
 
 void AccessGateway::start_service_loops() {
@@ -169,17 +156,14 @@ void AccessGateway::connect_orchestrator(rpc::RpcLink& link,
     return subscriber_sketches_.snapshot(id_.value, kernel_.now());
   });
   // Fleet tail budget: checkin responses can reassign the sampler's
-  // keep-per-op K. Remember it in tail_config_ too, so a sampler rebuilt by
-  // a later set_tracer() keeps the assigned budget.
+  // keep-per-op K.
   magmad_->set_tail_budget_sink([this](std::size_t keep) {
-    tail_config_.keep_per_op = keep;
     if (tail_sampler_ != nullptr) tail_sampler_->set_keep_per_op(keep);
   });
   magmad_->set_status(svc_magmad_);
 }
 
 void AccessGateway::connect_ocs(rpc::RpcNode& client) {
-  ocs_node_ = &client;
   if (tracer_ != nullptr) client.set_tracer(tracer_, id_.value);
   client.set_wait_attribution(&cpu_);
   sessiond_->set_ocs(&client);

@@ -73,8 +73,13 @@ struct UserPlaneStats {
 
 class AccessGateway {
  public:
+  // `tracer` (optional, the network-wide tracer) instruments every service
+  // on this gateway and aggregates per-stage attach latency histograms. It
+  // also starts the gateway's TailSampler (keep-K-slowest traces per root
+  // op per window; see obs/tail_sampler.h), whose closed-window summaries
+  // magmad ships to metricsd.
   AccessGateway(sim::Kernel& kernel, common::GatewayId id, AgwProfile profile,
-                sim::Rng rng);
+                sim::Rng rng, obs::Tracer* tracer = nullptr);
   ~AccessGateway();
   AccessGateway(const AccessGateway&) = delete;
   AccessGateway& operator=(const AccessGateway&) = delete;
@@ -89,13 +94,6 @@ class AccessGateway {
                             MagmadConfig magmad_config = {});
   // Give sessiond its OCS client node (volume billing only; non-owning).
   void connect_ocs(rpc::RpcNode& client);
-  // Attach the (network-wide) tracer: instruments every service on this
-  // gateway and starts aggregating per-stage attach latency histograms.
-  // Also starts the gateway's TailSampler (keep-K-slowest traces per root
-  // op per window; see obs/tail_sampler.h), whose closed-window summaries
-  // magmad ships to metricsd. Call before or after connect_orchestrator —
-  // both orders work.
-  void set_tracer(obs::Tracer* tracer);
 
   // --- user plane ----------------------------------------------------------
   // Uplink traffic arriving from the RAN side (GTP-encapsulated for LTE/5G,
@@ -123,7 +121,7 @@ class AccessGateway {
   // Structured events awaiting shipment (attach outcomes, WARN/ERROR logs).
   obs::EventBuffer& events() { return events_; }
   obs::Tracer* tracer() { return tracer_; }
-  // Null until set_tracer installs one.
+  // Null when the gateway has no tracer.
   obs::TailSampler* tail_sampler() { return tail_sampler_.get(); }
 
   // Service303 registry: every service on this gateway registers at
@@ -184,7 +182,6 @@ class AccessGateway {
   PolicyDb policydb_;
   Mobilityd mobilityd_;
   Pipelined pipelined_;
-  rpc::RpcNode* ocs_node_ = nullptr;
   std::unique_ptr<Sessiond> sessiond_;
   std::unique_ptr<Accessd> accessd_;
   rpc::RpcLink* orc8r_link_ = nullptr;
@@ -199,7 +196,6 @@ class AccessGateway {
   std::uint64_t last_reported_forwarded_bytes_ = 0;
 
   obs::Tracer* tracer_ = nullptr;
-  obs::TailSamplerConfig tail_config_;
   std::unique_ptr<obs::TailSampler> tail_sampler_;
   obs::EventBuffer events_{1024};
   obs::sketch::SubscriberSketches subscriber_sketches_;

@@ -59,7 +59,7 @@ agw::AccessGateway& Network::add_agw(
 
   node->agw = std::make_unique<agw::AccessGateway>(
       kernel_, common::GatewayId{"gw" + std::to_string(index)}, profile,
-      rng_.fork());
+      rng_.fork(), &tracer_);
 
   // Control backhaul to the orchestrator (reliable, gRPC-style).
   const std::string gw = node->agw->id().value;
@@ -68,7 +68,6 @@ agw::AccessGateway& Network::add_agw(
       backhaul.value_or(config_.backhaul), config_.transport);
   node->control->server.set_tracer(&tracer_, "orc8r");
   orchestrator_->bind(node->control->server);
-  node->agw->set_tracer(&tracer_);
   node->agw->connect_orchestrator(*node->control, config_.magmad);
   orchestrator_->register_gateway(gw, profile.name);
 

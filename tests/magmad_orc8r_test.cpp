@@ -53,6 +53,99 @@ TEST(Orchestrator, PolicyCrudAndVersionBump) {
   EXPECT_FALSE(orc8r.get_policy("rate_limited").has_value());
 }
 
+TEST(Orchestrator, ConfigStoreContract) {
+  sim::Kernel kernel;
+  orc8r::Orchestrator orc8r(kernel);
+  // A fresh orchestrator reads version 1: no version equals the 0 a gateway
+  // reports before its first sync.
+  EXPECT_EQ(orc8r.config_version(), 1u);
+
+  // Every add bumps the version by one, an identical re-add included.
+  orc8r.add_subscriber(subscriber(1, "gold"));
+  EXPECT_EQ(orc8r.config_version(), 2u);
+  orc8r.add_subscriber(subscriber(1, "gold"));
+  EXPECT_EQ(orc8r.config_version(), 3u);
+  orc8r.add_policy(core::rate_limited_policy(1e6, 1e6));
+  EXPECT_EQ(orc8r.config_version(), 4u);
+  orc8r.add_policy(core::rate_limited_policy(1e6, 1e6));
+  EXPECT_EQ(orc8r.config_version(), 5u);
+
+  // A re-added subscriber reads back its latest record.
+  orc8r.add_subscriber(subscriber(1, "silver"));
+  EXPECT_EQ(orc8r.config_version(), 6u);
+  EXPECT_EQ(orc8r.get_subscriber(imsi(1))->policy_name, "silver");
+
+  // Removing what is absent changes nothing: a gateway synced to the
+  // current version keeps getting kNoop.
+  const orc8r::DesiredUpdate synced =
+      orc8r.desired_update(orc8r::GetUpdatesRequest{"gw0", 0, 0});
+  ASSERT_EQ(synced.mode, orc8r::SyncMode::kFull);
+  orc8r.remove_subscriber(imsi(2));
+  orc8r.remove_policy("absent");
+  EXPECT_EQ(orc8r.config_version(), 6u);
+  EXPECT_EQ(orc8r.desired_update(orc8r::GetUpdatesRequest{
+                                     "gw0", synced.version, synced.epoch})
+                .mode,
+            orc8r::SyncMode::kNoop);
+
+  // subscriber_count() follows adds and removes; removing what is present
+  // bumps the version.
+  orc8r.add_subscriber(subscriber(2, "gold"));
+  EXPECT_EQ(orc8r.subscriber_count(), 2u);
+  EXPECT_EQ(orc8r.config_version(), 7u);
+  orc8r.remove_subscriber(imsi(1));
+  EXPECT_EQ(orc8r.subscriber_count(), 1u);
+  EXPECT_EQ(orc8r.config_version(), 8u);
+  orc8r.remove_policy("rate_limited");
+  EXPECT_EQ(orc8r.config_version(), 9u);
+  EXPECT_FALSE(orc8r.get_policy("rate_limited").has_value());
+
+  // The full state lists subscribers in IMSI string order and policies in
+  // name order, whatever the insertion order; its bytes are pinned.
+  orc8r::Orchestrator fixed(kernel);
+  SubscriberData short_imsi;
+  short_imsi.imsi = common::Imsi{"IMSI12345"};
+  short_imsi.k[0] = 0xAA;
+  short_imsi.policy_name = "zeta";
+  SubscriberData long_imsi;
+  long_imsi.imsi = common::Imsi{"IMSI001010000000001"};
+  long_imsi.opc[15] = 0x55;
+  long_imsi.sqn = 7;
+  long_imsi.policy_name = "alpha";
+  long_imsi.wifi_password = "pw";
+  fixed.add_subscriber(short_imsi);
+  fixed.add_subscriber(long_imsi);
+  core::Policy zeta = core::rate_limited_policy(2000, 1000);
+  zeta.name = "zeta";
+  core::Policy alpha = core::tiered_policy(5000, 1 << 20, 1000);
+  alpha.name = "alpha";
+  fixed.add_policy(zeta);
+  fixed.add_policy(alpha);
+  const orc8r::DesiredUpdate full =
+      fixed.desired_update(orc8r::GetUpdatesRequest{"gw0", 0, 0});
+  ASSERT_EQ(full.mode, orc8r::SyncMode::kFull);
+  auto state = orc8r::DesiredState::deserialize(full.full);
+  ASSERT_TRUE(state.ok());
+  ASSERT_EQ(state.value().subscribers.size(), 2u);
+  EXPECT_EQ(state.value().subscribers[0], long_imsi);
+  EXPECT_EQ(state.value().subscribers[1], short_imsi);
+  ASSERT_EQ(state.value().policies.size(), 2u);
+  EXPECT_EQ(state.value().policies[0], alpha);
+  EXPECT_EQ(state.value().policies[1], zeta);
+  EXPECT_EQ(common::to_hex(full.full),
+            "050000000000000002000000000000005700000013000000494d534930303130"
+            "3130303030303030303031100000000000000000000000000000000000000010"
+            "0000000000000000000000000000000000005507000000000000000500000061"
+            "6c706861020000007077014a00000009000000494d5349313233343510000000"
+            "aa00000000000000000000000000000010000000000000000000000000000000"
+            "000000000000000000000000040000007a657461000000000102000000000000"
+            "004f00000005000000616c706861020000008813000000000000881300000000"
+            "00000000100000000000e803000000000000e803000000000000000000000000"
+            "000000000010000000000000000000000000000936000000040000007a657461"
+            "01000000d007000000000000e803000000000000000000000000000000000010"
+            "0000000000000000000000000009");
+}
+
 TEST(Orchestrator, ConfigSurvivesCrash) {
   sim::Kernel kernel;
   orc8r::Orchestrator orc8r(kernel);
@@ -66,11 +159,15 @@ TEST(Orchestrator, ConfigSurvivesCrash) {
 TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {
   // Regression: a store blob that fails to deserialize used to be silently
   // dropped from the desired state — every gateway would converge on a
-  // config missing that subscriber, with nothing anywhere saying so.
+  // config missing that subscriber, with nothing anywhere saying so. The
+  // northbound API stores an invalid IMSI's record as it is; the decode at
+  // full-state build rejects it.
   sim::Kernel kernel;
   orc8r::Orchestrator orc8r(kernel);
   orc8r.add_subscriber(subscriber(1, "p"));
-  orc8r.store().put("sub/corrupt", common::to_bytes("garbage"));
+  SubscriberData corrupt = subscriber(2, "p");
+  corrupt.imsi = common::Imsi{"corrupt"};
+  orc8r.add_subscriber(corrupt);
 
   // First contact: the streamer builds (and decodes) the full state.
   const orc8r::GetUpdatesRequest first_contact{"gw0", 0, 0};

@@ -152,8 +152,12 @@ void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
 
     // A retransmitted InitialUeMessage for an IMSI already mid-attach
     // restarts the procedure (the old context is discarded by accessd).
+    // The old attempt's trace closes as an abort, and its M-TMSI goes.
     if (auto it = imsi_to_mme_id_.find(attach->imsi);
         it != imsi_to_mme_id_.end()) {
+      UeCtx& old = ues_.at(it->second);
+      finish_attach_trace(old, "abort", "attach_abort", "restarted");
+      tmsi_to_mme_id_.erase(old.m_tmsi);
       ues_.erase(it->second);
       imsi_to_mme_id_.erase(it);
     }

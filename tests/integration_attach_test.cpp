@@ -171,6 +171,7 @@ TEST_F(LteAttachTest, ReattachAfterDetachWorks) {
 
 // A second attach while the first is pending replaces it: the first
 // attempt's T3410 must not tear the new registration down when it expires.
+// The replaced attempt's attach trace closes as an abort.
 TEST_F(LteAttachTest, ReattachDuringAttemptKeepsRegistration) {
   const agw::SubscriberData sub = net_->provision_subscriber();
   net_->sync_all_config();
@@ -181,6 +182,17 @@ TEST_F(LteAttachTest, ReattachDuringAttemptKeepsRegistration) {
   EXPECT_TRUE(ue.registered());
   EXPECT_EQ(enb_->active_ues(), 1);
   EXPECT_TRUE(ue.ip().has_value());
+
+  std::vector<std::string> outcomes;
+  for (const obs::SpanRecord& span : net_->tracer().finished()) {
+    if (span.name != "attach") continue;
+    for (const auto& [key, value] : span.tags) {
+      if (key == "outcome") outcomes.push_back(value);
+    }
+  }
+  EXPECT_EQ(outcomes, (std::vector<std::string>{"abort", "success"}));
+  net_->run_for(10 * sim::kSecond);  // magmad ships the events
+  EXPECT_EQ(net_->orchestrator().events_of_type("attach_abort").size(), 1u);
 }
 
 TEST_F(LteAttachTest, EnodebCapacityLimitsActiveUes) {

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): per-operation costs of the hot
 // primitives — data-plane matching/forwarding, the crypto the attach path
-// runs, codecs, stores, and the event kernel. These measure the *host*
+// runs, codecs, and the event kernel. These measure the *host*
 // costs of the simulator itself (not modeled AGW CPU), and back the
 // efficiency notes in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
@@ -14,7 +14,6 @@
 #include "proto/lte/nas.h"
 #include "proto/lte/s1ap.h"
 #include "sim/kernel.h"
-#include "store/wal_store.h"
 
 namespace {
 
@@ -181,31 +180,6 @@ void BM_S1apIcsCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_S1apIcsCodec);
-
-// --- stores ------------------------------------------------------------------------
-
-void BM_WalStorePut(benchmark::State& state) {
-  store::WalStore walstore;
-  std::uint64_t i = 0;
-  const common::Bytes value(128, 0x5A);
-  for (auto _ : state) {
-    walstore.put("sub/IMSI" + std::to_string(i++ % 10000), value);
-    if (i % 50000 == 0) walstore.checkpoint();
-  }
-}
-BENCHMARK(BM_WalStorePut);
-
-void BM_WalStoreScan1k(benchmark::State& state) {
-  store::WalStore walstore;
-  for (int i = 0; i < 1000; ++i) {
-    walstore.put("sub/" + std::to_string(100000 + i), common::Bytes(64, 1));
-  }
-  for (auto _ : state) {
-    auto rows = walstore.scan("sub/");
-    benchmark::DoNotOptimize(rows);
-  }
-}
-BENCHMARK(BM_WalStoreScan1k);
 
 // --- event kernel ---------------------------------------------------------------------
 

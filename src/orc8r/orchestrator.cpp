@@ -13,9 +13,8 @@ namespace magma::orc8r {
 namespace {
 // Process-wide incarnation counter. The sim has no wall clock or boot id,
 // so this is what guarantees two orchestrator incarnations never share an
-// epoch — including a restart over a *fresh* store, where the persisted
-// "meta/epoch" alone would restart the sequence and let a gateway splice
-// new-incarnation deltas onto old-incarnation state.
+// epoch, and so that a gateway never splices one incarnation's deltas onto
+// another's state.
 std::uint64_t g_next_epoch = 1;
 
 // The orchestrator's own name in span records, events and the metrics it
@@ -25,7 +24,8 @@ constexpr char kNodeLabel[] = "orc8r";
 constexpr sim::Duration kSloTickInterval = 60 * sim::kSecond;
 }  // namespace
 
-Orchestrator::Orchestrator(sim::Kernel& kernel) : kernel_(kernel) {
+Orchestrator::Orchestrator(sim::Kernel& kernel)
+    : kernel_(kernel), epoch_(g_next_epoch++) {
   // Every deployment watches its control transports out of the box.
   install_default_transport_rules(metricsd_);
   // ... and its gateways' checkin freshness (statusd gauges).
@@ -93,20 +93,6 @@ Orchestrator::Orchestrator(sim::Kernel& kernel) : kernel_(kernel) {
   svc_metricsd_ = &status_.register_service("metricsd");
   svc_eventd_ = &status_.register_service("eventd");
   svc_statusd_ = &status_.register_service("statusd");
-
-  // Epoch: strictly greater than both the store's previous incarnation and
-  // every other incarnation this process has seen.
-  std::uint64_t stored_epoch = 0;
-  if (const auto raw = store_.get("meta/epoch")) {
-    rpc::Reader r(*raw);
-    const std::uint64_t e = r.u64();
-    if (r.ok()) stored_epoch = e;
-  }
-  epoch_ = std::max(stored_epoch + 1, g_next_epoch);
-  g_next_epoch = epoch_ + 1;
-  rpc::Writer w;
-  w.u64(epoch_);
-  store_.put("meta/epoch", std::move(w).take());
 }
 
 std::vector<obs::Event> Orchestrator::events_of_type(
@@ -124,53 +110,42 @@ std::vector<obs::Event> Orchestrator::events_of_type(
 
 void Orchestrator::add_subscriber(const agw::SubscriberData& subscriber) {
   common::Bytes blob = subscriber.serialize();
-  store_.put(subscriber_key(subscriber.imsi), blob);
+  subscribers_[subscriber.imsi] = blob;
   record_delta(DeltaEntry{DeltaEntry::Kind::kSubscriber, false,
                           subscriber.imsi.value, std::move(blob)});
 }
 
 void Orchestrator::remove_subscriber(const common::Imsi& imsi) {
-  const std::uint64_t before = store_.version();
-  store_.erase(subscriber_key(imsi));
-  if (store_.version() != before) {
-    record_delta(
-        DeltaEntry{DeltaEntry::Kind::kSubscriber, true, imsi.value, {}});
-  }
+  if (subscribers_.erase(imsi) == 0) return;
+  record_delta(DeltaEntry{DeltaEntry::Kind::kSubscriber, true, imsi.value, {}});
 }
 
 std::optional<agw::SubscriberData> Orchestrator::get_subscriber(
     const common::Imsi& imsi) const {
-  const auto raw = store_.get(subscriber_key(imsi));
-  if (!raw.has_value()) return std::nullopt;
-  auto parsed = agw::SubscriberData::deserialize(*raw);
+  const auto it = subscribers_.find(imsi);
+  if (it == subscribers_.end()) return std::nullopt;
+  auto parsed = agw::SubscriberData::deserialize(it->second);
   if (!parsed.ok()) return std::nullopt;
   return std::move(parsed).take();
 }
 
-std::size_t Orchestrator::subscriber_count() const {
-  return store_.scan("sub/").size();
-}
-
 void Orchestrator::add_policy(const core::Policy& policy) {
   common::Bytes blob = policy.serialize();
-  store_.put(policy_key(policy.name), blob);
+  policies_[policy.name] = blob;
   record_delta(DeltaEntry{DeltaEntry::Kind::kPolicy, false, policy.name,
                           std::move(blob)});
 }
 
 void Orchestrator::remove_policy(const std::string& name) {
-  const std::uint64_t before = store_.version();
-  store_.erase(policy_key(name));
-  if (store_.version() != before) {
-    record_delta(DeltaEntry{DeltaEntry::Kind::kPolicy, true, name, {}});
-  }
+  if (policies_.erase(name) == 0) return;
+  record_delta(DeltaEntry{DeltaEntry::Kind::kPolicy, true, name, {}});
 }
 
 std::optional<core::Policy> Orchestrator::get_policy(
     const std::string& name) const {
-  const auto raw = store_.get(policy_key(name));
-  if (!raw.has_value()) return std::nullopt;
-  auto parsed = core::Policy::deserialize(*raw);
+  const auto it = policies_.find(name);
+  if (it == policies_.end()) return std::nullopt;
+  auto parsed = core::Policy::deserialize(it->second);
   if (!parsed.ok()) return std::nullopt;
   return std::move(parsed).take();
 }
@@ -208,7 +183,7 @@ std::optional<common::Bytes> Orchestrator::stored_checkpoint(
 // ---------------------------------------------------------------------------
 
 void Orchestrator::record_delta(DeltaEntry entry) {
-  delta_log_.push_back(DeltaRecord{store_.version(), std::move(entry)});
+  delta_log_.push_back(DeltaRecord{++version_, std::move(entry)});
   while (delta_log_.size() > delta_log_cap_) delta_log_.pop_front();
 }
 
@@ -246,21 +221,21 @@ void Orchestrator::record_event(obs::Event event) {
 
 DesiredState Orchestrator::build_full_state() {
   DesiredState state;
-  state.version = store_.version();
-  for (const auto& [key, value] : store_.scan("sub/")) {
-    auto sub = agw::SubscriberData::deserialize(value);
+  state.version = version_;
+  for (const auto& [imsi, blob] : subscribers_) {
+    auto sub = agw::SubscriberData::deserialize(blob);
     if (sub.ok()) {
       state.subscribers.push_back(std::move(sub).take());
     } else {
-      note_store_decode_error(key, sub.error().message);
+      note_store_decode_error("sub/" + imsi.value, sub.error().message);
     }
   }
-  for (const auto& [key, value] : store_.scan("policy/")) {
-    auto policy = core::Policy::deserialize(value);
+  for (const auto& [name, blob] : policies_) {
+    auto policy = core::Policy::deserialize(blob);
     if (policy.ok()) {
       state.policies.push_back(std::move(policy).take());
     } else {
-      note_store_decode_error(key, policy.error().message);
+      note_store_decode_error("policy/" + name, policy.error().message);
     }
   }
   return state;
@@ -268,7 +243,7 @@ DesiredState Orchestrator::build_full_state() {
 
 const common::Bytes& Orchestrator::full_state_blob() {
   MAGMA_HOST_SCOPE("streamer", "serialize_full");
-  if (!cached_full_valid_ || cached_full_version_ != store_.version()) {
+  if (!cached_full_valid_ || cached_full_version_ != version_) {
     const DesiredState state = build_full_state();
     cached_full_ = state.serialize();
     cached_full_version_ = state.version;
@@ -283,7 +258,7 @@ const common::Bytes& Orchestrator::full_state_blob() {
 DesiredUpdate Orchestrator::desired_update(const GetUpdatesRequest& request) {
   MAGMA_HOST_SCOPE("streamer", "desired_update");
   DesiredUpdate u;
-  u.version = store_.version();
+  u.version = version_;
   u.epoch = epoch_;
 
   const auto full = [this, &u]() {
@@ -304,17 +279,17 @@ DesiredUpdate Orchestrator::desired_update(const GetUpdatesRequest& request) {
     return u;
   }
   if (request.have_version > u.version) {
-    // Same epoch but the gateway is ahead of the store — it synced against
-    // state this store no longer holds (a recovered backup, a store
-    // restored from an older image). Full sync walks it back explicitly.
+    // Same epoch but the gateway is ahead of the config — it claims a
+    // version this incarnation never served. Full sync walks it back
+    // explicitly.
     ++stats_.version_regressions;
     full();
     return u;
   }
 
   // Behind by (have_version, version]. Serve a delta only if the log holds
-  // a record for *every* version bump in the range — direct store writes
-  // bypass the log and must surface as a coverage gap, not a wrong delta.
+  // a record for *every* version bump in the range — a range longer than
+  // the capped log must surface as a coverage gap, not a wrong delta.
   const std::uint64_t need = u.version - request.have_version;
   std::uint64_t covered = 0;
   for (auto it = delta_log_.rbegin();

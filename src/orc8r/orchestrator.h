@@ -1,8 +1,10 @@
 // Orchestrator — Magma's central point of control (§3.2).
 //
-// Holds authoritative configuration state in a durable WAL store (the
-// paper's Postgres), exposes a northbound API for operators (subscriber and
-// policy management, gateway inventory, metrics queries), and serves the
+// Holds the authoritative configuration state (the paper keeps it in
+// Postgres): serialized subscriber and policy records in key order, and a
+// version that every mutation bumps. Exposes a northbound API for operators
+// (subscriber and policy management, gateway inventory, metrics queries),
+// and serves the
 // southbound RPC surface AGWs poll: desired-state config sync, device
 // check-in (device management, §3.1), best-effort metrics ingestion, and
 // checkpoint backup storage (§3.3: an AGW's runtime state "may be copied to
@@ -13,7 +15,7 @@
 // gateway count, not with subscriber activity (§3.2, §4.3.2).
 //
 // Fleet scale (§3.4 at deployment size): the streamer caches the serialized
-// full-state blob per store version (N gateways polling the same version
+// full-state blob per config version (N gateways polling the same version
 // cost one serialization) and serves version-ranged deltas from a bounded
 // log of recent mutations, falling back to the idempotent full sync for
 // first contact, epoch changes, regressions, and log gaps. Southbound
@@ -21,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +43,6 @@
 #include "orc8r/streamer.h"
 #include "rpc/rpc.h"
 #include "sim/kernel.h"
-#include "store/wal_store.h"
 
 namespace magma::orc8r {
 
@@ -66,7 +68,7 @@ struct OrchestratorStats {
   std::uint64_t full_pushes = 0;
   std::uint64_t delta_pushes = 0;
   // Full-state blob cache: serializations is the number of cache rebuilds
-  // (at most one per store version *requested*), hits the pushes served
+  // (at most one per config version *requested*), hits the pushes served
   // from it — the stat that proves one config change fans out to N
   // gateways without N serializations.
   std::uint64_t full_serializations = 0;
@@ -74,7 +76,7 @@ struct OrchestratorStats {
   std::uint64_t delta_entries_sent = 0;
   std::uint64_t deltas_coalesced = 0;  // log records folded away per push
   // Full-sync fallback causes (each also counts a full_push).
-  std::uint64_t version_regressions = 0;  // gateway ahead of the store
+  std::uint64_t version_regressions = 0;  // gateway ahead of the config
   std::uint64_t epoch_resyncs = 0;        // gateway from another incarnation
   std::uint64_t delta_log_misses = 0;     // gap older than the delta log
   // Store blobs that failed to deserialize while building the full state
@@ -100,7 +102,7 @@ class Orchestrator {
   void remove_subscriber(const common::Imsi& imsi);
   std::optional<agw::SubscriberData> get_subscriber(
       const common::Imsi& imsi) const;
-  std::size_t subscriber_count() const;
+  std::size_t subscriber_count() const { return subscribers_.size(); }
 
   void add_policy(const core::Policy& policy);
   void remove_policy(const std::string& name);
@@ -145,15 +147,15 @@ class Orchestrator {
   obs::Tracer* tracer() const { return tracer_; }
 
   // Current config version (changes on every northbound mutation).
-  std::uint64_t config_version() const { return store_.version(); }
+  std::uint64_t config_version() const { return version_; }
   // This incarnation's epoch (bumped every construction; a gateway seeing a
   // new epoch discards its version and full-syncs).
   std::uint64_t epoch() const { return epoch_; }
 
   // The streamer's answer for a poll: noop, a coalesced delta, or the
   // cached full state (see streamer.h for when each is chosen). Building the
-  // full state counts (and alerts on) store blobs that fail to deserialize
-  // instead of silently shrinking the config.
+  // full state counts (and alerts on) stored records that fail to
+  // deserialize instead of silently shrinking the config.
   DesiredUpdate desired_update(const GetUpdatesRequest& request);
 
   // Fleet-wide tail-sampling budget: on checkin each gateway is assigned
@@ -198,24 +200,16 @@ class Orchestrator {
   // connected AGW link; handlers share this orchestrator's state).
   void bind(rpc::RpcNode& node);
 
-  // Crash model for the durable store (tests).
-  store::WalStore& store() { return store_; }
   const OrchestratorStats& stats() const { return stats_; }
 
  private:
-  static std::string subscriber_key(const common::Imsi& imsi) {
-    return "sub/" + imsi.value;
-  }
-  static std::string policy_key(const std::string& name) {
-    return "policy/" + name;
-  }
-
-  // Scan + deserialize the whole store (the slow path the blob cache and
+  // Deserialize every stored record (the slow path the blob cache and
   // delta log exist to avoid); counts decode errors.
   DesiredState build_full_state();
-  // Serialized full state at the current store version, built at most once
-  // per version.
+  // Serialized full state at the current config version, built at most
+  // once per version.
   const common::Bytes& full_state_blob();
+  // Bump the config version and log the mutation for delta serving.
   void record_delta(DeltaEntry entry);
   void note_store_decode_error(const std::string& key,
                                const std::string& what);
@@ -242,8 +236,14 @@ class Orchestrator {
                           obs::slo::DowntimeInterval interval);
 
   sim::Kernel& kernel_;
-  store::WalStore store_;  // durable config: subscribers + policies
-  std::uint64_t epoch_ = 1;
+  // Config: serialized records by IMSI and by policy name, the order the
+  // full state lists them in.
+  std::map<common::Imsi, common::Bytes> subscribers_;
+  std::map<std::string, common::Bytes> policies_;
+  // Starts at 1, so no version equals the 0 a gateway reports before its
+  // first sync.
+  std::uint64_t version_ = 1;
+  std::uint64_t epoch_;
   std::map<std::string, GatewayRecord> gateways_;
   std::map<std::string, common::Bytes> checkpoints_;
   Metricsd metricsd_;
@@ -261,18 +261,17 @@ class Orchestrator {
   static constexpr std::size_t kEventRetention = 65536;
   obs::Tracer* tracer_ = nullptr;
 
-  // Recent mutations, version-tagged, for delta serving. A record exists
-  // for every northbound store mutation since log_floor_versions_ worth of
-  // history; direct store writes (tests, corruption) bypass it, which the
-  // coverage check detects as a gap -> full sync.
+  // Recent mutations, version-tagged, for delta serving: one record per
+  // version bump, the oldest dropped past delta_log_cap_. A poll reaching
+  // past the oldest record is a coverage gap -> full sync.
   struct DeltaRecord {
-    std::uint64_t version;  // store version after the mutation
+    std::uint64_t version;  // config version after the mutation
     DeltaEntry entry;
   };
   std::deque<DeltaRecord> delta_log_;
   std::size_t delta_log_cap_ = 4096;
 
-  // Full-state blob cache, valid for exactly one store version.
+  // Full-state blob cache, valid for exactly one config version.
   std::uint64_t cached_full_version_ = 0;
   bool cached_full_valid_ = false;
   common::Bytes cached_full_;

@@ -44,7 +44,6 @@
 #include "proto/wifi/radius.h"
 #include "rpc/wire.h"
 #include "sim/random.h"
-#include "store/wal_store.h"
 
 namespace magma {
 namespace {
@@ -601,7 +600,7 @@ TEST(CodecContract, CheckinCheckpointAndOcsPayloads) {
                     "quota_request", "quota_grant", "reconcile_request"});
 }
 
-// Random bytes at every decoder, store images and raw packets included.
+// Random bytes at every decoder, raw packets included.
 class FuzzSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FuzzSweep, RandomBytesNeverCrashAnyDecoder) {
@@ -609,7 +608,6 @@ TEST_P(FuzzSweep, RandomBytesNeverCrashAnyDecoder) {
   for (int i = 0; i < 2000; ++i) {
     const common::Bytes data = random_bytes(rng, 256);
     for (const Codec& codec : codecs()) (void)codec.decode(data);
-    (void)store::WalStore::deserialize(data);
     (void)datapath::Packet::parse(data);
   }
   SUCCEED();

@@ -1,6 +1,6 @@
 // Orchestrator + magmad: northbound API, desired-state config sync over
-// realistic backhaul, check-in, checkpoint shipping, durability, report
-// ingest, wedged loops, and control-link telemetry.
+// realistic backhaul, check-in, checkpoint shipping, the config store's
+// contract, report ingest, wedged loops, and control-link telemetry.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -144,16 +144,6 @@ TEST(Orchestrator, ConfigStoreContract) {
             "000000000010000000000000000000000000000936000000040000007a657461"
             "01000000d007000000000000e803000000000000000000000000000000000010"
             "0000000000000000000000000009");
-}
-
-TEST(Orchestrator, ConfigSurvivesCrash) {
-  sim::Kernel kernel;
-  orc8r::Orchestrator orc8r(kernel);
-  orc8r.add_subscriber(subscriber(1, "p"));
-  orc8r.store().checkpoint();
-  orc8r.add_subscriber(subscriber(2, "q"));
-  orc8r.store().simulate_crash_and_recover();
-  EXPECT_EQ(orc8r.subscriber_count(), 2u);
 }
 
 TEST(Orchestrator, CorruptStoreBlobIsCountedWarnedAndAlerted) {

@@ -65,16 +65,14 @@ void LteFrontend::finish_attach_trace(UeCtx& ue, const char* outcome,
 }
 
 void LteFrontend::add_enb_channel(net::Channel& channel) {
-  auto conn = std::make_unique<EnbConn>();
-  conn->channel = &channel;
-  EnbConn* raw = conn.get();
-  channel.set_receiver(
-      [this, raw](common::Bytes bytes) { on_message(*raw, std::move(bytes)); });
-  conns_.push_back(std::move(conn));
+  channel.set_receiver([this, &channel](common::Bytes bytes) {
+    on_message(channel, std::move(bytes));
+  });
+  conns_.push_back(&channel);
 }
 
-void LteFrontend::send(EnbConn& conn, const lte::S1apMessage& msg) {
-  conn.channel->send(lte::encode_s1ap(msg));
+void LteFrontend::send(net::Channel& conn, const lte::S1apMessage& msg) {
+  conn.send(lte::encode_s1ap(msg));
 }
 
 common::Bytes LteFrontend::protect_downlink(UeCtx& ue, common::Bytes pdu) {
@@ -117,7 +115,7 @@ LteFrontend::UeCtx* LteFrontend::find_by_mme_id(std::uint32_t mme_ue_id) {
   return it == ues_.end() ? nullptr : &it->second;
 }
 
-void LteFrontend::on_message(EnbConn& conn, common::Bytes raw) {
+void LteFrontend::on_message(net::Channel& conn, common::Bytes raw) {
   auto msg = lte::decode_s1ap(raw);
   if (!msg.ok()) {
     ++stats_.decode_errors;
@@ -126,7 +124,7 @@ void LteFrontend::on_message(EnbConn& conn, common::Bytes raw) {
   handle(conn, std::move(msg).take());
 }
 
-void LteFrontend::handle(EnbConn& conn, lte::S1apMessage msg) {
+void LteFrontend::handle(net::Channel& conn, lte::S1apMessage msg) {
   if (std::holds_alternative<lte::S1SetupRequest>(msg)) {
     ++stats_.s1_setups;
     send(conn, lte::S1apMessage{lte::S1SetupResponse{kMmeName, 255}});
@@ -281,12 +279,12 @@ void LteFrontend::page(const common::Imsi& imsi) {
   }
   last_page_[imsi] = kernel_.now();
   ++stats_.pages_sent;
-  for (const auto& conn : conns_) {
+  for (net::Channel* conn : conns_) {
     send(*conn, lte::S1apMessage{lte::PagingMessage{imsi}});
   }
 }
 
-void LteFrontend::handle_service_request(EnbConn& conn,
+void LteFrontend::handle_service_request(net::Channel& conn,
                                          std::uint32_t enb_ue_id,
                                          const lte::ServiceRequest& sr) {
   auto tmsi_it = tmsi_to_mme_id_.find(sr.m_tmsi);

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -68,13 +67,9 @@ class LteFrontend {
   const LteFrontendStats& stats() const { return stats_; }
 
  private:
-  struct EnbConn {
-    net::Channel* channel = nullptr;
-  };
-
   struct UeCtx {
     common::Imsi imsi;
-    EnbConn* conn = nullptr;
+    net::Channel* conn = nullptr;
     std::uint32_t enb_ue_id = 0;
     std::uint32_t mme_ue_id = 0;
     crypto::Key256 kasme{};
@@ -100,12 +95,12 @@ class LteFrontend {
     sim::TimePoint awaiting_ue_since = -1;
   };
 
-  void on_message(EnbConn& conn, common::Bytes raw);
-  void handle(EnbConn& conn, proto::lte::S1apMessage msg);
+  void on_message(net::Channel& conn, common::Bytes raw);
+  void handle(net::Channel& conn, proto::lte::S1apMessage msg);
   void handle_nas(UeCtx& ue, const proto::lte::NasMessage& nas);
-  void handle_service_request(EnbConn& conn, std::uint32_t enb_ue_id,
+  void handle_service_request(net::Channel& conn, std::uint32_t enb_ue_id,
                               const proto::lte::ServiceRequest& sr);
-  void send(EnbConn& conn, const proto::lte::S1apMessage& msg);
+  void send(net::Channel& conn, const proto::lte::S1apMessage& msg);
   void send_nas(UeCtx& ue, const proto::lte::NasMessage& nas);
   void reject(UeCtx& ue, proto::lte::EmmCause cause);
   void release_ue(UeCtx& ue, const std::string& cause);
@@ -124,7 +119,7 @@ class LteFrontend {
   Sessiond& sessiond_;
   common::Ipv4 agw_address_;
 
-  std::vector<std::unique_ptr<EnbConn>> conns_;
+  std::vector<net::Channel*> conns_;  // every S1 connection, for paging
   std::unordered_map<std::uint32_t, UeCtx> ues_;  // by mme_ue_id
   std::unordered_map<common::Imsi, std::uint32_t> imsi_to_mme_id_;
   std::unordered_map<std::uint32_t, std::uint32_t> tmsi_to_mme_id_;

@@ -31,16 +31,13 @@ NrFrontend::NrFrontend(Accessd& accessd, Sessiond& sessiond,
     : accessd_(accessd), sessiond_(sessiond), agw_address_(agw_address) {}
 
 void NrFrontend::add_gnb_channel(net::Channel& channel) {
-  auto conn = std::make_unique<GnbConn>();
-  conn->channel = &channel;
-  GnbConn* raw = conn.get();
-  channel.set_receiver(
-      [this, raw](common::Bytes bytes) { on_message(*raw, std::move(bytes)); });
-  conns_.push_back(std::move(conn));
+  channel.set_receiver([this, &channel](common::Bytes bytes) {
+    on_message(channel, std::move(bytes));
+  });
 }
 
-void NrFrontend::send(GnbConn& conn, const nr::NgapMessage& msg) {
-  conn.channel->send(nr::encode_ngap(msg));
+void NrFrontend::send(net::Channel& conn, const nr::NgapMessage& msg) {
+  conn.send(nr::encode_ngap(msg));
 }
 
 void NrFrontend::send_nas(UeCtx& ue, const nr::Nas5gMessage& nas) {
@@ -72,7 +69,7 @@ NrFrontend::UeCtx* NrFrontend::find_by_amf_id(std::uint32_t amf_ue_id) {
   return it == ues_.end() ? nullptr : &it->second;
 }
 
-void NrFrontend::on_message(GnbConn& conn, common::Bytes raw) {
+void NrFrontend::on_message(net::Channel& conn, common::Bytes raw) {
   auto msg = nr::decode_ngap(raw);
   if (!msg.ok()) {
     ++stats_.decode_errors;
@@ -81,7 +78,7 @@ void NrFrontend::on_message(GnbConn& conn, common::Bytes raw) {
   handle(conn, std::move(msg).take());
 }
 
-void NrFrontend::handle(GnbConn& conn, nr::NgapMessage msg) {
+void NrFrontend::handle(net::Channel& conn, nr::NgapMessage msg) {
   if (std::holds_alternative<nr::NgSetupRequest>(msg)) {
     ++stats_.ng_setups;
     send(conn, nr::NgapMessage{nr::NgSetupResponse{kAmfName}});

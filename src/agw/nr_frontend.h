@@ -8,9 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "agw/accessd.h"
 #include "common/ids.h"
@@ -42,13 +40,9 @@ class NrFrontend {
   const NrFrontendStats& stats() const { return stats_; }
 
  private:
-  struct GnbConn {
-    net::Channel* channel = nullptr;
-  };
-
   struct UeCtx {
     common::Imsi supi;
-    GnbConn* conn = nullptr;
+    net::Channel* conn = nullptr;
     std::uint32_t ran_ue_id = 0;
     std::uint32_t amf_ue_id = 0;
     crypto::Key256 kasme{};  // plays the role of KAMF
@@ -58,10 +52,10 @@ class NrFrontend {
     std::uint32_t ul_count = 0;
   };
 
-  void on_message(GnbConn& conn, common::Bytes raw);
-  void handle(GnbConn& conn, proto::nr5g::NgapMessage msg);
+  void on_message(net::Channel& conn, common::Bytes raw);
+  void handle(net::Channel& conn, proto::nr5g::NgapMessage msg);
   void handle_nas(UeCtx& ue, const proto::nr5g::Nas5gMessage& nas);
-  void send(GnbConn& conn, const proto::nr5g::NgapMessage& msg);
+  void send(net::Channel& conn, const proto::nr5g::NgapMessage& msg);
   void send_nas(UeCtx& ue, const proto::nr5g::Nas5gMessage& nas);
   void reject_registration(UeCtx& ue, proto::nr5g::FgmmCause cause);
   void release_ue(UeCtx& ue, const std::string& cause);
@@ -71,7 +65,6 @@ class NrFrontend {
   Sessiond& sessiond_;
   common::Ipv4 agw_address_;
 
-  std::vector<std::unique_ptr<GnbConn>> conns_;
   std::unordered_map<std::uint32_t, UeCtx> ues_;  // by amf_ue_id
   std::unordered_map<common::Imsi, std::uint32_t> supi_to_amf_id_;
   std::uint32_t next_amf_ue_id_ = 1;

@@ -9,19 +9,16 @@ namespace wifi = magma::proto::wifi;
 WifiFrontend::WifiFrontend(Accessd& accessd) : accessd_(accessd) {}
 
 void WifiFrontend::add_ap_channel(net::Channel& channel) {
-  auto conn = std::make_unique<ApConn>();
-  conn->channel = &channel;
-  ApConn* raw = conn.get();
-  channel.set_receiver(
-      [this, raw](common::Bytes bytes) { on_message(*raw, std::move(bytes)); });
-  conns_.push_back(std::move(conn));
+  channel.set_receiver([this, &channel](common::Bytes bytes) {
+    on_message(channel, std::move(bytes));
+  });
 }
 
-void WifiFrontend::send(ApConn& conn, const wifi::RadiusPacket& packet) {
-  conn.channel->send(wifi::encode_radius(packet));
+void WifiFrontend::send(net::Channel& conn, const wifi::RadiusPacket& packet) {
+  conn.send(wifi::encode_radius(packet));
 }
 
-void WifiFrontend::send_reject(ApConn& conn, std::uint8_t identifier,
+void WifiFrontend::send_reject(net::Channel& conn, std::uint8_t identifier,
                                const std::string& user) {
   ++stats_.rejects;
   wifi::RadiusPacket reject;
@@ -31,7 +28,7 @@ void WifiFrontend::send_reject(ApConn& conn, std::uint8_t identifier,
   send(conn, reject);
 }
 
-void WifiFrontend::on_message(ApConn& conn, common::Bytes raw) {
+void WifiFrontend::on_message(net::Channel& conn, common::Bytes raw) {
   auto packet = wifi::decode_radius(raw);
   if (!packet.ok()) {
     ++stats_.decode_errors;
@@ -40,8 +37,9 @@ void WifiFrontend::on_message(ApConn& conn, common::Bytes raw) {
   handle(conn, packet.value());
 }
 
-void WifiFrontend::handle(ApConn& conn, const wifi::RadiusPacket& packet) {
-  ApConn* conn_ptr = &conn;
+void WifiFrontend::handle(net::Channel& conn,
+                          const wifi::RadiusPacket& packet) {
+  net::Channel* conn_ptr = &conn;
 
   if (packet.code == wifi::RadiusCode::kAccessRequest) {
     ++stats_.access_requests;

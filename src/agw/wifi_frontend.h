@@ -10,10 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "agw/accessd.h"
 #include "common/ids.h"
@@ -42,18 +40,13 @@ class WifiFrontend {
   const WifiFrontendStats& stats() const { return stats_; }
 
  private:
-  struct ApConn {
-    net::Channel* channel = nullptr;
-  };
-
-  void on_message(ApConn& conn, common::Bytes raw);
-  void handle(ApConn& conn, const proto::wifi::RadiusPacket& packet);
-  void send(ApConn& conn, const proto::wifi::RadiusPacket& packet);
-  void send_reject(ApConn& conn, std::uint8_t identifier,
+  void on_message(net::Channel& conn, common::Bytes raw);
+  void handle(net::Channel& conn, const proto::wifi::RadiusPacket& packet);
+  void send(net::Channel& conn, const proto::wifi::RadiusPacket& packet);
+  void send_reject(net::Channel& conn, std::uint8_t identifier,
                    const std::string& user);
 
   Accessd& accessd_;
-  std::vector<std::unique_ptr<ApConn>> conns_;
   WifiFrontendStats stats_;
 };
 

@@ -6,15 +6,14 @@
 
 #include "common/log.h"
 #include "obs/slo/attribution.h"
-#include "rpc/wire.h"
 
 namespace magma::orc8r {
 
 namespace {
 // Process-wide incarnation counter. The sim has no wall clock or boot id,
 // so this is what guarantees two orchestrator incarnations never share an
-// epoch, and so that a gateway never splices one incarnation's deltas onto
-// another's state.
+// epoch, and thus that a gateway never splices one incarnation's deltas
+// onto another's state.
 std::uint64_t g_next_epoch = 1;
 
 // The orchestrator's own name in span records, events and the metrics it

@@ -4,11 +4,10 @@
 // Postgres): serialized subscriber and policy records in key order, and a
 // version that every mutation bumps. Exposes a northbound API for operators
 // (subscriber and policy management, gateway inventory, metrics queries),
-// and serves the
-// southbound RPC surface AGWs poll: desired-state config sync, device
-// check-in (device management, §3.1), best-effort metrics ingestion, and
-// checkpoint backup storage (§3.3: an AGW's runtime state "may be copied to
-// a backup instance ... running as a cloud service").
+// and serves the southbound RPC surface AGWs poll: desired-state config
+// sync, device check-in (device management, §3.1), best-effort metrics
+// ingestion, and checkpoint backup storage (§3.3: an AGW's runtime state
+// "may be copied to a backup instance ... running as a cloud service").
 //
 // Runtime UE state never lives here — that is the hierarchical control
 // plane split: the orchestrator scales with configuration churn and
